@@ -65,6 +65,7 @@ from .sweep import (
     ParameterSet,
     RegimeReport,
     SweepRow,
+    SweepTable,
     evaluate,
     regime_report,
     run_sweep,

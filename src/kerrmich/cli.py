@@ -22,10 +22,13 @@ from .crosscheck import run_crosscheck
 from .fock import TruncationError
 from .sweep import (
     CSV_COLUMNS,
+    GRID_COLUMNS,
     GridSpec,
     ParameterSet,
     RegimeReport,
     SweepRow,
+    SweepTable,
+    evaluate,
     regime_report,
     run_sweep,
 )
@@ -237,14 +240,28 @@ def _manifest(argv: Sequence[str], params: dict, seed: int | None) -> dict:
     }
 
 
+def _write_sidecar(output: Path, manifest: dict | None) -> None:
+    if manifest is not None:
+        sidecar = output.with_name(output.name + ".manifest.json")
+        sidecar.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
 def _emit_text(text: str, output: Path | None, manifest: dict | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
     output.write_text(text)
-    if manifest is not None:
-        sidecar = output.with_name(output.name + ".manifest.json")
-        sidecar.write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_sidecar(output, manifest)
+
+
+def _emit_csv(table: SweepTable, output: Path | None, manifest: dict | None) -> None:
+    """Stream the table as CSV, so memory does not grow with the text."""
+    if output is None:
+        table.write_csv(sys.stdout)
+        return
+    with output.open("w") as f:
+        table.write_csv(f)
+    _write_sidecar(output, manifest)
 
 
 def _emit_json(obj: dict, output: Path | None, manifest: dict | None) -> None:
@@ -284,22 +301,16 @@ def _row_validity(row: SweepRow) -> dict:
     }
 
 
-def _rows_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(row.csv_values()) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _params_dict(params: ParameterSet) -> dict:
     return dataclasses.asdict(params)
 
 
 def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params = _params_from_args(args)
-    row = run_sweep(params, (), threshold=args.threshold)[0]
+    row = evaluate(params, args.threshold)
     manifest = _manifest(argv, _params_dict(params), args.seed)
     if args.format == "csv":
-        _emit_text(_rows_csv([row]), args.output, manifest)
+        _emit_csv(SweepTable.from_rows([row]), args.output, manifest)
     else:
         _emit_json(_estimate_payload(row, _row_validity(row)), args.output, manifest)
     return 0
@@ -308,14 +319,24 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params = _params_from_args(args)
     grids = [parse_grid(g) for g in args.grid]
-    rows = run_sweep(params, grids, threshold=args.threshold, max_rows=args.max_rows)
+    if args.format != "json":
+        for g in grids:
+            column = GRID_COLUMNS[g.parameter]
+            if column not in CSV_COLUMNS:
+                raise CliError(
+                    f"--grid {g.parameter} varies {column}, which the CSV does "
+                    f"not carry; use --format json, whose rows include it"
+                )
+    table = run_sweep(params, grids, threshold=args.threshold, max_rows=args.max_rows)
     manifest = _manifest(argv, _params_dict(params), args.seed)
     manifest["grids"] = [dataclasses.asdict(g) for g in grids]
+    manifest["rows"] = len(table)
+    manifest["validity_failures"] = table.validity_failures()
     if args.format == "json":
-        payload = {"columns": list(CSV_COLUMNS), "rows": [r.as_dict() for r in rows]}
+        payload = {"columns": list(CSV_COLUMNS), "rows": table.dicts()}
         _emit_json(payload, args.output, manifest)
     else:
-        _emit_text(_rows_csv(rows), args.output, manifest)
+        _emit_csv(table, args.output, manifest)
     return 0
 
 

@@ -5,19 +5,27 @@ over a fully-specified base design. Rows come out in lexicographic order
 of the grid indices (first grid slowest), each row is a pure function of
 its own inputs, and grid endpoints are echoed exactly as given, so a sweep
 is reproducible byte for byte.
+
+`evaluate` computes one design point through `derive` and
+`sensitivity_report`. `run_sweep` computes a whole grid as NumPy columns
+with the same operations in the same order, so every row is bit for bit
+the row `evaluate` gives for that point.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TextIO
 
 import numpy as np
 
 from .analytic import sensitivity_report
 from .core import (
+    C_LIGHT,
+    HBAR,
     GeometrySpec,
     KerrDerived,
     MediumSpec,
@@ -29,18 +37,20 @@ from .core import (
     operating_arm_length,
 )
 
-GRID_PARAMETERS = (
-    "tau",
-    "area",
-    "power",
-    "n2",
-    "wavelength",
-    "eta",
-    "sigma",
-    "nt",
-    "arm_length",
-    "signal_x",
-)
+# Each sweepable ParameterSet field and the SweepRow column that echoes it.
+GRID_COLUMNS = {
+    "tau": "tau_s",
+    "area": "area_m2",
+    "power": "power_w",
+    "n2": "n2_m2_per_w",
+    "wavelength": "wavelength_m",
+    "eta": "eta",
+    "sigma": "sigma",
+    "nt": "nt",
+    "arm_length": "arm_length_m",
+    "signal_x": "signal_x_m",
+}
+GRID_PARAMETERS = tuple(GRID_COLUMNS)
 
 MAX_ROWS = 1_000_000
 
@@ -66,6 +76,9 @@ CSV_COLUMNS = (
     "margin_operating_point",
     "margin_nl_dominant",
 )
+
+# Rows per block of CSV text formatted and written at once.
+CSV_CHUNK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -237,16 +250,92 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
     )
 
 
+ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+FLAG_FIELDS = (
+    "small_signal",
+    "weak_thermal",
+    "weak_dephasing",
+    "on_operating_point",
+    "nonlinearity_dominant",
+)
+
+
+class SweepTable(Sequence[SweepRow]):
+    """The rows of a sweep, stored as one NumPy column per SweepRow field.
+
+    A SweepRow is built only when a row is indexed; `write_csv`, `dicts`
+    and `validity_failures` read the columns directly.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+        self.columns = columns
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[SweepRow]) -> "SweepTable":
+        rows = list(rows)
+        return cls({
+            name: np.array(
+                [getattr(r, name) for r in rows],
+                dtype=bool if name in FLAG_FIELDS else np.float64,
+            )
+            for name in ROW_FIELDS
+        })
+
+    def __len__(self) -> int:
+        return len(self.columns["tau_s"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        return SweepRow(**{name: col[i].item() for name, col in self.columns.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SweepTable, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def dicts(self) -> list[dict[str, float | bool]]:
+        """Every row as `SweepRow.as_dict` gives it."""
+        values = zip(*(col.tolist() for col in self.columns.values()))
+        return [dict(zip(self.columns, row)) for row in values]
+
+    def validity_failures(self) -> dict[str, int]:
+        """Number of rows failing each of the five validity conditions."""
+        return {name: len(self) - int(self.columns[name].sum()) for name in FLAG_FIELDS}
+
+    def write_csv(self, out: TextIO) -> None:
+        """The CSV_COLUMNS header and one line per row, CSV_CHUNK_ROWS rows
+        at a time, each value as `repr` of its float."""
+        out.write(",".join(CSV_COLUMNS) + "\n")
+        for lo in range(0, len(self), CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            texts = [_reprs(self.columns[name][lo:hi]) for name in CSV_COLUMNS]
+            out.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def _reprs(col: np.ndarray) -> list[str]:
+    """`repr` of every value, formatting each distinct value once. Values
+    are told apart by their bits, so -0.0 is not merged with 0.0."""
+    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def run_sweep(
     base: ParameterSet,
     grids: Sequence[GridSpec] = (),
     threshold: float = 1e-2,
     max_rows: int = MAX_ROWS,
-) -> list[SweepRow]:
+) -> SweepTable:
     """Evaluate the Cartesian product of the grids over the base design.
 
     Row order is lexicographic in the grid indices with the first grid
     varying slowest. No grids means a single row at the base point.
+
+    Rows the column kernel cannot vouch for (see `_kernel`) are recomputed
+    by `evaluate` in row order, so the first one that raises raises exactly
+    what a row-by-row loop would.
     """
     if len(grids) > 3:
         raise ParameterError(f"at most 3 simultaneous grids, got {len(grids)}")
@@ -258,23 +347,119 @@ def run_sweep(
     if total > max_rows:
         raise ParameterError(f"sweep would emit {total} rows, cap is {max_rows}")
 
-    rows: list[SweepRow] = []
-    for combo in _ordered_product(axes):
-        point = base
-        if combo:
-            point = dataclasses.replace(base, **dict(zip(names, combo)))
-        rows.append(evaluate(point, threshold))
-    return rows
+    swept = dict(zip(names, (m.ravel() for m in np.meshgrid(*axes, indexing="ij"))))
+    inputs = {
+        name: swept[name] if name in swept else np.full(total, value, dtype=np.float64)
+        for name, value in dataclasses.asdict(base).items()
+        if value is not None or name in swept
+    }
+    columns, clean = _kernel(inputs, threshold)
+    for i in np.flatnonzero(~clean).tolist():
+        point = dataclasses.replace(base, **{name: float(swept[name][i]) for name in names})
+        row = evaluate(point, threshold)
+        for name, col in columns.items():
+            col[i] = getattr(row, name)
+    return SweepTable(columns)
 
 
-def _ordered_product(axes: Sequence[Sequence[float]]) -> Iterable[tuple[float, ...]]:
-    if not axes:
-        yield ()
-        return
-    head, *rest = axes
-    for v in head:
-        for tail in _ordered_product(rest):
-            yield (v, *tail)
+# Python's float ** 2 raises OverflowError once the square passes the
+# largest double (at |x| ~ 1.34e154); rows squaring larger values go to
+# `evaluate`.
+_SQUARE_LIMIT = 1e154
+
+
+def _square(col: np.ndarray) -> np.ndarray:
+    """x ** 2 by Python's own float power, which rounds differently from
+    x * x for about one input in a thousand; NaN where it could overflow."""
+    safe = np.where(np.abs(col) < _SQUARE_LIMIT, col, np.nan)
+    return np.array([v**2 for v in safe.tolist()])
+
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """`analytic._ratio` over columns."""
+    return np.where(
+        numerator == 0.0,
+        0.0,
+        np.where(denominator == 0.0, np.inf, numerator / denominator),
+    )
+
+
+def _kernel(
+    p: dict[str, np.ndarray], threshold: float
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """SweepRow columns for the ParameterSet columns p, and the mask of
+    clean rows.
+
+    Each expression repeats the one in `derive`, `operating_arm_length`
+    and `sensitivity_report` term for term: + - * / and sqrt are correctly
+    rounded and `round` is `np.rint`, so a clean row is bit for bit what
+    `evaluate` returns. A row is clean when its inputs pass every spec
+    check and every intermediate and result is finite; a zero divisor
+    shows up as a non-finite quotient. Only clean rows are sure not to
+    raise in `evaluate`, and only they are vouched for.
+    """
+    wl, tau, area, power = p["wavelength"], p["tau"], p["area"], p["power"]
+    n0, n2, eta, sigma, nt = p["n0"], p["n2"], p["eta"], p["sigma"], p["nt"]
+    signal = p["signal_x"]
+    with np.errstate(all="ignore"):
+        omega = 2.0 * math.pi * C_LIGHT / wl
+        n = power * tau / (HBAR * omega)
+        chi = (n2 / n0) * HBAR * omega / (area * tau)
+        k = n0 * omega / C_LIGHT
+        if "arm_length" in p:
+            arm = p["arm_length"]
+        else:
+            arm = np.where(chi > 0.0, 2.0 * math.pi / (k * chi), 1.0)
+
+        dark = n <= 0.0
+        noise = 1.0 + eta * n * sigma * sigma + nt
+        gain = 1.0 + 0.5 * chi * n
+        delta_x = np.where(dark, np.inf, np.sqrt(noise / (eta * k * k * n)) / gain)
+        delta_x_linear = np.where(dark, np.inf, np.sqrt((1.0 + nt) / (eta * k * k * n)))
+        improvement = np.where(dark, 1.0, np.sqrt(noise / (1.0 + nt)) / gain)
+
+        z0 = k * arm * chi / 2.0
+        turns = z0 / math.pi
+        detuning = z0 - np.rint(turns) * math.pi
+        sigma_sq = _square(sigma)
+        gain_sq = _square(chi * n)
+        nl_noise = eta * n * sigma_sq + nt
+        margins = {
+            "margin_small_signal": chi * n * k * np.abs(signal),
+            "margin_thermal": _ratio(nt, n),
+            "margin_dephasing": sigma.copy(),
+            "margin_operating_point": np.abs(detuning) / math.pi,
+            "margin_nl_dominant": _ratio(nl_noise, gain_sq),
+        }
+
+        clean = (
+            (wl > 0.0) & (tau > 0.0) & (area > 0.0) & (power >= 0.0)
+            & (n0 > 0.0) & (n2 >= 0.0) & (eta > 0.0) & (eta <= 1.0)
+            & (sigma >= 0.0) & (nt >= 0.0)
+            & (arm > 0.0) & (arm - 0.5 * signal > 0.0) & (arm + 0.5 * signal > 0.0)
+            # signal_variance squares eta * n * sigma
+            & (np.abs(eta * n * sigma) < _SQUARE_LIMIT)
+        )
+        for col in (
+            *p.values(), arm, omega, n, chi, k, turns, sigma_sq, gain_sq,
+            delta_x, delta_x_linear, improvement, *margins.values(),
+        ):
+            clean &= np.isfinite(col)
+
+    columns = {GRID_COLUMNS[name]: col for name, col in p.items() if name in GRID_COLUMNS}
+    columns["arm_length_m"] = arm
+    flags = dict(zip(FLAG_FIELDS, (m < threshold for m in margins.values())))
+    columns.update(
+        n_photons=n,
+        chi=chi,
+        k_per_m=k,
+        delta_x_m=delta_x,
+        delta_x_linear_m=delta_x_linear,
+        improvement=improvement,
+        **margins,
+        **flags,
+    )
+    return {name: columns[name] for name in ROW_FIELDS}, clean
 
 
 @dataclass(frozen=True)

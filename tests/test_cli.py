@@ -346,3 +346,45 @@ def test_unknown_flag(capsys):
     code, _, err = run_cli(capsys, "estimate", "--regime", "giant-eit", "--bogus")
     assert code == 1
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("grid", ["arm_length=100:150:3", "signal_x=-1e-13:1e-13:3"])
+def test_csv_rejects_grid_over_a_column_it_lacks(capsys, grid):
+    # arm_length_m and signal_x_m are in the JSON rows but not in the CSV
+    code, out, err = run_cli(capsys, "sweep", "--regime", "giant-eit", "--grid", grid)
+    assert code == 1
+    assert out == ""
+    assert "--format json" in err
+    code, out, _ = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", "--grid", grid, "--format", "json"
+    )
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_manifest_counts_rows_and_validity_failures(capsys, tmp_path, fmt):
+    # the sigma grid of test_dominance_flag_flips_at_the_margin_crossing:
+    # sigma >= 0.01 at 21 of the 41 points, the dominance margin fails at 28
+    target = tmp_path / f"rows.{fmt}"
+    code, _, _ = run_cli(
+        capsys,
+        "sweep",
+        "--regime", "giant-eit",
+        "--grid", "sigma=0:0.02:41",
+        "--format", fmt,
+        "--output", str(target),
+    )
+    assert code == 0
+    if fmt == "csv":
+        manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    else:
+        manifest = json.loads(target.read_text())["manifest"]
+    assert manifest["rows"] == 41
+    assert manifest["validity_failures"] == {
+        "small_signal": 0,
+        "weak_thermal": 0,
+        "weak_dephasing": 21,
+        "on_operating_point": 0,
+        "nonlinearity_dominant": 28,
+    }

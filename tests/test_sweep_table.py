@@ -1,0 +1,194 @@
+"""The column engine of `run_sweep` against `evaluate` as the reference.
+
+`evaluate` computes one point at a time through `derive` and
+`sensitivity_report`; every row of `run_sweep` must equal it bit for bit
+(NaN matching NaN), and where `evaluate` raises on some grid point,
+`run_sweep` must raise the same exception with the same message.
+"""
+
+import dataclasses
+import io
+import itertools
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from kerrmich.sweep import (
+    GRID_PARAMETERS,
+    ROW_FIELDS,
+    GridSpec,
+    ParameterSet,
+    SweepTable,
+    evaluate,
+    run_sweep,
+)
+
+GIANT_BASE = ParameterSet.from_preset("giant-eit")
+NATURAL_BASE = ParameterSet.from_preset("natural")
+
+
+def bits(row):
+    """Type and repr of every field: repr tells every pair of floats apart
+    by their bits, -0.0 from 0.0 included, and prints every NaN as nan."""
+    return [(type(v), repr(v)) for v in dataclasses.astuple(row)]
+
+
+def reference(base, grids, threshold):
+    names = [g.parameter for g in grids]
+    return [
+        evaluate(dataclasses.replace(base, **dict(zip(names, combo))), threshold)
+        for combo in itertools.product(*(g.values() for g in grids))
+    ]
+
+
+def assert_same_as_evaluate(base, grids, threshold=1e-2):
+    try:
+        want = reference(base, grids, threshold)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            run_sweep(base, grids, threshold)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    got = run_sweep(base, grids, threshold)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert bits(g) == bits(w), i
+
+
+@st.composite
+def number(draw, typical):
+    """Mostly typical * 10**[-2, 2]; else a zero of either sign, or any
+    float of either sign with a decimal exponent up to +-300."""
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        return draw(st.sampled_from([0.0, -0.0]))
+    if kind == 1:
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return sign * draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-300, 300))
+    return typical * 10.0 ** draw(st.floats(-2.0, 2.0))
+
+
+TYPICAL = {
+    "tau": 1e-11,
+    "area": 1e-7,
+    "power": 1e8,
+    "n2": 1e-12,
+    "wavelength": 5e-7,
+    "eta": 0.3,
+    "sigma": 1e-4,
+    "nt": 1.0,
+    "arm_length": 1e2,
+    "signal_x": 1e-16,
+}
+
+
+@st.composite
+def designs(draw):
+    base = draw(st.sampled_from([GIANT_BASE, NATURAL_BASE]))
+    changes = {}
+    for name in draw(st.lists(st.sampled_from(GRID_PARAMETERS), unique=True)):
+        changes[name] = draw(number(TYPICAL[name]))
+    grids = []
+    for name in draw(st.lists(st.sampled_from(GRID_PARAMETERS), max_size=3, unique=True)):
+        lo, hi = sorted((draw(number(TYPICAL[name])), draw(number(TYPICAL[name]))))
+        assume(lo < hi)
+        spacing = draw(st.sampled_from(["linear", "log"])) if lo > 0.0 else "linear"
+        grids.append(GridSpec(name, lo, hi, draw(st.integers(2, 3)), spacing))
+    threshold = draw(st.sampled_from([1e-2, 1e-9, 0.5]))
+    return dataclasses.replace(base, **changes), grids, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(designs())
+def test_run_sweep_equals_evaluate(design):
+    assert_same_as_evaluate(*design)
+
+
+@pytest.mark.parametrize(
+    "base, sigma", [(GIANT_BASE, 1e-3), (NATURAL_BASE, 1e-8)], ids=["giant", "natural"]
+)
+@pytest.mark.parametrize("parameter", ["sigma", "power"])
+def test_squares_round_like_python_power(base, sigma, parameter):
+    # The dominance margin squares sigma and chi * N. Python's x ** 2
+    # (libm pow) and x * x differ in the last bit for a few of these
+    # points, and so would the margin of up to 5 rows per grid.
+    base = dataclasses.replace(base, sigma=sigma)
+    lo, hi = (1e-4, 1e-1) if parameter == "sigma" else (base.power / 100, base.power)
+    assert_same_as_evaluate(base, [GridSpec(parameter, lo, hi, 3000, "log")])
+
+
+@pytest.mark.parametrize(
+    "changes, grid",
+    [
+        # dark input: infinite resolution, no exception
+        (dict(), GridSpec("power", 0.0, 1e6, 3)),
+        # linear medium: 1 m arm fallback, infinite dominance margin
+        (dict(n2=0.0), GridSpec("sigma", 0.0, 0.1, 3)),
+        # the first bad point raises what evaluate raises there
+        (dict(), GridSpec("eta", 0.5, 1.5, 3)),
+        (dict(), GridSpec("signal_x", -1e3, 1e3, 3)),
+        # zero divisor: area * tau underflows to 0
+        (dict(tau=1e-300), GridSpec("area", 1e-300, 1e-10, 3, "log")),
+        # overflowing squares: eta * N * sigma, then sigma, then chi * N
+        (dict(), GridSpec("sigma", 1e100, 1e200, 3, "log")),
+        (dict(power=1e-20), GridSpec("sigma", 1e150, 1e160, 3, "log")),
+        (dict(), GridSpec("power", 1e150, 1e170, 3, "log")),
+        # round(inf) and round(nan) on the operating point
+        (dict(arm_length=1e300, n2=1e10), GridSpec("eta", 0.5, 1.0, 2)),
+        (dict(arm_length=1e302, n2=0.0), GridSpec("eta", 0.5, 1.0, 2)),
+        # NaN results, no exception
+        (dict(n2=1e300), GridSpec("power", 1e300, 1e301, 2)),
+    ],
+)
+def test_edge_rows_match_evaluate(changes, grid):
+    assert_same_as_evaluate(dataclasses.replace(GIANT_BASE, **changes), [grid])
+
+
+class TestSweepTable:
+    GRIDS = [GridSpec("eta", 0.5, 1.0, 2), GridSpec("sigma", 0.0, 0.02, 3)]
+
+    def test_indexing_builds_rows(self):
+        table = run_sweep(GIANT_BASE, self.GRIDS)
+        rows = reference(GIANT_BASE, self.GRIDS, 1e-2)
+        assert isinstance(table, SweepTable)
+        assert table[-1] == rows[-1]
+        assert table[1:4] == rows[1:4]
+        assert table == rows and rows == table
+        assert list(reversed(table)) == rows[::-1]
+        with pytest.raises(IndexError):
+            table[len(rows)]
+
+    def test_from_rows_round_trips(self):
+        rows = reference(GIANT_BASE, self.GRIDS, 1e-2)
+        table = SweepTable.from_rows(rows)
+        assert list(table) == rows
+        assert table.dicts() == [r.as_dict() for r in rows]
+        assert list(table.dicts()[0]) == list(ROW_FIELDS)
+
+    def test_validity_failures_count_false_flags(self):
+        # the sigma grid of test_dominance_flag_flips_at_the_margin_crossing
+        table = run_sweep(GIANT_BASE, [GridSpec("sigma", 0.0, 0.02, 41)])
+        failures = table.validity_failures()
+        assert failures == {
+            name: sum(not getattr(row, name) for row in table)
+            for name in ("small_signal", "weak_thermal", "weak_dephasing",
+                         "on_operating_point", "nonlinearity_dominant")
+        }
+        # sigma >= 0.01 at points 20..40; the dominance margin fails from
+        # just past sigma* ~ 0.0063 (see that test) on
+        assert failures == {
+            "small_signal": 0,
+            "weak_thermal": 0,
+            "weak_dephasing": 21,
+            "on_operating_point": 0,
+            "nonlinearity_dominant": 28,
+        }
+
+    def test_csv_keeps_negative_zero_apart(self):
+        rows = [evaluate(dataclasses.replace(GIANT_BASE, sigma=s)) for s in (0.0, -0.0, 0.0)]
+        out = io.StringIO()
+        SweepTable.from_rows(rows).write_csv(out)
+        lines = out.getvalue().splitlines()
+        assert lines[1:] == [",".join(r.csv_values()) for r in rows]
+        assert [line.split(",")[6] for line in lines[1:]] == ["0.0", "-0.0", "0.0"]
