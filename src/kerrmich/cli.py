@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import shlex
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .core import ParameterError, get_preset
@@ -110,16 +111,38 @@ def _add_physical_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--signal", type=float, help="arm-length signal x (m, default 0)")
 
 
+def parse_threshold(text: str) -> float:
+    """Validity margin threshold: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse threshold {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"threshold must be finite and > 0, got {text!r}"
+        )
+    return value
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=Path, help="write to this file instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), help="output format")
+    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+
+
+def _add_threshold_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threshold",
-        type=float,
+        type=parse_threshold,
         default=1e-2,
         help="validity margin threshold (default 1e-2)",
     )
-    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+
+
+def _add_design_flags(p: argparse.ArgumentParser) -> None:
+    _add_physical_flags(p)
+    _add_common_flags(p)
+    _add_threshold_flag(p)
+    p.add_argument("--format", choices=("json", "csv"), help="output format")
 
 
 def build_parser() -> _Parser:
@@ -137,12 +160,10 @@ def build_parser() -> _Parser:
     est = sub.add_parser(
         "estimate", help="resolution and validity for one design, as JSON"
     )
-    _add_physical_flags(est)
-    _add_common_flags(est)
+    _add_design_flags(est)
 
     sw = sub.add_parser("sweep", help="grid sweep over up to 3 parameters, as CSV")
-    _add_physical_flags(sw)
-    _add_common_flags(sw)
+    _add_design_flags(sw)
     sw.add_argument(
         "--grid",
         action="append",
@@ -182,6 +203,7 @@ def build_parser() -> _Parser:
 
     reg = sub.add_parser("regimes", help="built-in presets and their reports, as JSON")
     _add_common_flags(reg)
+    _add_threshold_flag(reg)
 
     return parser
 
@@ -246,21 +268,15 @@ def _write_sidecar(output: Path, manifest: dict | None) -> None:
         sidecar.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _emit_text(text: str, output: Path | None, manifest: dict | None) -> None:
+def _emit_stream(
+    write: Callable[[TextIO], None], output: Path | None, manifest: dict | None
+) -> None:
+    """Stream text through write(file), so memory does not grow with it."""
     if output is None:
-        sys.stdout.write(text)
-        return
-    output.write_text(text)
-    _write_sidecar(output, manifest)
-
-
-def _emit_csv(table: SweepTable, output: Path | None, manifest: dict | None) -> None:
-    """Stream the table as CSV, so memory does not grow with the text."""
-    if output is None:
-        table.write_csv(sys.stdout)
+        write(sys.stdout)
         return
     with output.open("w") as f:
-        table.write_csv(f)
+        write(f)
     _write_sidecar(output, manifest)
 
 
@@ -310,7 +326,7 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     row = evaluate(params, args.threshold)
     manifest = _manifest(argv, _params_dict(params), args.seed)
     if args.format == "csv":
-        _emit_csv(SweepTable.from_rows([row]), args.output, manifest)
+        _emit_stream(SweepTable.from_rows([row]).write_csv, args.output, manifest)
     else:
         _emit_json(_estimate_payload(row, _row_validity(row)), args.output, manifest)
     return 0
@@ -336,7 +352,7 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         payload = {"columns": list(CSV_COLUMNS), "rows": table.dicts()}
         _emit_json(payload, args.output, manifest)
     else:
-        _emit_csv(table, args.output, manifest)
+        _emit_stream(table.write_csv, args.output, manifest)
     return 0
 
 
@@ -349,6 +365,10 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise CliError("--max-photons must be >= 0")
     if args.tolerance < 0:
         raise CliError("--tolerance must be >= 0")
+    if args.dim_margin < 0:
+        raise CliError("--dim-margin must be >= 0")
+    if args.cases < 0:
+        raise CliError("--cases must be >= 0")
     report = run_crosscheck(
         max_photons=args.max_photons,
         tolerance=args.tolerance,
@@ -366,7 +386,11 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         },
         args.seed,
     )
-    _emit_text("\n".join(report.lines()) + "\n", args.output, manifest)
+    _emit_stream(
+        lambda f: f.writelines(line + "\n" for line in report.lines()),
+        args.output,
+        manifest,
+    )
     return 0 if report.ok else 2
 
 

@@ -16,6 +16,7 @@ error band, everything else on the requested relative tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .fock import (
     coherent_identity_residual,
     fock_dim,
     gauss_hermite_phase,
+    kerr_means,
     moments,
     monte_carlo_phase,
     noisy_moments,
@@ -50,6 +52,18 @@ DEFAULT_PHASE_SETTINGS = (
 )
 MC_SAMPLES = 100_000
 MC_SIGMA_BAND = 3.0
+# Random mean cases drawn, then evaluated by photon number, at a time.
+MEAN_WINDOW = 2048
+# Unit of each section's error: relative error, absolute residual, or
+# standard errors from the exact value (limit MC_SIGMA_BAND).
+SECTION_UNITS = {
+    "mean": "rel",
+    "identity": "abs",
+    "variance": "rel",
+    "gaussian": "rel",
+    "noise": "rel",
+    "gaussian-mc": f"z (limit {MC_SIGMA_BAND:g})",
+}
 
 
 @dataclass(frozen=True)
@@ -84,20 +98,24 @@ class CrossCheckReport:
         errs = [c.error for c in self.cases if section is None or c.section == section]
         return max(errs, default=0.0)
 
-    def lines(self) -> list[str]:
-        out = []
+    def lines(self) -> Iterator[str]:
+        """One line per check, then the summary: verdict, counts, and each
+        section's worst error in that section's unit."""
         for c in self.cases:
             status = "PASS" if c.ok else "FAIL"
-            out.append(
+            yield (
                 f"{status} [{c.section}] {c.label}: error {c.error:.3e} "
                 f"(limit {c.limit:.3e})"
             )
-        status = "PASS" if self.ok else "FAIL"
-        out.append(
-            f"{status} {len(self.cases)} checks, "
-            f"{len(self.failures)} failed, max error {self.max_error():.3e}"
+        worst = ", ".join(
+            f"{section} {self.max_error(section):.3e} {SECTION_UNITS[section]}"
+            for section in dict.fromkeys(c.section for c in self.cases)
         )
-        return out
+        status = "PASS" if self.ok else "FAIL"
+        yield (
+            f"{status} {len(self.cases)} checks, "
+            f"{len(self.failures)} failed, worst error: {worst}"
+        )
 
 
 def relative_error(a: float, b: float) -> float:
@@ -119,22 +137,41 @@ def _evolved_moments(n: int, chi: float, phi1: float, phi2: float, offset: float
     return moments(apply_kerr(state, phi1, phi2, chi), offset=offset)
 
 
+def _kerr_means(settings: list[tuple], dim_margin: int) -> list[float]:
+    """Exact <M> of each (n, chi, phi1, phi2, offset), as `_evolved_moments`
+    gives it, from one input state per photon number."""
+    groups: dict[int, list[int]] = {}
+    for i, setting in enumerate(settings):
+        groups.setdefault(setting[0], []).append(i)
+    got = [0.0] * len(settings)
+    for n, idx in groups.items():
+        state = product_input(math.sqrt(float(n)), dim=fock_dim(n / 2.0) + dim_margin)
+        _, chi, phi1, phi2, offset = zip(*(settings[i] for i in idx))
+        for i, value in zip(idx, kerr_means(state, phi1, phi2, chi, offset).tolist()):
+            got[i] = value
+    return got
+
+
 def _mean_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
-    cases = []
-    for n in _photon_grid(max_photons):
-        for chi in DEFAULT_CHIS:
-            for phi1, phi2, offset in DEFAULT_PHASE_SETTINGS:
-                got = _evolved_moments(n, chi, phi1, phi2, offset, dim_margin).mean_m
-                want = signal_mean_exact(float(n), chi, phi1, phi2, offset)
-                cases.append(
-                    CheckCase(
-                        section="mean",
-                        label=f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}",
-                        error=relative_error(got, want),
-                        limit=math.nan,  # filled by caller
-                    )
-                )
-    return cases
+    settings = [
+        (n, chi, phi1, phi2, offset)
+        for n in _photon_grid(max_photons)
+        for chi in DEFAULT_CHIS
+        for phi1, phi2, offset in DEFAULT_PHASE_SETTINGS
+    ]
+    return [
+        CheckCase(
+            section="mean",
+            label=f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}",
+            error=relative_error(
+                got, signal_mean_exact(float(n), chi, phi1, phi2, offset)
+            ),
+            limit=math.nan,  # filled by caller
+        )
+        for (n, chi, phi1, phi2, offset), got in zip(
+            settings, _kerr_means(settings, dim_margin)
+        )
+    ]
 
 
 def _extra_mean_cases(
@@ -142,27 +179,36 @@ def _extra_mean_cases(
 ) -> list[CheckCase]:
     cases = []
     top = max(max_photons, 0)
-    for i in range(count):
-        # redraw until the expected mean is not pathologically small, so a
-        # relative comparison stays meaningful
-        while True:
-            n = int(rng.integers(0, top + 1))
-            chi = float(rng.uniform(0.0, 0.12))
-            phi1 = float(rng.uniform(0.0, 2.5))
-            phi2 = float(rng.uniform(0.0, 2.5))
-            offset = float(rng.uniform(-1.0, 1.0))
-            want = signal_mean_exact(float(n), chi, phi1, phi2, offset)
-            if n == 0 or abs(want) >= 1e-3:
-                break
-        got = _evolved_moments(n, chi, phi1, phi2, offset, dim_margin).mean_m
-        cases.append(
+    # draw and evaluate a window of cases at a time, so the drawn settings
+    # take O(window) memory next to the O(count) cases
+    for start in range(0, count, MEAN_WINDOW):
+        settings = []
+        wants = []
+        for _ in range(min(MEAN_WINDOW, count - start)):
+            # redraw until the expected mean is not pathologically small, so
+            # a relative comparison stays meaningful
+            while True:
+                n = int(rng.integers(0, top + 1))
+                chi = float(rng.uniform(0.0, 0.12))
+                phi1 = float(rng.uniform(0.0, 2.5))
+                phi2 = float(rng.uniform(0.0, 2.5))
+                offset = float(rng.uniform(-1.0, 1.0))
+                want = signal_mean_exact(float(n), chi, phi1, phi2, offset)
+                if n == 0 or abs(want) >= 1e-3:
+                    break
+            settings.append((n, chi, phi1, phi2, offset))
+            wants.append(want)
+        cases += [
             CheckCase(
                 section="mean",
                 label=f"random[{i}] N={n} chi={chi:.4f}",
                 error=relative_error(got, want),
                 limit=math.nan,
             )
-        )
+            for i, ((n, chi, *_), want, got) in enumerate(
+                zip(settings, wants, _kerr_means(settings, dim_margin)), start
+            )
+        ]
     return cases
 
 

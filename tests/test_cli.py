@@ -388,3 +388,43 @@ def test_manifest_counts_rows_and_validity_failures(capsys, tmp_path, fmt):
         "on_operating_point": 0,
         "nonlinearity_dominant": 28,
     }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--max-photons", "4", "--format", "json"),
+        ("verify", "--max-photons", "4", "--threshold", "0.1"),
+        ("regimes", "--format", "json"),
+    ],
+)
+def test_flags_a_command_would_ignore_are_rejected(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {args[-2]}" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [("estimate", "--regime", "giant-eit"), ("sweep", "--regime", "giant-eit"), ("regimes",)],
+)
+def test_threshold_must_be_finite_and_positive(capsys, command, value):
+    code, out, err = run_cli(capsys, *command, "--threshold", value)
+    assert code == 1
+    assert out == ""
+    assert "threshold must be finite and > 0" in err
+
+
+def test_seed_stays_as_provenance_on_verify_and_regimes(capsys):
+    assert run_cli(capsys, "verify", "--max-photons", "0", "--seed", "3")[0] == 0
+    assert run_cli(capsys, "regimes", "--seed", "3", "--threshold", "0.02")[0] == 0
+
+
+@pytest.mark.parametrize("flag", ["--dim-margin", "--cases"])
+def test_verify_rejects_negative_counts(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "--max-photons", "2", flag, "-1")
+    assert code == 1
+    assert out == ""
+    assert f"{flag} must be >= 0" in err
