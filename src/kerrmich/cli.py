@@ -23,7 +23,9 @@ from .crosscheck import run_crosscheck
 from .fock import TruncationError
 from .sweep import (
     CSV_COLUMNS,
+    FLAG_FIELDS,
     GRID_COLUMNS,
+    MARGIN_FIELDS,
     GridSpec,
     ParameterSet,
     RegimeReport,
@@ -194,7 +196,10 @@ def build_parser() -> _Parser:
         "--tolerance",
         type=float,
         default=1e-9,
-        help="relative tolerance for deterministic checks (default 1e-9)",
+        help=(
+            "tolerance for deterministic checks: on the relative error, and on "
+            "the absolute residual of the identity checks (default 1e-9)"
+        ),
     )
     ver.add_argument(
         "--cases", type=int, default=0, help="extra random mean cases (default 0)"
@@ -303,18 +308,7 @@ def _estimate_payload(row: SweepRow, validity: dict) -> dict:
 
 
 def _row_validity(row: SweepRow) -> dict:
-    return {
-        "margin_small_signal": row.margin_small_signal,
-        "margin_thermal": row.margin_thermal,
-        "margin_dephasing": row.margin_dephasing,
-        "margin_operating_point": row.margin_operating_point,
-        "margin_nl_dominant": row.margin_nl_dominant,
-        "small_signal": row.small_signal,
-        "weak_thermal": row.weak_thermal,
-        "weak_dephasing": row.weak_dephasing,
-        "on_operating_point": row.on_operating_point,
-        "nonlinearity_dominant": row.nonlinearity_dominant,
-    }
+    return {name: getattr(row, name) for name in (*MARGIN_FIELDS, *FLAG_FIELDS)}
 
 
 def _params_dict(params: ParameterSet) -> dict:
@@ -324,9 +318,18 @@ def _params_dict(params: ParameterSet) -> dict:
 def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params = _params_from_args(args)
     row = evaluate(params, args.threshold)
+    table = SweepTable.from_rows([row])
     manifest = _manifest(argv, _params_dict(params), args.seed)
+    manifest["rows"] = len(table)
+    manifest["validity_failures"] = table.validity_failures()
+    failed = [name for name, count in manifest["validity_failures"].items() if count]
+    if failed:
+        print(
+            f"{PROG}: warning: validity conditions failed: {', '.join(failed)}",
+            file=sys.stderr,
+        )
     if args.format == "csv":
-        _emit_stream(SweepTable.from_rows([row]).write_csv, args.output, manifest)
+        _emit_stream(table.write_csv, args.output, manifest)
     else:
         _emit_json(_estimate_payload(row, _row_validity(row)), args.output, manifest)
     return 0

@@ -9,8 +9,10 @@ closed form at desk scale (a few tens of photons):
   gaussian  dephasing factors vs Gauss-Hermite quadrature and Monte Carlo
   noise     the efficiency/dephasing/thermal replacement rules end to end
 
-Deterministic for a fixed seed; Monte Carlo cases pass on a 3-standard-
-error band, everything else on the requested relative tolerance.
+Deterministic for a fixed seed. Monte Carlo cases pass on a 3-standard-
+error band. Every other case compares its error with the requested
+tolerance: the identity residual |direct - closed| as an absolute error,
+the rest as relative errors.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def _kerr_means(settings: list[tuple], dim_margin: int) -> list[float]:
     return got
 
 
-def _mean_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
+def _mean_cases(max_photons: int, dim_margin: int, tolerance: float) -> list[CheckCase]:
     settings = [
         (n, chi, phi1, phi2, offset)
         for n in _photon_grid(max_photons)
@@ -166,7 +168,7 @@ def _mean_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
             error=relative_error(
                 got, signal_mean_exact(float(n), chi, phi1, phi2, offset)
             ),
-            limit=math.nan,  # filled by caller
+            limit=tolerance,
         )
         for (n, chi, phi1, phi2, offset), got in zip(
             settings, _kerr_means(settings, dim_margin)
@@ -175,7 +177,11 @@ def _mean_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
 
 
 def _extra_mean_cases(
-    max_photons: int, dim_margin: int, count: int, rng: np.random.Generator
+    max_photons: int,
+    dim_margin: int,
+    count: int,
+    rng: np.random.Generator,
+    tolerance: float,
 ) -> list[CheckCase]:
     cases = []
     top = max(max_photons, 0)
@@ -203,7 +209,7 @@ def _extra_mean_cases(
                 section="mean",
                 label=f"random[{i}] N={n} chi={chi:.4f}",
                 error=relative_error(got, want),
-                limit=math.nan,
+                limit=tolerance,
             )
             for i, ((n, chi, *_), want, got) in enumerate(
                 zip(settings, wants, _kerr_means(settings, dim_margin)), start
@@ -212,7 +218,7 @@ def _extra_mean_cases(
     return cases
 
 
-def _identity_cases(max_photons: int) -> list[CheckCase]:
+def _identity_cases(max_photons: int, tolerance: float) -> list[CheckCase]:
     mus = tuple(mu for mu in (0.5, 2.0, 5.0, 10.0) if mu <= max(max_photons, 0))
     if not mus:
         mus = (0.0,)
@@ -225,13 +231,15 @@ def _identity_cases(max_photons: int) -> list[CheckCase]:
                     section="identity",
                     label=f"|beta|^2={mu} z={z:.4f}",
                     error=residual,
-                    limit=math.nan,
+                    limit=tolerance,
                 )
             )
     return cases
 
 
-def _variance_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
+def _variance_cases(
+    max_photons: int, dim_margin: int, tolerance: float
+) -> list[CheckCase]:
     offsets = [j * math.pi / 4.0 + 0.35 for j in range(8)]
     cases = []
     for n in _photon_grid(max_photons):
@@ -247,14 +255,16 @@ def _variance_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
                         section="variance",
                         label=f"N={n} chi={chi} off={offset:.4f}",
                         error=relative_error(got, want),
-                        limit=math.nan,
+                        limit=tolerance,
                     )
                 )
     return cases
 
 
-def _gaussian_cases(seed: int) -> tuple[list[CheckCase], list[CheckCase]]:
-    """Quadrature cases (relative-tolerance) and Monte Carlo cases (3 se)."""
+def _gaussian_cases(
+    seed: int, tolerance: float
+) -> tuple[list[CheckCase], list[CheckCase]]:
+    """Quadrature cases (relative tolerance) and Monte Carlo cases (3 se)."""
     quad_cases = []
     mc_cases = []
     for sigma in (0.1, 0.3, 0.5):
@@ -272,7 +282,7 @@ def _gaussian_cases(seed: int) -> tuple[list[CheckCase], list[CheckCase]]:
                 section="gaussian",
                 label=f"quadrature sigma={sigma}",
                 error=relative_error(got, want),
-                limit=math.nan,
+                limit=tolerance,
             )
         )
     for idx, sigma in enumerate((0.1, 0.3)):
@@ -303,7 +313,7 @@ def _gaussian_cases(seed: int) -> tuple[list[CheckCase], list[CheckCase]]:
     return quad_cases, mc_cases
 
 
-def _noise_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
+def _noise_cases(max_photons: int, dim_margin: int, tolerance: float) -> list[CheckCase]:
     n = min(16, max_photons) if max_photons > 0 else 0
     chi = 0.1
     phi0 = 2.0 * math.pi / chi
@@ -321,7 +331,7 @@ def _noise_cases(max_photons: int, dim_margin: int) -> list[CheckCase]:
                         section="noise",
                         label=f"N={n} eta={eta} sigma={sigma} nt={nt}",
                         error=relative_error(noisy.mean_m2, want),
-                        limit=math.nan,
+                        limit=tolerance,
                     )
                 )
     return cases
@@ -343,19 +353,13 @@ def run_crosscheck(
         raise ValueError(f"dim_margin must be >= 0, got {dim_margin}")
 
     rng = np.random.default_rng(seed)
-    cases: list[CheckCase] = []
-    cases += _mean_cases(max_photons, dim_margin)
+    cases = _mean_cases(max_photons, dim_margin, tolerance)
     if extra_cases:
-        cases += _extra_mean_cases(max_photons, dim_margin, extra_cases, rng)
-    cases += _identity_cases(max_photons)
-    cases += _variance_cases(max_photons, dim_margin)
-    quad, mc = _gaussian_cases(seed)
+        cases += _extra_mean_cases(max_photons, dim_margin, extra_cases, rng, tolerance)
+    cases += _identity_cases(max_photons, tolerance)
+    cases += _variance_cases(max_photons, dim_margin, tolerance)
+    quad, mc = _gaussian_cases(seed, tolerance)
     cases += quad
-    cases += _noise_cases(max_photons, dim_margin)
-
-    resolved = [
-        c if not math.isnan(c.limit) else CheckCase(c.section, c.label, c.error, tolerance)
-        for c in cases
-    ]
-    resolved += mc
-    return CrossCheckReport(cases=tuple(resolved), tolerance=tolerance, seed=seed)
+    cases += _noise_cases(max_photons, dim_margin, tolerance)
+    cases += mc
+    return CrossCheckReport(cases=tuple(cases), tolerance=tolerance, seed=seed)

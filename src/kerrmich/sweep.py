@@ -6,10 +6,14 @@ of the grid indices (first grid slowest), each row is a pure function of
 its own inputs, and grid endpoints are echoed exactly as given, so a sweep
 is reproducible byte for byte.
 
-`evaluate` computes one design point through `derive` and
-`sensitivity_report`. `run_sweep` computes a whole grid as NumPy columns
-with the same operations in the same order, so every row is bit for bit
-the row `evaluate` gives for that point.
+`run_sweep` computes a whole grid as NumPy columns (`_kernel`) and
+`evaluate` one design point as plain floats, both with the operations of
+`derive` and `sensitivity_report` in the same order. Each computes only
+the points it can vouch for: those that pass every spec check and stay
+finite throughout. Every other point goes through
+`_evaluate_reference`, which composes `derive` and `sensitivity_report`
+themselves and raises what they raise. So every row is bit for bit the
+row of the composed path, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -214,7 +218,83 @@ class SweepRow:
 
 
 def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
-    """One design point through the closed-form engine."""
+    """One design point through the closed-form engine.
+
+    The scalar twin of `_kernel`: straight-line float arithmetic that
+    repeats `derive`, `operating_arm_length` and `sensitivity_report` term
+    for term, so a clean point (the rule of `_kernel`) is bit for bit what
+    `_evaluate_reference` returns. Any other point, and any point on which
+    this arithmetic raises, goes to `_evaluate_reference`, which raises
+    exactly what the composed path raises.
+    """
+    p = params
+    wl, tau, area, power = p.wavelength, p.tau, p.area, p.power
+    n0, n2, eta, sigma, nt = p.n0, p.n2, p.eta, p.sigma, p.nt
+    arm, signal = p.arm_length, p.signal_x
+    isfinite = math.isfinite
+    try:
+        omega = 2.0 * math.pi * C_LIGHT / wl
+        n = power * tau / (HBAR * omega)
+        chi = (n2 / n0) * HBAR * omega / (area * tau)
+        k = n0 * omega / C_LIGHT
+        if arm is None:
+            arm = 2.0 * math.pi / (k * chi) if chi > 0.0 else 1.0
+
+        # zero for a dark input (n = 0): its resolution is infinite, which
+        # is not clean, so dividing by it raises and goes to the reference
+        ekkn = eta * k * k * n
+        noise = 1.0 + eta * n * sigma * sigma + nt
+        gain = 1.0 + 0.5 * chi * n
+        delta_x = math.sqrt(noise / ekkn) / gain
+        delta_x_linear = math.sqrt((1.0 + nt) / ekkn)
+        improvement = math.sqrt(noise / (1.0 + nt)) / gain
+
+        z0 = k * arm * chi / 2.0
+        detuning = z0 - round(z0 / math.pi) * math.pi
+        gain_sq = (chi * n) ** 2
+        nl_noise = eta * n * sigma**2 + nt
+        # `analytic._ratio` gives inf for a zero divisor, which is not
+        # clean either, so these quotients may raise
+        margin_small_signal = chi * n * k * abs(signal)
+        margin_thermal = 0.0 if nt == 0.0 else nt / n
+        margin_operating_point = abs(detuning) / math.pi
+        margin_nl_dominant = 0.0 if nl_noise == 0.0 else nl_noise / gain_sq
+
+        clean = (
+            wl > 0.0 and tau > 0.0 and area > 0.0 and power >= 0.0
+            and n0 > 0.0 and n2 >= 0.0 and 0.0 < eta <= 1.0
+            and sigma >= 0.0 and nt >= 0.0
+            and arm > 0.0 and arm - 0.5 * signal > 0.0 and arm + 0.5 * signal > 0.0
+            # signal_variance squares eta * n * sigma
+            and abs(eta * n * sigma) < _SQUARE_LIMIT
+            and isfinite(wl) and isfinite(tau) and isfinite(area) and isfinite(power)
+            and isfinite(n0) and isfinite(n2) and isfinite(eta) and isfinite(sigma)
+            and isfinite(nt) and isfinite(arm) and isfinite(signal)
+            and isfinite(omega) and isfinite(n) and isfinite(chi) and isfinite(k)
+            and isfinite(gain_sq) and isfinite(delta_x) and isfinite(delta_x_linear)
+            and isfinite(improvement) and isfinite(margin_small_signal)
+            and isfinite(margin_thermal) and isfinite(margin_operating_point)
+            and isfinite(margin_nl_dominant)
+        )
+    except (ArithmeticError, ValueError, TypeError):
+        clean = False
+    if not clean:
+        return _evaluate_reference(params, threshold)
+    return _make_row((
+        tau, area, power, n2, wl, eta, sigma, nt, arm, signal,
+        n, chi, k, delta_x, delta_x_linear, improvement,
+        margin_small_signal, margin_thermal, sigma,
+        margin_operating_point, margin_nl_dominant,
+        margin_small_signal < threshold, margin_thermal < threshold,
+        sigma < threshold, margin_operating_point < threshold,
+        margin_nl_dominant < threshold,
+    ))
+
+
+def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
+    """`evaluate` composed from the spec types, `derive` and
+    `sensitivity_report`: the fallback for points the straight-line path
+    does not vouch for, and the reference it is tested against."""
     derived = derive(params.pulse(), params.medium())
     arm = params.resolve_arm_length(derived)
     geometry = GeometrySpec(arm_length=arm, signal=params.signal_x)
@@ -251,6 +331,13 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
 
 
 ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+MARGIN_FIELDS = (
+    "margin_small_signal",
+    "margin_thermal",
+    "margin_dephasing",
+    "margin_operating_point",
+    "margin_nl_dominant",
+)
 FLAG_FIELDS = (
     "small_signal",
     "weak_thermal",
@@ -258,6 +345,15 @@ FLAG_FIELDS = (
     "on_operating_point",
     "nonlinearity_dominant",
 )
+
+
+def _make_row(values: Iterable) -> SweepRow:
+    """A SweepRow of the field values in ROW_FIELDS order. Filling the
+    instance dict directly skips the frozen `__init__`, which sets every
+    field through `object.__setattr__`; the row is the same frozen value."""
+    row = object.__new__(SweepRow)
+    row.__dict__.update(zip(ROW_FIELDS, values))
+    return row
 
 
 class SweepTable(Sequence[SweepRow]):
@@ -288,7 +384,7 @@ class SweepTable(Sequence[SweepRow]):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         i = range(len(self))[index]
-        return SweepRow(**{name: col[i].item() for name, col in self.columns.items()})
+        return _make_row([self.columns[name][i].item() for name in ROW_FIELDS])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (SweepTable, list)):
@@ -334,8 +430,8 @@ def run_sweep(
     varying slowest. No grids means a single row at the base point.
 
     Rows the column kernel cannot vouch for (see `_kernel`) are recomputed
-    by `evaluate` in row order, so the first one that raises raises exactly
-    what a row-by-row loop would.
+    by `_evaluate_reference` in row order, so the first one that raises
+    raises exactly what a row-by-row loop of `evaluate` would.
     """
     if len(grids) > 3:
         raise ParameterError(f"at most 3 simultaneous grids, got {len(grids)}")
@@ -356,15 +452,15 @@ def run_sweep(
     columns, clean = _kernel(inputs, threshold)
     for i in np.flatnonzero(~clean).tolist():
         point = dataclasses.replace(base, **{name: float(swept[name][i]) for name in names})
-        row = evaluate(point, threshold)
+        row = _evaluate_reference(point, threshold)
         for name, col in columns.items():
             col[i] = getattr(row, name)
     return SweepTable(columns)
 
 
 # Python's float ** 2 raises OverflowError once the square passes the
-# largest double (at |x| ~ 1.34e154); rows squaring larger values go to
-# `evaluate`.
+# largest double (at |x| ~ 1.34e154); points squaring larger values go to
+# `_evaluate_reference`.
 _SQUARE_LIMIT = 1e154
 
 
@@ -393,10 +489,11 @@ def _kernel(
     Each expression repeats the one in `derive`, `operating_arm_length`
     and `sensitivity_report` term for term: + - * / and sqrt are correctly
     rounded and `round` is `np.rint`, so a clean row is bit for bit what
-    `evaluate` returns. A row is clean when its inputs pass every spec
-    check and every intermediate and result is finite; a zero divisor
-    shows up as a non-finite quotient. Only clean rows are sure not to
-    raise in `evaluate`, and only they are vouched for.
+    `_evaluate_reference` returns. A row is clean when its inputs pass
+    every spec check and every intermediate and result is finite; a zero
+    divisor shows up as a non-finite quotient. Only clean rows are sure not
+    to raise in `_evaluate_reference`, and only they are vouched for.
+    `evaluate` applies the same rule to one point.
     """
     wl, tau, area, power = p["wavelength"], p["tau"], p["area"], p["power"]
     n0, n2, eta, sigma, nt = p["n0"], p["n2"], p["eta"], p["sigma"], p["nt"]

@@ -428,3 +428,52 @@ def test_verify_rejects_negative_counts(capsys, flag):
     assert code == 1
     assert out == ""
     assert f"{flag} must be >= 0" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_estimate_manifest_counts_its_row_and_validity_failures(capsys, tmp_path, fmt):
+    # sigma = 0.05 fails the dephasing and the dominance conditions
+    target = tmp_path / f"point.{fmt}"
+    code, out, _ = run_cli(
+        capsys,
+        "estimate",
+        "--regime", "giant-eit",
+        "--sigma", "0.05",
+        "--format", fmt,
+        "--output", str(target),
+    )
+    assert code == 0
+    assert out == ""
+    if fmt == "csv":
+        manifest = json.loads((tmp_path / "point.csv.manifest.json").read_text())
+    else:
+        manifest = json.loads(target.read_text())["manifest"]
+    assert manifest["rows"] == 1
+    assert manifest["validity_failures"] == {
+        "small_signal": 0,
+        "weak_thermal": 0,
+        "weak_dephasing": 1,
+        "on_operating_point": 0,
+        "nonlinearity_dominant": 1,
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_estimate_warns_on_stderr_when_validity_fails(capsys, fmt):
+    args = ("estimate", "--regime", "giant-eit", "--format", fmt)
+    code, clean_out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert err == ""
+    code, out, err = run_cli(capsys, *args, "--sigma", "0.05", "--nt", "1e20")
+    assert code == 0
+    assert err == (
+        "kerrmich: warning: validity conditions failed: "
+        "weak_thermal, weak_dephasing, nonlinearity_dominant\n"
+    )
+    # stdout carries the same fields as for a clean design
+    assert out.splitlines()[0] == clean_out.splitlines()[0]
+    if fmt == "json":
+        validity = json.loads(out)["validity"]
+        assert [k for k, v in validity.items() if v is False] == [
+            "weak_thermal", "weak_dephasing", "nonlinearity_dominant",
+        ]
