@@ -8,7 +8,6 @@ Fock-space cross-check (`fock`, `crosscheck`), deterministic design sweeps
 __version__ = "0.1.0"
 
 from .analytic import (
-    MeanModel,
     SensitivityReport,
     ValidityCheck,
     ValidityFlags,

@@ -108,6 +108,9 @@ def signal_variance(
     which the default overshoots by eta^2 N^2 sigma^4 at leading order.
     The result does not depend on the Kerr phase: at the operating point
     the nonlinearity drops out of the balance-point noise.
+
+    Total over finite inputs: a square past the largest double gives inf
+    rather than raising.
     """
     shot = eta * n_photons
     if exact:
@@ -115,7 +118,10 @@ def signal_variance(
             1.0 - math.exp(-2.0 * sigma * sigma)
         )
     else:
-        deph = (eta * n_photons * sigma) ** 2
+        try:
+            deph = (eta * n_photons * sigma) ** 2
+        except OverflowError:
+            deph = math.inf
     return shot + deph + eta * n_photons * thermal
 
 
@@ -197,44 +203,6 @@ def scaling_figure(
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
     return duration * cross_section * wavelength**2 / n_photons**2
-
-
-@dataclass(frozen=True)
-class MeanModel:
-    """A value of <M> tagged with the approximation that produced it."""
-
-    variant: str  # "exact" | "gaussian" | "linearized"
-    value: float
-
-    @classmethod
-    def exact(
-        cls,
-        n_photons: float,
-        chi: float,
-        phi1: float,
-        phi2: float,
-        offset: float = 0.0,
-        eta: float = 1.0,
-    ) -> "MeanModel":
-        return cls("exact", signal_mean_exact(n_photons, chi, phi1, phi2, offset, eta))
-
-    @classmethod
-    def gaussian(
-        cls,
-        n_photons: float,
-        chi: float,
-        k: float,
-        x: float,
-        sigma: float = 0.0,
-        eta: float = 1.0,
-    ) -> "MeanModel":
-        return cls("gaussian", signal_mean(n_photons, chi, k, x, sigma, eta))
-
-    @classmethod
-    def linearized(
-        cls, n_photons: float, chi: float, k: float, x: float, eta: float = 1.0
-    ) -> "MeanModel":
-        return cls("linearized", signal_mean_linear(n_photons, chi, k, x, eta))
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,6 @@ class PulseSpec:
         """Mean angular frequency 2*pi*c/wavelength (rad/s)."""
         return 2.0 * math.pi * C_LIGHT / self.wavelength
 
-    @property
-    def photon_energy(self) -> float:
-        return HBAR * self.angular_frequency
-
 
 @dataclass(frozen=True)
 class MediumSpec:

@@ -10,7 +10,9 @@ is reproducible byte for byte.
 `evaluate` one design point as plain floats, both with the operations of
 `derive` and `sensitivity_report` in the same order. Each computes only
 the points it can vouch for: those that pass every spec check and stay
-finite throughout. Every other point goes through
+finite throughout. The variance in `sensitivity_report`, which no row
+carries, is inf where its square overflows, so it adds no condition of its
+own. Every other point goes through
 `_evaluate_reference`, which composes `derive` and `sensitivity_report`
 themselves and raises what they raise. So every row is bit for bit the
 row of the composed path, which the tests use as the reference.
@@ -222,10 +224,12 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
 
     The scalar twin of `_kernel`: straight-line float arithmetic that
     repeats `derive`, `operating_arm_length` and `sensitivity_report` term
-    for term, so a clean point (the rule of `_kernel`) is bit for bit what
-    `_evaluate_reference` returns. Any other point, and any point on which
-    this arithmetic raises, goes to `_evaluate_reference`, which raises
-    exactly what the composed path raises.
+    for term, so a clean point (one that passes every spec check with every
+    intermediate and result finite, the rule of `_kernel`) is bit for bit
+    what `_evaluate_reference` returns. Any other point, and any point on
+    which this arithmetic raises, such as a square past the largest double,
+    goes to `_evaluate_reference`, which raises exactly what the composed
+    path raises.
     """
     p = params
     wl, tau, area, power = p.wavelength, p.tau, p.area, p.power
@@ -265,8 +269,6 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
             and n0 > 0.0 and n2 >= 0.0 and 0.0 < eta <= 1.0
             and sigma >= 0.0 and nt >= 0.0
             and arm > 0.0 and arm - 0.5 * signal > 0.0 and arm + 0.5 * signal > 0.0
-            # signal_variance squares eta * n * sigma
-            and abs(eta * n * sigma) < _SQUARE_LIMIT
             and isfinite(wl) and isfinite(tau) and isfinite(area) and isfinite(power)
             and isfinite(n0) and isfinite(n2) and isfinite(eta) and isfinite(sigma)
             and isfinite(nt) and isfinite(arm) and isfinite(signal)
@@ -458,28 +460,6 @@ def run_sweep(
     return SweepTable(columns)
 
 
-# Python's float ** 2 raises OverflowError once the square passes the
-# largest double (at |x| ~ 1.34e154); points squaring larger values go to
-# `_evaluate_reference`.
-_SQUARE_LIMIT = 1e154
-
-
-def _square(col: np.ndarray) -> np.ndarray:
-    """x ** 2 by Python's own float power, which rounds differently from
-    x * x for about one input in a thousand; NaN where it could overflow."""
-    safe = np.where(np.abs(col) < _SQUARE_LIMIT, col, np.nan)
-    return np.array([v**2 for v in safe.tolist()])
-
-
-def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """`analytic._ratio` over columns."""
-    return np.where(
-        numerator == 0.0,
-        0.0,
-        np.where(denominator == 0.0, np.inf, numerator / denominator),
-    )
-
-
 def _kernel(
     p: dict[str, np.ndarray], threshold: float
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -488,12 +468,16 @@ def _kernel(
 
     Each expression repeats the one in `derive`, `operating_arm_length`
     and `sensitivity_report` term for term: + - * / and sqrt are correctly
-    rounded and `round` is `np.rint`, so a clean row is bit for bit what
-    `_evaluate_reference` returns. A row is clean when its inputs pass
-    every spec check and every intermediate and result is finite; a zero
-    divisor shows up as a non-finite quotient. Only clean rows are sure not
-    to raise in `_evaluate_reference`, and only they are vouched for.
-    `evaluate` applies the same rule to one point.
+    rounded, `round` is `np.rint`, and squares are `np.float_power(x, 2.0)`,
+    which calls the C library's `pow` as Python's float `**` does (`x * x`
+    rounds differently for about one input in a thousand). So a clean row
+    is bit for bit what `_evaluate_reference` returns. A row is clean when
+    its inputs pass every spec check and every intermediate and result is
+    finite; a zero divisor or a square that overflows (where `**` raises)
+    shows up as a non-finite value. Only clean rows are sure not to raise in
+    `_evaluate_reference`, and only they are vouched for; the values of the
+    others are left as they fall. `evaluate` applies the same rule to one
+    point.
     """
     wl, tau, area, power = p["wavelength"], p["tau"], p["area"], p["power"]
     n0, n2, eta, sigma, nt = p["n0"], p["n2"], p["eta"], p["sigma"], p["nt"]
@@ -508,25 +492,25 @@ def _kernel(
         else:
             arm = np.where(chi > 0.0, 2.0 * math.pi / (k * chi), 1.0)
 
-        dark = n <= 0.0
+        ekkn = eta * k * k * n
         noise = 1.0 + eta * n * sigma * sigma + nt
         gain = 1.0 + 0.5 * chi * n
-        delta_x = np.where(dark, np.inf, np.sqrt(noise / (eta * k * k * n)) / gain)
-        delta_x_linear = np.where(dark, np.inf, np.sqrt((1.0 + nt) / (eta * k * k * n)))
-        improvement = np.where(dark, 1.0, np.sqrt(noise / (1.0 + nt)) / gain)
+        delta_x = np.sqrt(noise / ekkn) / gain
+        delta_x_linear = np.sqrt((1.0 + nt) / ekkn)
+        improvement = np.sqrt(noise / (1.0 + nt)) / gain
 
         z0 = k * arm * chi / 2.0
         turns = z0 / math.pi
         detuning = z0 - np.rint(turns) * math.pi
-        sigma_sq = _square(sigma)
-        gain_sq = _square(chi * n)
+        sigma_sq = np.float_power(sigma, 2.0)
+        gain_sq = np.float_power(chi * n, 2.0)
         nl_noise = eta * n * sigma_sq + nt
         margins = {
             "margin_small_signal": chi * n * k * np.abs(signal),
-            "margin_thermal": _ratio(nt, n),
+            "margin_thermal": np.where(nt == 0.0, 0.0, nt / n),
             "margin_dephasing": sigma.copy(),
             "margin_operating_point": np.abs(detuning) / math.pi,
-            "margin_nl_dominant": _ratio(nl_noise, gain_sq),
+            "margin_nl_dominant": np.where(nl_noise == 0.0, 0.0, nl_noise / gain_sq),
         }
 
         clean = (
@@ -534,8 +518,6 @@ def _kernel(
             & (n0 > 0.0) & (n2 >= 0.0) & (eta > 0.0) & (eta <= 1.0)
             & (sigma >= 0.0) & (nt >= 0.0)
             & (arm > 0.0) & (arm - 0.5 * signal > 0.0) & (arm + 0.5 * signal > 0.0)
-            # signal_variance squares eta * n * sigma
-            & (np.abs(eta * n * sigma) < _SQUARE_LIMIT)
         )
         for col in (
             *p.values(), arm, omega, n, chi, k, turns, sigma_sq, gain_sq,

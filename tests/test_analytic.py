@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kerrmich.analytic import (
-    MeanModel,
     balanced_second_moment,
     displacement_resolution,
     displacement_resolution_linear,
@@ -130,6 +129,26 @@ class TestVariance:
         assert budget == 100.0 + 100.0 + 200.0
         # overshoot is eta^2 N^2 sigma^4 at leading order, and positive
         assert 0.0 < budget - exact <= (eta * n) ** 2 * sigma**4
+
+    @pytest.mark.parametrize(
+        "n, eta, sigma, nt",
+        [
+            (100.0, 1.0, 0.1, 2.0),
+            (2.517e14, 0.7, 1e-3, 0.0),
+            (2.517e14, 1.0, 1e139, 0.0),
+            (1e300, 1.0, 1e-146, 1e-300),
+        ],
+    )
+    def test_budget_is_the_python_square_where_finite(self, n, eta, sigma, nt):
+        want = eta * n + (eta * n * sigma) ** 2 + eta * n * nt
+        assert math.isfinite(want)
+        assert signal_variance(n, eta, sigma, nt).hex() == want.hex()
+
+    @pytest.mark.parametrize("n, sigma", [(2.517e14, 1e140), (1.0, 1e155), (1e300, 1.0)])
+    def test_budget_is_inf_where_the_square_overflows(self, n, sigma):
+        with pytest.raises(OverflowError):
+            (n * sigma) ** 2
+        assert signal_variance(n, 1.0, sigma) == math.inf
 
     def test_exact_form_at_zero_sigma(self):
         assert signal_variance(64.0, 0.8, 0.0, 3.0, exact=True) == signal_variance(
@@ -329,22 +348,16 @@ class TestValidity:
         }
 
 
-class TestMeanModel:
-    def test_variants_wrap_the_three_forms(self):
+class TestMeanForms:
+    def test_three_forms_agree_to_first_order(self):
         n, chi, k, x = 1e4, 1e-3, 1.0, 1e-3
         phi0 = 2.0 * math.pi / chi
-        exact = MeanModel.exact(n, chi, phi0 - 0.5 * k * x, phi0 + 0.5 * k * x)
-        assert exact.variant == "exact"
-        assert exact.value == signal_mean_exact(
-            n, chi, phi0 - 0.5 * k * x, phi0 + 0.5 * k * x
-        )
-        gauss = MeanModel.gaussian(n, chi, k, x)
-        assert gauss.value == signal_mean(n, chi, k, x)
-        lin = MeanModel.linearized(n, chi, k, x)
-        assert lin.value == signal_mean_linear(n, chi, k, x)
+        exact = signal_mean_exact(n, chi, phi0 - 0.5 * k * x, phi0 + 0.5 * k * x)
+        gauss = signal_mean(n, chi, k, x)
+        lin = signal_mean_linear(n, chi, k, x)
         # the three agree to first order in the signal
-        assert gauss.value == pytest.approx(lin.value, rel=2e-5)
-        assert exact.value == pytest.approx(lin.value, rel=1e-3)
+        assert gauss == pytest.approx(lin, rel=2e-5)
+        assert exact == pytest.approx(lin, rel=1e-3)
 
 
 class TestSensitivityReport:

@@ -477,3 +477,23 @@ def test_estimate_warns_on_stderr_when_validity_fails(capsys, fmt):
         assert [k for k, v in validity.items() if v is False] == [
             "weak_thermal", "weak_dephasing", "nonlinearity_dominant",
         ]
+
+
+def test_overflowing_variance_square_still_prints_finite_rows(capsys):
+    # (eta * N * sigma) ** 2 passes the largest double at these sigmas, but
+    # no printed field carries that variance
+    code, out, err = run_cli(capsys, "estimate", "--regime", "giant-eit", "--sigma", "1e140")
+    assert code == 0
+    assert "NaN" not in out and "Infinity" not in out
+    assert json.loads(out)["validity"]["margin_dephasing"] == 1e140
+    assert err == (
+        "kerrmich: warning: validity conditions failed: "
+        "weak_dephasing, nonlinearity_dominant\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", "--grid", "sigma=1e139:1e141:3:log"
+    )
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert [row[6] for row in rows] == [1e139, 1e140, 1e141]
+    assert all(math.isfinite(v) for row in rows for v in row)
