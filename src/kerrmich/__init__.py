@@ -64,8 +64,10 @@ from .sweep import (
     ParameterSet,
     RegimeReport,
     SweepRow,
+    SweepStats,
     SweepTable,
     evaluate,
     regime_report,
     run_sweep,
+    sweep_blocks,
 )

@@ -118,11 +118,16 @@ def signal_variance(
             1.0 - math.exp(-2.0 * sigma * sigma)
         )
     else:
-        try:
-            deph = (eta * n_photons * sigma) ** 2
-        except OverflowError:
-            deph = math.inf
+        deph = _square(eta * n_photons * sigma)
     return shot + deph + eta * n_photons * thermal
+
+
+def _square(x: float) -> float:
+    """x ** 2, or inf where that passes the largest double and ** raises."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def balanced_second_moment(n_photons: float, offset: float) -> float:
@@ -281,13 +286,13 @@ def validity(
     def check(margin: float) -> ValidityCheck:
         return ValidityCheck(margin=margin, ok=margin < threshold)
 
-    nl_noise = noise.efficiency * n * noise.phase_sigma**2 + noise.thermal_photons
+    nl_noise = noise.efficiency * n * _square(noise.phase_sigma) + noise.thermal_photons
     return ValidityFlags(
         small_signal=check(chi * n * k * abs(geometry.signal)),
         weak_thermal=check(_ratio(noise.thermal_photons, n)),
         weak_dephasing=check(noise.phase_sigma),
         on_operating_point=check(abs(phases.detuning) / math.pi),
-        nonlinearity_dominant=check(_ratio(nl_noise, (chi * n) ** 2)),
+        nonlinearity_dominant=check(_ratio(nl_noise, _square(chi * n))),
         threshold=threshold,
     )
 

@@ -13,6 +13,7 @@ import json
 import math
 import shlex
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -23,6 +24,7 @@ from .crosscheck import run_crosscheck
 from .fock import TruncationError
 from .sweep import (
     CSV_COLUMNS,
+    CSV_HEADER,
     FLAG_FIELDS,
     GRID_COLUMNS,
     MARGIN_FIELDS,
@@ -30,10 +32,12 @@ from .sweep import (
     ParameterSet,
     RegimeReport,
     SweepRow,
+    SweepStats,
     SweepTable,
     evaluate,
     regime_report,
-    run_sweep,
+    run_sweep,  # not called here: bench/spans.py looks it up on this module
+    sweep_blocks,
 )
 
 PROG = "kerrmich"
@@ -346,17 +350,56 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
                     f"--grid {g.parameter} varies {column}, which the CSV does "
                     f"not carry; use --format json, whose rows include it"
                 )
-    table = run_sweep(params, grids, threshold=args.threshold, max_rows=args.max_rows)
+
+    def blocks(stats: SweepStats | None = None):
+        return sweep_blocks(params, grids, args.threshold, args.max_rows, stats)
+
+    # A first pass that formats nothing: a row that raises does so here,
+    # before anything is written, so a failing sweep leaves no output.
+    start = time.perf_counter()
+    for _ in blocks():
+        pass
+    check_s = time.perf_counter() - start
+
     manifest = _manifest(argv, _params_dict(params), args.seed)
     manifest["grids"] = [dataclasses.asdict(g) for g in grids]
-    manifest["rows"] = len(table)
-    manifest["validity_failures"] = table.validity_failures()
-    if args.format == "json":
-        payload = {"columns": list(CSV_COLUMNS), "rows": table.dicts()}
-        _emit_json(payload, args.output, manifest)
-    else:
-        _emit_stream(table.write_csv, args.output, manifest)
+    frame = {"columns": list(CSV_COLUMNS), "rows": [None]}
+    as_json = args.format == "json"
+
+    def write(out: TextIO) -> None:
+        stats = SweepStats()
+        format_write_s = 0.0
+        out.write(_json_frame(frame)[0] + "\n" if as_json else CSV_HEADER)
+        for i, block in enumerate(blocks(stats)):
+            start = time.perf_counter()
+            if as_json:
+                out.write(",\n" if i else "")
+                block.write_json_rows(out)
+            else:
+                block.write_csv_rows(out)
+            format_write_s += time.perf_counter() - start
+        manifest["rows"] = stats.rows
+        manifest["validity_failures"] = stats.validity_failures
+        manifest["stages"] = {
+            "check_s": check_s,
+            "kernel_s": stats.kernel_s,
+            "fallback_s": stats.fallback_s,
+            "fallback_rows": stats.fallback_rows,
+            "format_write_s": format_write_s,
+        }
+        if as_json:
+            if args.output is not None:
+                frame["manifest"] = manifest
+            out.write("\n" + _json_frame(frame)[1] + "\n")
+
+    _emit_stream(write, args.output, None if as_json else manifest)
     return 0
+
+
+def _json_frame(payload: dict) -> list[str]:
+    """`json.dumps(payload, indent=2)` before and after the items of
+    payload["rows"], which holds the single item None."""
+    return json.dumps(payload, indent=2).split("\n    null\n", 1)
 
 
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:

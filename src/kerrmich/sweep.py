@@ -6,23 +6,26 @@ of the grid indices (first grid slowest), each row is a pure function of
 its own inputs, and grid endpoints are echoed exactly as given, so a sweep
 is reproducible byte for byte.
 
-`run_sweep` computes a whole grid as NumPy columns (`_kernel`) and
-`evaluate` one design point as plain floats, both with the operations of
-`derive` and `sensitivity_report` in the same order. Each computes only
-the points it can vouch for: those that pass every spec check and stay
-finite throughout. The variance in `sensitivity_report`, which no row
-carries, is inf where its square overflows, so it adds no condition of its
-own. Every other point goes through
-`_evaluate_reference`, which composes `derive` and `sensitivity_report`
-themselves and raises what they raise. So every row is bit for bit the
-row of the composed path, which the tests use as the reference.
+`sweep_blocks` computes a grid as NumPy columns (`_kernel`), one block
+of CSV_CHUNK_ROWS rows at a time so that memory does not grow with the
+row count, and `evaluate` one design point as plain floats, both with
+the operations of `derive` and `sensitivity_report` in the same order.
+Each computes only the points it can vouch for: those that pass every
+spec check and stay finite throughout. The variance in
+`sensitivity_report`, which no row carries, is inf where its square
+overflows, so it adds no condition of its own. Every other point goes
+through `_evaluate_reference`, which composes `derive` and
+`sensitivity_report` themselves and raises what they raise. So every row
+is bit for bit the row of the composed path, which the tests use as the
+reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Iterable, Sequence
+import time
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -82,9 +85,12 @@ CSV_COLUMNS = (
     "margin_operating_point",
     "margin_nl_dominant",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
-# Rows per block of CSV text formatted and written at once.
-CSV_CHUNK_ROWS = 16_384
+# Rows per block: a sweep is evaluated, formatted and written this many
+# rows at a time. Blocks of 4096 rows were as fast as larger ones and keep
+# a block's columns and texts to a few MB.
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -361,8 +367,9 @@ def _make_row(values: Iterable) -> SweepRow:
 class SweepTable(Sequence[SweepRow]):
     """The rows of a sweep, stored as one NumPy column per SweepRow field.
 
-    A SweepRow is built only when a row is indexed; `write_csv`, `dicts`
-    and `validity_failures` read the columns directly.
+    A SweepRow is built only when a row is indexed; `write_csv`,
+    `write_csv_rows`, `write_json_rows` and `validity_failures` read the
+    columns directly.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
@@ -379,6 +386,14 @@ class SweepTable(Sequence[SweepRow]):
             for name in ROW_FIELDS
         })
 
+    @classmethod
+    def concat(cls, tables: Iterable["SweepTable"]) -> "SweepTable":
+        """The rows of the tables, one after another."""
+        tables = list(tables)
+        return cls({
+            name: np.concatenate([t.columns[name] for t in tables]) for name in ROW_FIELDS
+        })
+
     def __len__(self) -> int:
         return len(self.columns["tau_s"])
 
@@ -393,31 +408,105 @@ class SweepTable(Sequence[SweepRow]):
             return NotImplemented
         return list(self) == list(other)
 
-    def dicts(self) -> list[dict[str, float | bool]]:
-        """Every row as `SweepRow.as_dict` gives it."""
-        values = zip(*(col.tolist() for col in self.columns.values()))
-        return [dict(zip(self.columns, row)) for row in values]
-
     def validity_failures(self) -> dict[str, int]:
         """Number of rows failing each of the five validity conditions."""
         return {name: len(self) - int(self.columns[name].sum()) for name in FLAG_FIELDS}
 
     def write_csv(self, out: TextIO) -> None:
-        """The CSV_COLUMNS header and one line per row, CSV_CHUNK_ROWS rows
-        at a time, each value as `repr` of its float."""
-        out.write(",".join(CSV_COLUMNS) + "\n")
+        """The CSV_COLUMNS header and `write_csv_rows`, CSV_CHUNK_ROWS rows
+        at a time."""
+        out.write(CSV_HEADER)
         for lo in range(0, len(self), CSV_CHUNK_ROWS):
-            hi = lo + CSV_CHUNK_ROWS
-            texts = [_reprs(self.columns[name][lo:hi]) for name in CSV_COLUMNS]
-            out.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            block = {name: col[lo : lo + CSV_CHUNK_ROWS] for name, col in self.columns.items()}
+            SweepTable(block).write_csv_rows(out)
+
+    def write_csv_rows(self, out: TextIO) -> None:
+        """One CSV line per row, each value as `repr` of its float."""
+        last = len(CSV_COLUMNS) - 1
+        _write_row_major(out, [
+            _reprs(self.columns[name], after="\n" if i == last else ",")
+            for i, name in enumerate(CSV_COLUMNS)
+        ])
+
+    def write_json_rows(self, out: TextIO) -> None:
+        """The rows as `json.dumps(..., indent=2)` lays out the items of a
+        list held by a top-level key, such as the "rows" of a sweep: one
+        object per row, joined by ",\n", with no newline at either end.
+
+        Floats are `float.__repr__`, or NaN, Infinity and -Infinity, and
+        flags are true and false, as `json.dumps` writes them.
+        """
+        last = len(ROW_FIELDS) - 1
+        columns = [
+            _reprs(
+                self.columns[name],
+                _json_value,
+                before=("    {\n" if i == 0 else "") + f'      "{name}": ',
+                after="\n    },\n" if i == last else ",\n",
+            )
+            for i, name in enumerate(ROW_FIELDS)
+        ]
+        columns[-1][-1] = columns[-1][-1].removesuffix(",\n")
+        _write_row_major(out, columns)
 
 
-def _reprs(col: np.ndarray) -> list[str]:
-    """`repr` of every value, formatting each distinct value once. Values
-    are told apart by their bits, so -0.0 is not merged with 0.0."""
-    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+# `repr` of the values `json.dumps` spells differently
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "True": "true", "False": "false"}
+
+
+def _json_value(value: float | bool) -> str:
+    text = repr(value)
+    return _JSON_WORDS.get(text, text)
+
+
+def _reprs(
+    col: np.ndarray,
+    text: Callable[[float | bool], str] = repr,
+    before: str = "",
+    after: str = "",
+) -> np.ndarray:
+    """before + text(value) + after for every value, as an object array,
+    computed once per distinct value. Values are told apart by their bits,
+    so -0.0 is not merged with 0.0."""
+    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(text, bits.view(col.dtype).tolist())), dtype=object)
+    return (before + texts + after)[inverse]
+
+
+# Rows of text joined and written at once, a quarter of a block. Joining
+# and writing a whole block at once made glibc's malloc hand a few MB of
+# heap back to the system after each block and fault it in again for the
+# next: on a 2-core Linux VM, 16k page faults per 1e5 CSV rows against 3k
+# in pieces of 1024, and ~5% of the run time.
+WRITE_ROWS = 1024
+
+
+def _write_row_major(out: TextIO, columns: list[np.ndarray]) -> None:
+    """Write the strings of equal-length columns row by row."""
+    for lo in range(0, len(columns[0]), WRITE_ROWS):
+        piece = np.stack([col[lo : lo + WRITE_ROWS] for col in columns], axis=1)
+        out.write("".join(piece.ravel().tolist()))
+
+
+class SweepStats:
+    """Sums over the blocks of one pass of `sweep_blocks`: rows, rows
+    failing each validity condition, rows recomputed by the fallback, and
+    seconds spent in the column kernel and in the fallback."""
+
+    def __init__(self) -> None:
+        self.rows = 0
+        self.validity_failures = dict.fromkeys(FLAG_FIELDS, 0)
+        self.fallback_rows = 0
+        self.kernel_s = 0.0
+        self.fallback_s = 0.0
+
+    def add(self, block: SweepTable, fallback_rows: int, kernel_s: float, fallback_s: float) -> None:
+        self.rows += len(block)
+        for name, count in block.validity_failures().items():
+            self.validity_failures[name] += count
+        self.fallback_rows += fallback_rows
+        self.kernel_s += kernel_s
+        self.fallback_s += fallback_s
 
 
 def run_sweep(
@@ -426,38 +515,64 @@ def run_sweep(
     threshold: float = 1e-2,
     max_rows: int = MAX_ROWS,
 ) -> SweepTable:
-    """Evaluate the Cartesian product of the grids over the base design.
+    """Evaluate the Cartesian product of the grids over the base design:
+    every block of `sweep_blocks` in one table."""
+    return SweepTable.concat(sweep_blocks(base, grids, threshold, max_rows))
+
+
+def sweep_blocks(
+    base: ParameterSet,
+    grids: Sequence[GridSpec] = (),
+    threshold: float = 1e-2,
+    max_rows: int = MAX_ROWS,
+    stats: SweepStats | None = None,
+) -> Iterator[SweepTable]:
+    """The rows of the sweep, CSV_CHUNK_ROWS at a time (the last block may
+    be shorter), so memory does not grow with the row count.
 
     Row order is lexicographic in the grid indices with the first grid
     varying slowest. No grids means a single row at the base point.
 
     Rows the column kernel cannot vouch for (see `_kernel`) are recomputed
     by `_evaluate_reference` in row order, so the first one that raises
-    raises exactly what a row-by-row loop of `evaluate` would.
+    raises exactly what a row-by-row loop of `evaluate` would, once the
+    blocks before its own have been yielded. Each block is added to
+    stats, when given, before it is yielded.
     """
     if len(grids) > 3:
         raise ParameterError(f"at most 3 simultaneous grids, got {len(grids)}")
     names = [g.parameter for g in grids]
     if len(set(names)) != len(names):
         raise ParameterError(f"duplicate sweep parameter in {names}")
-    axes = [g.values() for g in grids]
-    total = math.prod(len(a) for a in axes) if axes else 1
+    axes = [np.array(g.values()) for g in grids]
+    shape = tuple(len(a) for a in axes)
+    total = math.prod(shape)
     if total > max_rows:
         raise ParameterError(f"sweep would emit {total} rows, cap is {max_rows}")
 
-    swept = dict(zip(names, (m.ravel() for m in np.meshgrid(*axes, indexing="ij"))))
-    inputs = {
-        name: swept[name] if name in swept else np.full(total, value, dtype=np.float64)
-        for name, value in dataclasses.asdict(base).items()
-        if value is not None or name in swept
-    }
-    columns, clean = _kernel(inputs, threshold)
-    for i in np.flatnonzero(~clean).tolist():
-        point = dataclasses.replace(base, **{name: float(swept[name][i]) for name in names})
-        row = _evaluate_reference(point, threshold)
-        for name, col in columns.items():
-            col[i] = getattr(row, name)
-    return SweepTable(columns)
+    fields = dataclasses.asdict(base)
+    for lo in range(0, total, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, total)
+        index = np.unravel_index(np.arange(lo, hi), shape) if shape else ()
+        swept = {name: axis[i] for name, axis, i in zip(names, axes, index)}
+        inputs = {
+            name: swept[name] if name in swept else np.full(hi - lo, value, dtype=np.float64)
+            for name, value in fields.items()
+            if value is not None or name in swept
+        }
+        start = time.perf_counter()
+        columns, clean = _kernel(inputs, threshold)
+        kernel_end = time.perf_counter()
+        unclean = np.flatnonzero(~clean).tolist()
+        for i in unclean:
+            point = dataclasses.replace(base, **{name: float(swept[name][i]) for name in names})
+            row = _evaluate_reference(point, threshold)
+            for name, col in columns.items():
+                col[i] = getattr(row, name)
+        block = SweepTable(columns)
+        if stats is not None:
+            stats.add(block, len(unclean), kernel_end - start, time.perf_counter() - kernel_end)
+        yield block
 
 
 def _kernel(

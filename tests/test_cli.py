@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kerrmich
 from kerrmich.cli import CliError, main, parse_grid, parse_n2
 from kerrmich.core import HBAR, C_LIGHT
 
@@ -331,6 +336,9 @@ class TestOutputFiles:
         run_cli(capsys, *args)
         second, manifest_b = target.read_bytes(), json.loads(sidecar.read_text())
         assert first == second
+        # the timestamp and the stage seconds differ from run to run
+        stages_a, stages_b = manifest_a.pop("stages"), manifest_b.pop("stages")
+        assert stages_a["fallback_rows"] == stages_b["fallback_rows"]
         manifest_a.pop("timestamp")
         manifest_b.pop("timestamp")
         assert manifest_a == manifest_b
@@ -497,3 +505,96 @@ def test_overflowing_variance_square_still_prints_finite_rows(capsys):
     rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
     assert [row[6] for row in rows] == [1e139, 1e140, 1e141]
     assert all(math.isfinite(v) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("flag", [("--sigma", "1e155"), ("--power", "1e160")])
+def test_overflowing_validity_squares_still_exit_zero(capsys, flag):
+    # sigma ** 2 and (chi * N) ** 2 pass the largest double here
+    code, out, err = run_cli(capsys, "estimate", "--regime", "giant-eit", *flag)
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out)["chi"] == 3.972891711863591e-09
+
+
+LATE_FAILURES = {
+    # row 6 of 11 has eta = 1.1
+    "eta": (
+        ("--grid", "eta=0.5:1.5:11"),
+        "kerrmich: error: efficiency must be in (0, 1], got 1.1\n",
+    ),
+    # only the last row: its arm is shorter than half the base signal
+    "arm": (
+        ("--signal", "1.0", "--grid", "n2=0.01:10:5:log"),
+        "kerrmich: error: signal 1.0 makes an arm non-positive "
+        "(arm_length 0.1258529142656802)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+def test_failing_sweep_writes_nothing(capsys, tmp_path, case, fmt, to_file):
+    args, message = LATE_FAILURES[case]
+    target = tmp_path / f"rows.{fmt}"
+    output = ("--output", str(target)) if to_file else ()
+    code, out, err = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", *args, "--format", fmt, *output
+    )
+    assert code == 1
+    assert err == message
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_manifest_records_stage_timings(capsys, tmp_path, fmt):
+    # power = 0 is a dark input, the one row of five the kernel leaves to
+    # the fallback
+    target = tmp_path / f"rows.{fmt}"
+    args = ("sweep", "--regime", "giant-eit", "--grid", "power=0:2e6:5", "--format", fmt)
+    code, stdout, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert "stages" not in stdout
+    code, _, _ = run_cli(capsys, *args, "--output", str(target))
+    assert code == 0
+    if fmt == "csv":
+        manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+        assert target.read_text() == stdout
+    else:
+        payload = json.loads(target.read_text())
+        manifest = payload.pop("manifest")
+        assert payload == json.loads(stdout)
+    stages = manifest["stages"]
+    assert list(stages) == ["check_s", "kernel_s", "fallback_s", "fallback_rows", "format_write_s"]
+    assert stages["fallback_rows"] == 1
+    assert all(v >= 0.0 for v in stages.values())
+
+
+def _sweep_max_rss_mb(tmp_path, fmt, *grids):
+    """Max RSS in MiB of a fresh interpreter that runs one sweep to a file."""
+    script = (
+        "import resource, sys\n"
+        "from kerrmich.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    argv = ["sweep", "--regime", "giant-eit", *grids, "--format", fmt]
+    argv += ["--output", str(tmp_path / f"rows.{fmt}")]
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmich.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss unit")
+@pytest.mark.parametrize("fmt, rows", [("csv", 200_000), ("json", 100_000)])
+def test_sweep_memory_does_not_grow_with_rows(tmp_path, fmt, rows):
+    # the rows are held as columns and texts one block at a time; holding
+    # them all took ~0.3 kB per CSV row and ~7 kB per JSON row
+    grids = ("--grid", "tau=1e-11:1e-9:50:log", "--grid", "power=1e5:1e7:50:log")
+    grids += ("--grid", f"sigma=0:1e-3:{rows // 2500}")
+    one_row = _sweep_max_rss_mb(tmp_path, fmt)
+    assert _sweep_max_rss_mb(tmp_path, fmt, *grids) - one_row < 25.0

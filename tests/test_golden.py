@@ -68,3 +68,17 @@ def test_output_bytes_match_golden(name, capsys):
 def test_chunk_boundaries_do_not_change_bytes(name, capsys, monkeypatch):
     monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 4)
     assert _stdout(capsys, CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.endswith(".json")])
+def test_chunk_boundaries_do_not_change_json_bytes(name, capsys, monkeypatch):
+    monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 4)
+    assert _stdout(capsys, CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_write_pieces_do_not_change_bytes(name, capsys, monkeypatch):
+    # pieces of 3 rows inside blocks of 7, the last of each block shorter
+    monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(kerrmich.sweep, "WRITE_ROWS", 3)
+    assert _stdout(capsys, CASES[name]) == (GOLDEN / name).read_bytes()

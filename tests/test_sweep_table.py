@@ -9,18 +9,21 @@
 import dataclasses
 import io
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import kerrmich.sweep
 from kerrmich.sweep import (
     GRID_PARAMETERS,
-    ROW_FIELDS,
     GridSpec,
     ParameterSet,
+    SweepStats,
     SweepTable,
     evaluate,
     run_sweep,
+    sweep_blocks,
 )
 
 GIANT_BASE = ParameterSet.from_preset("giant-eit")
@@ -163,8 +166,6 @@ class TestSweepTable:
         rows = reference(GIANT_BASE, self.GRIDS, 1e-2)
         table = SweepTable.from_rows(rows)
         assert list(table) == rows
-        assert table.dicts() == [r.as_dict() for r in rows]
-        assert list(table.dicts()[0]) == list(ROW_FIELDS)
 
     def test_validity_failures_count_false_flags(self):
         # the sigma grid of test_dominance_flag_flips_at_the_margin_crossing
@@ -192,3 +193,48 @@ class TestSweepTable:
         lines = out.getvalue().splitlines()
         assert lines[1:] == [",".join(r.csv_values()) for r in rows]
         assert [line.split(",")[6] for line in lines[1:]] == ["0.0", "-0.0", "0.0"]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 4, 7])
+@pytest.mark.parametrize(
+    "changes, grids",
+    [
+        # a dark row and failing validity flags across a 3-axis grid
+        (dict(), [GridSpec("power", 0.0, 1e6, 3), GridSpec("eta", 0.5, 1.0, 2),
+                  GridSpec("sigma", 0.0, 0.02, 3)]),
+        # the first bad row, 6 of 11, sits in a later block
+        (dict(), [GridSpec("eta", 0.5, 1.5, 11)]),
+        # only the last row raises: its arm is shorter than half the signal
+        (dict(signal_x=1.0), [GridSpec("n2", 1e-6, 1e-3, 5, "log")]),
+    ],
+)
+def test_block_boundaries_do_not_change_rows(monkeypatch, rows_per_block, changes, grids):
+    monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", rows_per_block)
+    assert_same_as_evaluate(dataclasses.replace(GIANT_BASE, **changes), grids)
+
+
+def test_blocks_and_their_stats(monkeypatch):
+    monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 4)
+    grids = [GridSpec("power", 0.0, 1e6, 3), GridSpec("sigma", 0.0, 0.02, 3)]
+    stats = SweepStats()
+    blocks = list(sweep_blocks(GIANT_BASE, grids, stats=stats))
+    assert [len(b) for b in blocks] == [4, 4, 1]
+    table = run_sweep(GIANT_BASE, grids)
+    assert SweepTable.concat(blocks) == table
+    assert stats.rows == 9
+    assert stats.validity_failures == table.validity_failures()
+    # the dark input is the one power the kernel leaves to the fallback
+    assert stats.fallback_rows == 3
+    assert stats.kernel_s >= 0.0 and stats.fallback_s >= 0.0
+
+
+def test_json_rows_are_the_json_module_layout():
+    rows = reference(
+        dataclasses.replace(GIANT_BASE, sigma=-0.0), [GridSpec("power", 0.0, 2e6, 3)], 1e-2
+    )
+    out = io.StringIO()
+    SweepTable.from_rows(rows).write_json_rows(out)
+    text = out.getvalue()
+    want = json.dumps({"rows": [r.as_dict() for r in rows]}, indent=2)
+    assert want == '{\n  "rows": [\n' + text + "\n  ]\n}"
+    assert "Infinity" in text and "-0.0" in text and "true" in text
