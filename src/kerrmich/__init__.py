@@ -30,7 +30,6 @@ from .core import (
     PRESETS,
     GeometrySpec,
     KerrDerived,
-    KerrPhases,
     MediumSpec,
     NoiseSpec,
     ParameterError,
@@ -39,9 +38,7 @@ from .core import (
     derive,
     get_preset,
     kerr_cm2,
-    kerr_phases,
     operating_arm_length,
-    refractive_index,
 )
 from .crosscheck import CheckCase, CrossCheckReport, run_crosscheck
 from .fock import (

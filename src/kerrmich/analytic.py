@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GeometrySpec, KerrDerived, NoiseSpec, kerr_phases
+from .core import GeometrySpec, KerrDerived, NoiseSpec
 
 
 def signal_mean_exact(
@@ -233,34 +233,6 @@ class ValidityFlags:
     weak_dephasing: ValidityCheck  # sigma
     on_operating_point: ValidityCheck  # |z0 - m*pi| / pi
     nonlinearity_dominant: ValidityCheck  # (eta N sigma^2 + nt) / (chi N)^2
-    threshold: float
-
-    def all_ok(self) -> bool:
-        return (
-            self.small_signal.ok
-            and self.weak_thermal.ok
-            and self.weak_dephasing.ok
-            and self.on_operating_point.ok
-            and self.nonlinearity_dominant.ok
-        )
-
-    def margins(self) -> dict[str, float]:
-        return {
-            "margin_small_signal": self.small_signal.margin,
-            "margin_thermal": self.weak_thermal.margin,
-            "margin_dephasing": self.weak_dephasing.margin,
-            "margin_operating_point": self.on_operating_point.margin,
-            "margin_nl_dominant": self.nonlinearity_dominant.margin,
-        }
-
-    def as_dict(self) -> dict[str, float | bool]:
-        out: dict[str, float | bool] = dict(self.margins())
-        out["small_signal"] = self.small_signal.ok
-        out["weak_thermal"] = self.weak_thermal.ok
-        out["weak_dephasing"] = self.weak_dephasing.ok
-        out["on_operating_point"] = self.on_operating_point.ok
-        out["nonlinearity_dominant"] = self.nonlinearity_dominant.ok
-        return out
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -281,7 +253,9 @@ def validity(
     n = derived.photons
     chi = derived.chi
     k = derived.wavenumber
-    phases = kerr_phases(derived, geometry)
+    z0 = k * geometry.arm_length * chi / 2.0
+    # distance to the nearest operating point m*pi, within [-pi/2, pi/2]
+    detuning = z0 - round(z0 / math.pi) * math.pi
 
     def check(margin: float) -> ValidityCheck:
         return ValidityCheck(margin=margin, ok=margin < threshold)
@@ -291,9 +265,8 @@ def validity(
         small_signal=check(chi * n * k * abs(geometry.signal)),
         weak_thermal=check(_ratio(noise.thermal_photons, n)),
         weak_dephasing=check(noise.phase_sigma),
-        on_operating_point=check(abs(phases.detuning) / math.pi),
+        on_operating_point=check(abs(detuning) / math.pi),
         nonlinearity_dominant=check(_ratio(nl_noise, _square(chi * n))),
-        threshold=threshold,
     )
 
 
@@ -301,16 +274,14 @@ def validity(
 class SensitivityReport:
     """Resolution of the interferometer and of its linear counterpart.
 
-    delta_x is sqrt(var_m)/dmdx by construction; improvement is their
-    ratio delta_x/delta_x_linear, <= 1 whenever the linear scheme sees the
-    same noise floor.
+    delta_x is sqrt(signal_variance)/signal_slope by construction;
+    improvement is the ratio delta_x/delta_x_linear, <= 1 whenever the
+    linear scheme sees the same noise floor.
     """
 
     delta_x: float
     delta_x_linear: float
     improvement: float
-    var_m: float
-    dmdx: float
     validity: ValidityFlags
 
 
@@ -334,9 +305,5 @@ def sensitivity_report(
         improvement=improvement_ratio(
             n, chi, noise.efficiency, noise.phase_sigma, noise.thermal_photons
         ),
-        var_m=signal_variance(
-            n, noise.efficiency, noise.phase_sigma, noise.thermal_photons
-        ),
-        dmdx=signal_slope(n, chi, k, noise.efficiency),
         validity=validity(derived, geometry, noise, threshold),
     )

@@ -130,9 +130,8 @@ def parse_threshold(text: str) -> float:
     return value
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=Path, help="write to this file instead of stdout")
-    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
 
 
 def _add_threshold_flag(p: argparse.ArgumentParser) -> None:
@@ -146,7 +145,7 @@ def _add_threshold_flag(p: argparse.ArgumentParser) -> None:
 
 def _add_design_flags(p: argparse.ArgumentParser) -> None:
     _add_physical_flags(p)
-    _add_common_flags(p)
+    _add_output_flag(p)
     _add_threshold_flag(p)
     p.add_argument("--format", choices=("json", "csv"), help="output format")
 
@@ -208,10 +207,11 @@ def build_parser() -> _Parser:
     ver.add_argument(
         "--cases", type=int, default=0, help="extra random mean cases (default 0)"
     )
-    _add_common_flags(ver)
+    _add_output_flag(ver)
+    ver.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
 
     reg = sub.add_parser("regimes", help="built-in presets and their reports, as JSON")
-    _add_common_flags(reg)
+    _add_output_flag(reg)
     _add_threshold_flag(reg)
 
     return parser
@@ -260,13 +260,13 @@ def _params_from_args(args: argparse.Namespace) -> ParameterSet:
     )
 
 
-def _manifest(argv: Sequence[str], params: dict, seed: int | None) -> dict:
+def _manifest(argv: Sequence[str], params: dict, **provenance) -> dict:
     return {
         "tool": PROG,
         "version": __version__,
         "command": shlex.join([PROG, *argv]),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": seed,
+        **provenance,
         "parameters": params,
     }
 
@@ -315,15 +315,11 @@ def _row_validity(row: SweepRow) -> dict:
     return {name: getattr(row, name) for name in (*MARGIN_FIELDS, *FLAG_FIELDS)}
 
 
-def _params_dict(params: ParameterSet) -> dict:
-    return dataclasses.asdict(params)
-
-
 def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params = _params_from_args(args)
     row = evaluate(params, args.threshold)
     table = SweepTable.from_rows([row])
-    manifest = _manifest(argv, _params_dict(params), args.seed)
+    manifest = _manifest(argv, dataclasses.asdict(params))
     manifest["rows"] = len(table)
     manifest["validity_failures"] = table.validity_failures()
     failed = [name for name, count in manifest["validity_failures"].items() if count]
@@ -361,7 +357,7 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         pass
     check_s = time.perf_counter() - start
 
-    manifest = _manifest(argv, _params_dict(params), args.seed)
+    manifest = _manifest(argv, dataclasses.asdict(params))
     manifest["grids"] = [dataclasses.asdict(g) for g in grids]
     frame = {"columns": list(CSV_COLUMNS), "rows": [None]}
     as_json = args.format == "json"
@@ -430,7 +426,7 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "cases": args.cases,
             "dim_margin": args.dim_margin,
         },
-        args.seed,
+        seed=args.seed,
     )
     _emit_stream(
         lambda f: f.writelines(line + "\n" for line in report.lines()),
@@ -481,7 +477,7 @@ def cmd_regimes(args: argparse.Namespace, argv: Sequence[str]) -> int:
             for name in ("natural", "giant-eit")
         ]
     }
-    manifest = _manifest(argv, {}, args.seed)
+    manifest = _manifest(argv, {})
     _emit_json(payload, args.output, manifest)
     return 0
 

@@ -110,11 +110,6 @@ def derive(pulse: PulseSpec, medium: MediumSpec) -> KerrDerived:
     )
 
 
-def refractive_index(medium: MediumSpec, derived: KerrDerived) -> float:
-    """Effective index n0*(1 + chi*N); equals n0 + n2*I up to rounding."""
-    return medium.linear_index * (1.0 + derived.chi * derived.photons)
-
-
 @dataclass(frozen=True)
 class GeometrySpec:
     """Arm lengths. The signal displaces the arms anti-symmetrically:
@@ -141,45 +136,6 @@ class GeometrySpec:
     @property
     def arm2(self) -> float:
         return self.arm_length + 0.5 * self.signal
-
-
-@dataclass(frozen=True)
-class KerrPhases:
-    """Propagation phases of the two arms and the Kerr half-phases z_j.
-
-    phi_j = k * arm_j, z_j = phi_j * chi / 2, z0 = k * arm_length * chi / 2.
-    nearest_m is the integer minimizing |z0 - m*pi| (ties round to even m);
-    detuning = z0 - nearest_m*pi, always within [-pi/2, pi/2].
-    """
-
-    phi1: float
-    phi2: float
-    z1: float
-    z2: float
-    z0: float
-    nearest_m: int
-    detuning: float
-
-
-def kerr_phases(derived: KerrDerived, geometry: GeometrySpec) -> KerrPhases:
-    """Arm phases and operating-point bookkeeping for a given geometry."""
-    k = derived.wavenumber
-    phi1 = k * geometry.arm1
-    phi2 = k * geometry.arm2
-    z1 = phi1 * derived.chi / 2.0
-    z2 = phi2 * derived.chi / 2.0
-    z0 = k * geometry.arm_length * derived.chi / 2.0
-    # round() is round-half-to-even, which is exactly the tie rule we want
-    m = round(z0 / math.pi)
-    return KerrPhases(
-        phi1=phi1,
-        phi2=phi2,
-        z1=z1,
-        z2=z2,
-        z0=z0,
-        nearest_m=m,
-        detuning=z0 - m * math.pi,
-    )
 
 
 def operating_arm_length(derived: KerrDerived, m: int = 1) -> float:
@@ -226,10 +182,6 @@ class RegimePreset:
 
     def derived(self) -> KerrDerived:
         return derive(self.pulse, self.medium)
-
-    def arm_length_hint(self, m: int = 1) -> float:
-        """Suggested arm length: the shortest one on the operating point."""
-        return operating_arm_length(self.derived(), m)
 
 
 PRESETS: dict[str, RegimePreset] = {

@@ -11,13 +11,11 @@ of CSV_CHUNK_ROWS rows at a time so that memory does not grow with the
 row count, and `evaluate` one design point as plain floats, both with
 the operations of `derive` and `sensitivity_report` in the same order.
 Each computes only the points it can vouch for: those that pass every
-spec check and stay finite throughout. The variance in
-`sensitivity_report`, which no row carries, is inf where its square
-overflows, so it adds no condition of its own. Every other point goes
-through `_evaluate_reference`, which composes `derive` and
-`sensitivity_report` themselves and raises what they raise. So every row
-is bit for bit the row of the composed path, which the tests use as the
-reference.
+spec check and stay finite throughout. Every other point goes through
+`_evaluate_reference`, which composes `derive` and `sensitivity_report`
+themselves and raises what they raise, with an arithmetic failure
+reported as a `ParameterError`. So every row is bit for bit the row of
+the composed path, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from .core import (
     C_LIGHT,
     HBAR,
     GeometrySpec,
-    KerrDerived,
     MediumSpec,
     NoiseSpec,
     ParameterError,
@@ -163,29 +160,6 @@ class ParameterSet:
             nt=p.noise.thermal_photons,
         )
 
-    def pulse(self) -> PulseSpec:
-        return PulseSpec(
-            wavelength=self.wavelength,
-            duration=self.tau,
-            cross_section=self.area,
-            power=self.power,
-        )
-
-    def medium(self) -> MediumSpec:
-        return MediumSpec(linear_index=self.n0, kerr_coefficient=self.n2)
-
-    def noise(self) -> NoiseSpec:
-        return NoiseSpec(
-            efficiency=self.eta, phase_sigma=self.sigma, thermal_photons=self.nt
-        )
-
-    def resolve_arm_length(self, derived: KerrDerived) -> float:
-        if self.arm_length is not None:
-            return self.arm_length
-        if derived.chi > 0.0:
-            return operating_arm_length(derived, m=1)
-        return 1.0
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -217,12 +191,6 @@ class SweepRow:
     weak_dephasing: bool
     on_operating_point: bool
     nonlinearity_dominant: bool
-
-    def csv_values(self) -> list[str]:
-        return [repr(getattr(self, col)) for col in CSV_COLUMNS]
-
-    def as_dict(self) -> dict[str, float | bool]:
-        return dataclasses.asdict(self)
 
 
 def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
@@ -302,11 +270,23 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
 def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
     """`evaluate` composed from the spec types, `derive` and
     `sensitivity_report`: the fallback for points the straight-line path
-    does not vouch for, and the reference it is tested against."""
-    derived = derive(params.pulse(), params.medium())
-    arm = params.resolve_arm_length(derived)
-    geometry = GeometrySpec(arm_length=arm, signal=params.signal_x)
-    report = sensitivity_report(derived, geometry, params.noise(), threshold)
+    does not vouch for, and the reference it is tested against.
+
+    A failure of the arithmetic itself, such as a product that underflows
+    to a zero divisor or `round(nan)`, is raised as a `ParameterError`.
+    """
+    p = params
+    try:
+        derived = derive(PulseSpec(p.wavelength, p.tau, p.area, p.power), MediumSpec(p.n0, p.n2))
+        arm = p.arm_length
+        if arm is None:
+            arm = operating_arm_length(derived) if derived.chi > 0.0 else 1.0
+        geometry = GeometrySpec(arm_length=arm, signal=p.signal_x)
+        report = sensitivity_report(derived, geometry, NoiseSpec(p.eta, p.sigma, p.nt), threshold)
+    except ParameterError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise ParameterError(f"design cannot be evaluated: {type(exc).__name__}: {exc}") from exc
     v = report.validity
     return SweepRow(
         tau_s=params.tau,

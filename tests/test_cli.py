@@ -318,7 +318,7 @@ class TestOutputFiles:
         )
         assert code == 0
         manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
-        assert manifest["seed"] == 42
+        assert "seed" not in manifest
         assert manifest["grids"][0]["parameter"] == "eta"
         assert target.read_text().startswith("tau_s,")
 
@@ -426,8 +426,14 @@ def test_threshold_must_be_finite_and_positive(capsys, command, value):
 
 
 def test_seed_stays_as_provenance_on_verify_and_regimes(capsys):
+    # only verify draws random numbers; the other commands have no --seed
     assert run_cli(capsys, "verify", "--max-photons", "0", "--seed", "3")[0] == 0
-    assert run_cli(capsys, "regimes", "--seed", "3", "--threshold", "0.02")[0] == 0
+    for command in (("regimes",), ("estimate", "--regime", "giant-eit"),
+                    ("sweep", "--regime", "giant-eit")):
+        code, out, err = run_cli(capsys, *command, "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed 3" in err
 
 
 @pytest.mark.parametrize("flag", ["--dim-margin", "--cases"])
@@ -516,7 +522,27 @@ def test_overflowing_validity_squares_still_exit_zero(capsys, flag):
     assert json.loads(out)["chi"] == 3.972891711863591e-09
 
 
-LATE_FAILURES = {
+def test_arithmetic_failure_is_a_one_line_error(capsys):
+    # area * tau underflows to 0, the divisor of the Kerr phase per photon
+    code, out, err = run_cli(
+        capsys, "estimate", "--regime", "giant-eit",
+        "--tau", "1e-300", "--area", "1e-300", "--power", "1e300",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "kerrmich: error: design cannot be evaluated: "
+        "ZeroDivisionError: float division by zero\n"
+    )
+
+
+SWEEP_FAILURES = {
+    # the first row: area * tau underflows to a zero divisor
+    "underflow": (
+        ("--tau", "1e-300", "--grid", "area=1e-300:1e-10:3:log"),
+        "kerrmich: error: design cannot be evaluated: "
+        "ZeroDivisionError: float division by zero\n",
+    ),
     # row 6 of 11 has eta = 1.1
     "eta": (
         ("--grid", "eta=0.5:1.5:11"),
@@ -533,9 +559,9 @@ LATE_FAILURES = {
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+@pytest.mark.parametrize("case", sorted(SWEEP_FAILURES))
 def test_failing_sweep_writes_nothing(capsys, tmp_path, case, fmt, to_file):
-    args, message = LATE_FAILURES[case]
+    args, message = SWEEP_FAILURES[case]
     target = tmp_path / f"rows.{fmt}"
     output = ("--output", str(target)) if to_file else ()
     code, out, err = run_cli(

@@ -16,10 +16,9 @@ from kerrmich.core import (
     derive,
     get_preset,
     kerr_cm2,
-    kerr_phases,
     operating_arm_length,
-    refractive_index,
 )
+from kerrmich.analytic import signal_mean_exact, validity
 
 
 def order_band(value, decade, factor=5.0):
@@ -133,6 +132,11 @@ class TestDerive:
         assert double.chi == d.chi
 
 
+def refractive_index(medium, d):
+    """Effective index n0*(1 + chi*N), which should equal n0 + n2*I."""
+    return medium.linear_index * (1.0 + d.chi * d.photons)
+
+
 class TestRefractiveIndex:
     def test_dark_medium_returns_linear_index(self):
         pulse = PulseSpec(500e-9, 1e-12, 1e-9, 0.0)
@@ -160,56 +164,44 @@ class TestRefractiveIndex:
         assert as_photons == pytest.approx(as_intensity, rel=1e-12)
 
 
+def detuning_margin(d, geometry):
+    """|z0 - m*pi| / pi for the nearest integer m, z0 = k * arm * chi / 2."""
+    return validity(d, geometry, NoiseSpec()).on_operating_point.margin
+
+
 class TestKerrPhases:
     def test_symmetric_arms(self):
+        # equal arms: no relative phase, so the exact mean signal vanishes
         p = get_preset("giant-eit")
         d = derive(p.pulse, p.medium)
-        ph = kerr_phases(d, GeometrySpec(arm_length=2.0, signal=0.0))
-        assert ph.phi1 == ph.phi2 == d.wavenumber * 2.0
-        assert ph.z1 == ph.z2 == ph.z0
+        g = GeometrySpec(arm_length=2.0, signal=0.0)
+        assert g.arm1 == g.arm2 == 2.0
+        k = d.wavenumber
+        assert signal_mean_exact(d.photons, d.chi, k * g.arm1, k * g.arm2) == 0.0
 
     def test_zero_chi(self):
         pulse = get_preset("natural").pulse
         d = derive(pulse, MediumSpec(1.0, 0.0))
-        ph = kerr_phases(d, GeometrySpec(arm_length=3.0))
-        assert ph.z1 == ph.z2 == ph.z0 == 0.0
-        assert ph.nearest_m == 0
-        assert ph.detuning == 0.0
+        assert detuning_margin(d, GeometrySpec(arm_length=3.0)) == 0.0
 
     def test_z_definition(self):
-        d = KerrDerived(photons=10.0, intensity=1.0, chi=0.3, wavenumber=2.0)
-        ph = kerr_phases(d, GeometrySpec(arm_length=1.5, signal=0.4))
-        assert ph.phi1 == 2.0 * 1.3
-        assert ph.phi2 == 2.0 * 1.7
-        assert ph.z1 == ph.phi1 * 0.3 / 2.0
-        assert ph.z2 == ph.phi2 * 0.3 / 2.0
+        # the signal shortens arm 1 and lengthens arm 2 by half each
+        g = GeometrySpec(arm_length=1.5, signal=0.4)
+        assert g.arm1 == 1.3
+        assert g.arm2 == 1.7
 
     def test_giant_operating_point_feedback(self):
-        # solve z0 = pi for the arm length, feed it back, expect m = 1
+        # solve z0 = pi for the arm length, feed it back, expect no detuning
         p = get_preset("giant-eit")
         d = derive(p.pulse, p.medium)
         ell0 = 2.0 * math.pi / (d.wavenumber * d.chi)
-        ph = kerr_phases(d, GeometrySpec(arm_length=ell0))
-        assert ph.nearest_m == 1
-        assert abs(ph.detuning) < 1e-9
+        assert detuning_margin(d, GeometrySpec(arm_length=ell0)) < 1e-9 / math.pi
         assert ell0 == operating_arm_length(d, m=1)
 
     def test_detuning_bounded(self):
         d = KerrDerived(photons=1.0, intensity=1.0, chi=0.77, wavenumber=3.1)
         for arm in (0.1, 0.5, 1.0, 7.3, 42.0):
-            ph = kerr_phases(d, GeometrySpec(arm_length=arm))
-            assert abs(ph.detuning) <= math.pi / 2.0 + 1e-12
-
-    @pytest.mark.parametrize(
-        "arm,expected_m",
-        [(0.5, 0), (1.5, 2), (2.5, 2), (3.5, 4)],
-    )
-    def test_halfway_ties_round_to_even(self, arm, expected_m):
-        # k = pi and chi = 2 put z0/pi exactly on the half-integer arm value
-        d = KerrDerived(photons=1.0, intensity=1.0, chi=2.0, wavenumber=math.pi)
-        ph = kerr_phases(d, GeometrySpec(arm_length=arm))
-        assert ph.z0 / math.pi == arm
-        assert ph.nearest_m == expected_m
+            assert detuning_margin(d, GeometrySpec(arm_length=arm)) <= 0.5 + 1e-12
 
     def test_operating_arm_length_rejects_linear_medium(self):
         d = KerrDerived(photons=1.0, intensity=1.0, chi=0.0, wavenumber=1.0)
@@ -277,8 +269,9 @@ class TestPresets:
             get_preset("huge")
 
     def test_arm_length_hints(self):
-        assert get_preset("giant-eit").arm_length_hint() == pytest.approx(125.85, rel=1e-3)
-        assert order_band(get_preset("natural").arm_length_hint(), 1e12)
+        giant = operating_arm_length(get_preset("giant-eit").derived())
+        assert giant == pytest.approx(125.85, rel=1e-3)
+        assert order_band(operating_arm_length(get_preset("natural").derived()), 1e12)
 
 
 def test_kerr_cm2_is_exactly_1e_minus_4():

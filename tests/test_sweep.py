@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from kerrmich.core import HBAR, C_LIGHT, ParameterError, get_preset
+from kerrmich.core import (
+    C_LIGHT,
+    HBAR,
+    MediumSpec,
+    NoiseSpec,
+    ParameterError,
+    PulseSpec,
+    get_preset,
+)
 from kerrmich.sweep import (
     CSV_COLUMNS,
     GridSpec,
@@ -198,9 +206,9 @@ class TestParameterSet:
     def test_from_preset_round_trips_fields(self):
         p = get_preset("giant-eit")
         base = ParameterSet.from_preset("giant-eit")
-        assert base.pulse() == p.pulse
-        assert base.medium() == p.medium
-        assert base.noise() == p.noise
+        assert PulseSpec(base.wavelength, base.tau, base.area, base.power) == p.pulse
+        assert MediumSpec(base.n0, base.n2) == p.medium
+        assert NoiseSpec(base.eta, base.sigma, base.nt) == p.noise
 
     def test_arm_length_defaults_to_operating_point(self):
         row = evaluate(GIANT_BASE)
@@ -240,7 +248,7 @@ def test_csv_columns_fixed():
 
 def test_csv_values_round_trip():
     row = evaluate(GIANT_BASE)
-    texts = row.csv_values()
+    texts = [repr(getattr(row, col)) for col in CSV_COLUMNS]
     assert len(texts) == len(CSV_COLUMNS)
     for col, text in zip(CSV_COLUMNS, texts):
         assert float(text) == getattr(row, col)

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import kerrmich.sweep
 from kerrmich.sweep import (
+    CSV_COLUMNS,
     GRID_PARAMETERS,
     GridSpec,
     ParameterSet,
@@ -191,7 +192,9 @@ class TestSweepTable:
         out = io.StringIO()
         SweepTable.from_rows(rows).write_csv(out)
         lines = out.getvalue().splitlines()
-        assert lines[1:] == [",".join(r.csv_values()) for r in rows]
+        assert lines[1:] == [
+            ",".join(repr(getattr(r, col)) for col in CSV_COLUMNS) for r in rows
+        ]
         assert [line.split(",")[6] for line in lines[1:]] == ["0.0", "-0.0", "0.0"]
 
 
@@ -235,6 +238,6 @@ def test_json_rows_are_the_json_module_layout():
     out = io.StringIO()
     SweepTable.from_rows(rows).write_json_rows(out)
     text = out.getvalue()
-    want = json.dumps({"rows": [r.as_dict() for r in rows]}, indent=2)
+    want = json.dumps({"rows": [dataclasses.asdict(r) for r in rows]}, indent=2)
     assert want == '{\n  "rows": [\n' + text + "\n  ]\n}"
     assert "Infinity" in text and "-0.0" in text and "true" in text
