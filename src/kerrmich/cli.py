@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import shlex
 import sys
 import time
@@ -94,59 +93,44 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(parameter=name, lo=lo, hi=hi, points=points, spacing=spacing)
 
 
-def _add_physical_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--regime", help="start from a built-in preset (natural, giant-eit)")
-    p.add_argument("--wavelength", type=float, help="vacuum wavelength (m)")
-    p.add_argument("--tau", type=float, help="pulse duration (s)")
-    p.add_argument("--area", type=float, help="beam cross section (m^2)")
-    p.add_argument("--power", type=float, help="pulse power (W)")
-    p.add_argument(
-        "--n2",
-        type=str,
-        help="Kerr coefficient; bare numbers are cm^2/W, suffix m2 or cm2 to choose",
-    )
-    p.add_argument("--n0", type=float, help="linear refractive index (default 1)")
-    p.add_argument("--eta", type=float, help="detector efficiency in (0,1] (default 1)")
-    p.add_argument("--sigma", type=float, help="random-phase std deviation (default 0)")
-    p.add_argument("--nt", type=float, help="mean thermal photon number (default 0)")
-    p.add_argument(
-        "--arm-length",
-        type=float,
-        help="arm length (m); default is the m=1 operating point, 1 m if n2=0",
-    )
-    p.add_argument("--signal", type=float, help="arm-length signal x (m, default 0)")
-
-
-def parse_threshold(text: str) -> float:
-    """Validity margin threshold: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse threshold {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"threshold must be finite and > 0, got {text!r}"
-        )
-    return value
+# Each ParameterSet field's flag, type and help. The fields without a
+# default are required unless --regime supplies them.
+DESIGN_FLAGS = {
+    "wavelength": ("--wavelength", float, "vacuum wavelength (m)"),
+    "tau": ("--tau", float, "pulse duration (s)"),
+    "area": ("--area", float, "beam cross section (m^2)"),
+    "power": ("--power", float, "pulse power (W)"),
+    "n2": ("--n2", parse_n2,
+           "Kerr coefficient; bare numbers are cm^2/W, suffix m2 or cm2 to choose"),
+    "n0": ("--n0", float, "linear refractive index (default 1)"),
+    "eta": ("--eta", float, "detector efficiency in (0,1] (default 1)"),
+    "sigma": ("--sigma", float, "random-phase std deviation (default 0)"),
+    "nt": ("--nt", float, "mean thermal photon number (default 0)"),
+    "arm_length": ("--arm-length", float,
+                   "arm length (m); default is the m=1 operating point, 1 m if n2=0"),
+    "signal_x": ("--signal", float, "arm-length signal x (m, default 0)"),
+}
+REQUIRED_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ParameterSet) if f.default is dataclasses.MISSING
+)
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=Path, help="write to this file instead of stdout")
 
 
-def _add_threshold_flag(p: argparse.ArgumentParser) -> None:
+def _add_design_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--regime", help="start from a built-in preset (natural, giant-eit)")
+    for name, (flag, kind, text) in DESIGN_FLAGS.items():
+        metavar = flag[2:].replace("-", "_").upper()
+        p.add_argument(flag, dest=name, type=kind, metavar=metavar, help=text)
+    _add_output_flag(p)
     p.add_argument(
         "--threshold",
-        type=parse_threshold,
+        type=float,
         default=1e-2,
         help="validity margin threshold (default 1e-2)",
     )
-
-
-def _add_design_flags(p: argparse.ArgumentParser) -> None:
-    _add_physical_flags(p)
-    _add_output_flag(p)
-    _add_threshold_flag(p)
     p.add_argument("--format", choices=("json", "csv"), help="output format")
 
 
@@ -212,52 +196,22 @@ def build_parser() -> _Parser:
 
     reg = sub.add_parser("regimes", help="built-in presets and their reports, as JSON")
     _add_output_flag(reg)
-    _add_threshold_flag(reg)
 
     return parser
 
 
 def _params_from_args(args: argparse.Namespace) -> ParameterSet:
-    overrides: dict[str, float] = {}
-    for flag, field in (
-        ("wavelength", "wavelength"),
-        ("tau", "tau"),
-        ("area", "area"),
-        ("power", "power"),
-        ("n0", "n0"),
-        ("eta", "eta"),
-        ("sigma", "sigma"),
-        ("nt", "nt"),
-        ("arm_length", "arm_length"),
-        ("signal", "signal_x"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    if args.n2 is not None:
-        overrides["n2"] = parse_n2(args.n2)
-
+    overrides = {
+        name: value for name in DESIGN_FLAGS if (value := getattr(args, name)) is not None
+    }
     if args.regime:
-        base = ParameterSet.from_preset(args.regime)
-        return dataclasses.replace(base, **overrides)
-
-    missing = [
-        f"--{name}"
-        for name in ("wavelength", "tau", "area", "power", "n2")
-        if getattr(args, name) is None
-    ]
+        return dataclasses.replace(ParameterSet.from_preset(args.regime), **overrides)
+    missing = [DESIGN_FLAGS[name][0] for name in REQUIRED_FIELDS if name not in overrides]
     if missing:
         raise CliError(
             f"missing {', '.join(missing)} (or use --regime natural|giant-eit)"
         )
-    return ParameterSet(
-        wavelength=overrides.pop("wavelength"),
-        tau=overrides.pop("tau"),
-        area=overrides.pop("area"),
-        power=overrides.pop("power"),
-        n2=overrides.pop("n2"),
-        **overrides,
-    )
+    return ParameterSet(**overrides)
 
 
 def _manifest(argv: Sequence[str], params: dict, **provenance) -> dict:
@@ -473,7 +427,7 @@ def _report_payload(report: RegimeReport) -> dict:
 def cmd_regimes(args: argparse.Namespace, argv: Sequence[str]) -> int:
     payload = {
         "regimes": [
-            _report_payload(regime_report(name, threshold=args.threshold))
+            _report_payload(regime_report(name))
             for name in ("natural", "giant-eit")
         ]
     }

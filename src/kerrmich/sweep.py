@@ -29,7 +29,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .analytic import sensitivity_report
+from .analytic import ValidityFlags, sensitivity_report
 from .core import (
     C_LIGHT,
     HBAR,
@@ -205,6 +205,7 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
     goes to `_evaluate_reference`, which raises exactly what the composed
     path raises.
     """
+    _check_threshold(threshold)
     p = params
     wl, tau, area, power = p.wavelength, p.tau, p.area, p.power
     n0, n2, eta, sigma, nt = p.n0, p.n2, p.eta, p.sigma, p.nt
@@ -275,6 +276,7 @@ def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepR
     A failure of the arithmetic itself, such as a product that underflows
     to a zero divisor or `round(nan)`, is raised as a `ParameterError`.
     """
+    _check_threshold(threshold)
     p = params
     try:
         derived = derive(PulseSpec(p.wavelength, p.tau, p.area, p.power), MediumSpec(p.n0, p.n2))
@@ -287,52 +289,23 @@ def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepR
         raise
     except (ArithmeticError, ValueError) as exc:
         raise ParameterError(f"design cannot be evaluated: {type(exc).__name__}: {exc}") from exc
-    v = report.validity
-    return SweepRow(
-        tau_s=params.tau,
-        area_m2=params.area,
-        power_w=params.power,
-        n2_m2_per_w=params.n2,
-        wavelength_m=params.wavelength,
-        eta=params.eta,
-        sigma=params.sigma,
-        nt=params.nt,
-        arm_length_m=arm,
-        signal_x_m=params.signal_x,
-        n_photons=derived.photons,
-        chi=derived.chi,
-        k_per_m=derived.wavenumber,
-        delta_x_m=report.delta_x,
-        delta_x_linear_m=report.delta_x_linear,
-        improvement=report.improvement,
-        margin_small_signal=v.small_signal.margin,
-        margin_thermal=v.weak_thermal.margin,
-        margin_dephasing=v.weak_dephasing.margin,
-        margin_operating_point=v.on_operating_point.margin,
-        margin_nl_dominant=v.nonlinearity_dominant.margin,
-        small_signal=v.small_signal.ok,
-        weak_thermal=v.weak_thermal.ok,
-        weak_dephasing=v.weak_dephasing.ok,
-        on_operating_point=v.on_operating_point.ok,
-        nonlinearity_dominant=v.nonlinearity_dominant.ok,
-    )
+    checks = [getattr(report.validity, name) for name in FLAG_FIELDS]
+    return _make_row((
+        p.tau, p.area, p.power, p.n2, p.wavelength, p.eta, p.sigma, p.nt, arm, p.signal_x,
+        derived.photons, derived.chi, derived.wavenumber,
+        report.delta_x, report.delta_x_linear, report.improvement,
+        *(c.margin for c in checks), *(c.ok for c in checks),
+    ))
 
 
 ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
-MARGIN_FIELDS = (
-    "margin_small_signal",
-    "margin_thermal",
-    "margin_dephasing",
-    "margin_operating_point",
-    "margin_nl_dominant",
-)
-FLAG_FIELDS = (
-    "small_signal",
-    "weak_thermal",
-    "weak_dephasing",
-    "on_operating_point",
-    "nonlinearity_dominant",
-)
+MARGIN_FIELDS = tuple(name for name in ROW_FIELDS if name.startswith("margin_"))
+FLAG_FIELDS = tuple(f.name for f in dataclasses.fields(ValidityFlags))
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < math.inf:
+        raise ParameterError(f"threshold must be finite and > 0, got {threshold!r}")
 
 
 def _make_row(values: Iterable) -> SweepRow:
@@ -519,6 +492,7 @@ def sweep_blocks(
     blocks before its own have been yielded. Each block is added to
     stats, when given, before it is yielded.
     """
+    _check_threshold(threshold)
     if len(grids) > 3:
         raise ParameterError(f"at most 3 simultaneous grids, got {len(grids)}")
     names = [g.parameter for g in grids]
@@ -600,13 +574,13 @@ def _kernel(
         sigma_sq = np.float_power(sigma, 2.0)
         gain_sq = np.float_power(chi * n, 2.0)
         nl_noise = eta * n * sigma_sq + nt
-        margins = {
-            "margin_small_signal": chi * n * k * np.abs(signal),
-            "margin_thermal": np.where(nt == 0.0, 0.0, nt / n),
-            "margin_dephasing": sigma.copy(),
-            "margin_operating_point": np.abs(detuning) / math.pi,
-            "margin_nl_dominant": np.where(nl_noise == 0.0, 0.0, nl_noise / gain_sq),
-        }
+        margins = (
+            chi * n * k * np.abs(signal),
+            np.where(nt == 0.0, 0.0, nt / n),
+            sigma.copy(),
+            np.abs(detuning) / math.pi,
+            np.where(nl_noise == 0.0, 0.0, nl_noise / gain_sq),
+        )
 
         clean = (
             (wl > 0.0) & (tau > 0.0) & (area > 0.0) & (power >= 0.0)
@@ -616,24 +590,16 @@ def _kernel(
         )
         for col in (
             *p.values(), arm, omega, n, chi, k, turns, sigma_sq, gain_sq,
-            delta_x, delta_x_linear, improvement, *margins.values(),
+            delta_x, delta_x_linear, improvement, *margins,
         ):
             clean &= np.isfinite(col)
 
-    columns = {GRID_COLUMNS[name]: col for name, col in p.items() if name in GRID_COLUMNS}
-    columns["arm_length_m"] = arm
-    flags = dict(zip(FLAG_FIELDS, (m < threshold for m in margins.values())))
-    columns.update(
-        n_photons=n,
-        chi=chi,
-        k_per_m=k,
-        delta_x_m=delta_x,
-        delta_x_linear_m=delta_x_linear,
-        improvement=improvement,
-        **margins,
-        **flags,
+    columns = (
+        tau, area, power, n2, wl, eta, sigma, nt, arm, signal,
+        n, chi, k, delta_x, delta_x_linear, improvement,
+        *margins, *(m < threshold for m in margins),
     )
-    return {name: columns[name] for name in ROW_FIELDS}, clean
+    return dict(zip(ROW_FIELDS, columns)), clean
 
 
 @dataclass(frozen=True)
@@ -660,22 +626,13 @@ class RegimeReport:
 PRACTICAL_ARM_LIMIT = 1e6  # m
 
 
-def regime_report(name: str, m: int = 1, threshold: float = 1e-2) -> RegimeReport:
-    """Evaluate a built-in regime at its m-th operating point."""
-    preset = get_preset(name)
-    derived = preset.derived()
-    arm = operating_arm_length(derived, m)
-    params = dataclasses.replace(
-        ParameterSet.from_preset(name), arm_length=arm, signal_x=0.0
-    )
-    row = evaluate(params, threshold)
-
-    n = derived.photons
-    chi = derived.chi
-    k = derived.wavenumber
+def regime_report(name: str) -> RegimeReport:
+    """Evaluate a built-in regime at its first operating point."""
+    row = evaluate(ParameterSet.from_preset(name))
+    arm, n, chi, k = row.arm_length_m, row.n_photons, row.chi, row.k_per_m
     gain = chi * n
     x_max = 1.0 / (gain * k) if gain > 0.0 else math.inf
-    sigma_max = chi * math.sqrt(n / preset.noise.efficiency)
+    sigma_max = chi * math.sqrt(n / row.eta)
     nt_max = gain * gain
 
     notes: list[str] = []

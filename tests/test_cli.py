@@ -404,6 +404,7 @@ def test_manifest_counts_rows_and_validity_failures(capsys, tmp_path, fmt):
         ("verify", "--max-photons", "4", "--format", "json"),
         ("verify", "--max-photons", "4", "--threshold", "0.1"),
         ("regimes", "--format", "json"),
+        ("regimes", "--threshold", "0.02"),
     ],
 )
 def test_flags_a_command_would_ignore_are_rejected(capsys, args):
@@ -416,7 +417,7 @@ def test_flags_a_command_would_ignore_are_rejected(capsys, args):
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize(
     "command",
-    [("estimate", "--regime", "giant-eit"), ("sweep", "--regime", "giant-eit"), ("regimes",)],
+    [("estimate", "--regime", "giant-eit"), ("sweep", "--regime", "giant-eit")],
 )
 def test_threshold_must_be_finite_and_positive(capsys, command, value):
     code, out, err = run_cli(capsys, *command, "--threshold", value)

@@ -6,8 +6,8 @@ point). Output goes to stdout, so no manifest is involved. Together the
 cases cover both presets, log and linear grids, a dark input (power = 0,
 infinite resolution), a linear medium (n2 = 0, 1 m arm fallback and an
 infinite dominance margin), -0.0 next to 0.0, a 3-axis grid, and grids
-over the two JSON-only coordinates. The two `regimes` files pin
-`regime_report`, which reaches `analytic.validity`; they were captured
+over the two JSON-only coordinates. The `regimes` file pins
+`regime_report`, which reaches `analytic.validity`; it was captured
 before `validity` computed the operating-point detuning inline.
 """
 
@@ -52,7 +52,6 @@ CASES = {
     "estimate_giant.csv": ["estimate", "--regime", "giant-eit", "--format", "csv"],
     "estimate_natural.json": ["estimate", "--regime", "natural", "--sigma", "1e-9"],
     "regimes.json": ["regimes"],
-    "regimes_threshold.json": ["regimes", "--threshold", "0.02"],
 }
 
 

@@ -127,6 +127,12 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match="cap"):
             run_sweep(GIANT_BASE, [GridSpec("eta", 0.1, 1.0, 11)], max_rows=10)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        for call in (evaluate, run_sweep):
+            with pytest.raises(ParameterError, match="threshold must be finite and > 0"):
+                call(GIANT_BASE, threshold=threshold)
+
     def test_chi_halves_when_tau_doubles_at_fixed_photons(self):
         # hold the photon number by co-varying power with tau
         base = GIANT_BASE
