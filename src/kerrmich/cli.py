@@ -382,6 +382,9 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         },
         seed=args.seed,
     )
+    manifest["checks"] = len(report.cases)
+    manifest["failed"] = len(report.failures)
+    manifest["stages"] = {f"{section}_s": s for section, s in report.stages.items()}
     _emit_stream(
         lambda f: f.writelines(line + "\n" for line in report.lines()),
         args.output,
@@ -411,8 +414,8 @@ def _report_payload(report: RegimeReport) -> dict:
             "k": report.row.k_per_m,
         },
         "report": {
-            "arm_length_m": report.arm_length_m,
-            "x_min_m": report.x_min_m,
+            "arm_length_m": report.row.arm_length_m,
+            "x_min_m": report.row.delta_x_m,
             "x_max_m": report.x_max_m,
             "sigma_max": report.sigma_max,
             "nt_max": report.nt_max,

@@ -606,16 +606,14 @@ def _kernel(
 class RegimeReport:
     """Operating-point solution and working window for a named regime.
 
-    x_min_m..x_max_m is the detectable-signal window (resolution up to the
-    small-signal bound 1/(chi N k)); sigma_max and nt_max are the dephasing
-    and thermal levels at which the added noise would reach the square of
-    the nonlinear gain, eroding its advantage.
+    row.delta_x_m..x_max_m is the detectable-signal window (resolution up
+    to the small-signal bound 1/(chi N k)); sigma_max and nt_max are the
+    dephasing and thermal levels at which the added noise would reach the
+    square of the nonlinear gain, eroding its advantage.
     """
 
     name: str
     row: SweepRow
-    arm_length_m: float
-    x_min_m: float
     x_max_m: float
     sigma_max: float
     nt_max: float
@@ -645,8 +643,6 @@ def regime_report(name: str) -> RegimeReport:
     return RegimeReport(
         name=name,
         row=row,
-        arm_length_m=arm,
-        x_min_m=row.delta_x_m,
         x_max_m=x_max,
         sigma_max=sigma_max,
         nt_max=nt_max,

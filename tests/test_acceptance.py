@@ -114,7 +114,7 @@ def test_criterion_5_regime_reproduction():
     band(natural.row.delta_x_m, 1e-21)
     band(natural.row.delta_x_linear_m, 1e-21 / 1e-3)
     band(natural.row.improvement, 1e-3)
-    band(natural.arm_length_m, 1e12)
+    band(natural.row.arm_length_m, 1e12)
     band(natural.sigma_max, 1e-8)
     band(natural.nt_max, 1e6)
 
@@ -124,7 +124,7 @@ def test_criterion_5_regime_reproduction():
     band(giant.row.delta_x_m, 1e-20)
     band(giant.row.delta_x_linear_m, 1e-20 / 1e-6)
     band(giant.row.improvement, 1e-6)
-    band(giant.arm_length_m, 100.0)
+    band(giant.row.arm_length_m, 100.0)
     band(giant.sigma_max, 1e-1)
     band(giant.nt_max, 1e12)
     _report(5, "both built-in regimes within a factor of 5")

@@ -182,8 +182,8 @@ class TestRunSweep:
 class TestRegimeReport:
     def test_giant_regime(self):
         rep = regime_report("giant-eit")
-        assert order_band(rep.arm_length_m, 100.0)
-        assert order_band(rep.x_min_m, 1e-20)
+        assert order_band(rep.row.arm_length_m, 100.0)
+        assert order_band(rep.row.delta_x_m, 1e-20)
         assert order_band(rep.x_max_m, 1e-13)
         assert order_band(rep.sigma_max, 1e-1)
         assert order_band(rep.nt_max, 1e12)
@@ -192,7 +192,7 @@ class TestRegimeReport:
 
     def test_natural_regime(self):
         rep = regime_report("natural")
-        assert order_band(rep.arm_length_m, 1e12)
+        assert order_band(rep.row.arm_length_m, 1e12)
         assert order_band(rep.sigma_max, 1e-8)
         assert order_band(rep.nt_max, 1e6)
         assert order_band(rep.x_max_m, 1e-10)
@@ -205,7 +205,7 @@ class TestRegimeReport:
 
     def test_window_is_wide_open_for_giant(self):
         rep = regime_report("giant-eit")
-        assert rep.x_max_m / rep.x_min_m > 1e5
+        assert rep.x_max_m / rep.row.delta_x_m > 1e5
 
 
 class TestParameterSet:
