@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import shlex
 import sys
 import time
@@ -27,6 +28,7 @@ from .sweep import (
     FLAG_FIELDS,
     GRID_COLUMNS,
     MARGIN_FIELDS,
+    MAX_ROWS,
     GridSpec,
     ParameterSet,
     RegimeReport,
@@ -161,7 +163,7 @@ def build_parser() -> _Parser:
         help="sweep axis (repeatable, up to 3), e.g. tau=1e-13:1e-10:50:log",
     )
     sw.add_argument(
-        "--max-rows", type=int, default=1_000_000, help="row cap (default 1e6)"
+        "--max-rows", type=int, default=MAX_ROWS, help="row cap (default 1e6)"
     )
 
     ver = sub.add_parser(
@@ -359,8 +361,8 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         )
     if args.max_photons < 0:
         raise CliError("--max-photons must be >= 0")
-    if args.tolerance < 0:
-        raise CliError("--tolerance must be >= 0")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise CliError("--tolerance must be >= 0 and finite")
     if args.dim_margin < 0:
         raise CliError("--dim-margin must be >= 0")
     if args.cases < 0:

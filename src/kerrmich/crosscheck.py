@@ -355,8 +355,8 @@ def run_crosscheck(
     """Run the whole suite; tolerance applies to every non-Monte-Carlo case."""
     if max_photons < 0:
         raise ValueError(f"max_photons must be >= 0, got {max_photons}")
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance!r}")
     if dim_margin < 0:
         raise ValueError(f"dim_margin must be >= 0, got {dim_margin}")
 

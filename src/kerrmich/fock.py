@@ -206,33 +206,6 @@ class MomentSet:
     trunc_loss: float
 
 
-def _assemble(
-    mean_n1: float,
-    mean_n2: float,
-    mean_n1n2: float,
-    cross: complex,
-    pair: complex,
-    offset: float,
-    trunc_loss: float,
-) -> MomentSet:
-    rot = cmath.exp(1j * offset)
-    rot2 = cmath.exp(2j * offset)
-    mean_m = 2.0 * (rot * cross).imag
-    second = 2.0 * mean_n1n2 + mean_n1 + mean_n2
-    mean_m2 = second - 2.0 * (rot2 * pair).real
-    return MomentSet(
-        mean_n1=mean_n1,
-        mean_n2=mean_n2,
-        mean_n1n2=mean_n1n2,
-        cross=cross,
-        pair=pair,
-        offset=offset,
-        mean_m=mean_m,
-        mean_m2=mean_m2,
-        trunc_loss=trunc_loss,
-    )
-
-
 def moments(state: TwoModeState, offset: float = 0.0) -> MomentSet:
     """First and second moments of M by direct coefficient contraction.
 
@@ -263,8 +236,18 @@ def moments(state: TwoModeState, offset: float = 0.0) -> MomentSet:
         f2 = np.sqrt(m[1 : d2 - 1] * (m[1 : d2 - 1] + 1.0))
         pair = complex(np.sum(np.conj(c[2:, :-2]) * np.outer(f1, f2) * c[:-2, 2:]))
 
-    return _assemble(
-        mean_n1, mean_n2, mean_n1n2, cross, pair, float(offset), state.trunc_loss
+    offset = float(offset)
+    second = 2.0 * mean_n1n2 + mean_n1 + mean_n2
+    return MomentSet(
+        mean_n1=mean_n1,
+        mean_n2=mean_n2,
+        mean_n1n2=mean_n1n2,
+        cross=cross,
+        pair=pair,
+        offset=offset,
+        mean_m=2.0 * (cmath.exp(1j * offset) * cross).imag,
+        mean_m2=second - 2.0 * (cmath.exp(2j * offset) * pair).real,
+        trunc_loss=state.trunc_loss,
     )
 
 

@@ -11,11 +11,13 @@ of CSV_CHUNK_ROWS rows at a time so that memory does not grow with the
 row count, and `evaluate` one design point as plain floats, both with
 the operations of `derive` and `sensitivity_report` in the same order.
 Each computes only the points it can vouch for: those that pass every
-spec check and stay finite throughout. Every other point goes through
-`_evaluate_reference`, which composes `derive` and `sensitivity_report`
-themselves and raises what they raise, with an arithmetic failure
-reported as a `ParameterError`. So every row is bit for bit the row of
-the composed path, which the tests use as the reference.
+spec check with finite inputs, derived values and resolutions, where the
+composed path cannot raise; a validity margin may come out inf or NaN,
+as it does there. Every other point goes through `_evaluate_reference`,
+which composes `derive` and `sensitivity_report` themselves and raises
+what they raise, with an arithmetic failure reported as a
+`ParameterError`. So every row is bit for bit the row of the composed
+path, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -198,12 +200,11 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
 
     The scalar twin of `_kernel`: straight-line float arithmetic that
     repeats `derive`, `operating_arm_length` and `sensitivity_report` term
-    for term, so a clean point (one that passes every spec check with every
-    intermediate and result finite, the rule of `_kernel`) is bit for bit
-    what `_evaluate_reference` returns. Any other point, and any point on
-    which this arithmetic raises, such as a square past the largest double,
-    goes to `_evaluate_reference`, which raises exactly what the composed
-    path raises.
+    for term, so a clean point (the rule of `_kernel`) is bit for bit what
+    `_evaluate_reference` returns. Any other point, and any point on which
+    this arithmetic raises, such as a square past the largest double, goes
+    to `_evaluate_reference`, which raises exactly what the composed path
+    raises.
     """
     _check_threshold(threshold)
     p = params
@@ -232,12 +233,12 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
         detuning = z0 - round(z0 / math.pi) * math.pi
         gain_sq = (chi * n) ** 2
         nl_noise = eta * n * sigma**2 + nt
-        # `analytic._ratio` gives inf for a zero divisor, which is not
-        # clean either, so these quotients may raise
+        # the quotients of `analytic._ratio`; n is not zero here, or ekkn
+        # would have raised
         margin_small_signal = chi * n * k * abs(signal)
         margin_thermal = 0.0 if nt == 0.0 else nt / n
         margin_operating_point = abs(detuning) / math.pi
-        margin_nl_dominant = 0.0 if nl_noise == 0.0 else nl_noise / gain_sq
+        margin_nl_dominant = 0.0 if nl_noise == 0.0 else nl_noise / gain_sq if gain_sq else math.inf
 
         clean = (
             wl > 0.0 and tau > 0.0 and area > 0.0 and power >= 0.0
@@ -248,10 +249,7 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
             and isfinite(n0) and isfinite(n2) and isfinite(eta) and isfinite(sigma)
             and isfinite(nt) and isfinite(arm) and isfinite(signal)
             and isfinite(omega) and isfinite(n) and isfinite(chi) and isfinite(k)
-            and isfinite(gain_sq) and isfinite(delta_x) and isfinite(delta_x_linear)
-            and isfinite(improvement) and isfinite(margin_small_signal)
-            and isfinite(margin_thermal) and isfinite(margin_operating_point)
-            and isfinite(margin_nl_dominant)
+            and isfinite(delta_x) and isfinite(delta_x_linear) and isfinite(improvement)
         )
     except (ArithmeticError, ValueError, TypeError):
         clean = False
@@ -539,14 +537,17 @@ def _kernel(
     and `sensitivity_report` term for term: + - * / and sqrt are correctly
     rounded, `round` is `np.rint`, and squares are `np.float_power(x, 2.0)`,
     which calls the C library's `pow` as Python's float `**` does (`x * x`
-    rounds differently for about one input in a thousand). So a clean row
-    is bit for bit what `_evaluate_reference` returns. A row is clean when
-    its inputs pass every spec check and every intermediate and result is
-    finite; a zero divisor or a square that overflows (where `**` raises)
-    shows up as a non-finite value. Only clean rows are sure not to raise in
-    `_evaluate_reference`, and only they are vouched for; the values of the
-    others are left as they fall. `evaluate` applies the same rule to one
-    point.
+    rounds differently for about one input in a thousand), and gives inf
+    where `**` raises, as `analytic._square` does. So a clean row is bit
+    for bit what `_evaluate_reference` returns. A row is clean when its
+    inputs pass every spec check and its inputs, derived values, resolutions
+    and `round` argument are finite; a zero divisor shows up as an infinite
+    resolution. These are the values on which the composed path can raise
+    or branch. The margins are left out: there they come from the same
+    finite values by `*`, `abs`, `/ pi`, `_square` and `_ratio`, none of
+    which raises, so an inf or NaN margin is the composed path's own value.
+    Only clean rows are vouched for; the values of the others are left as
+    they fall. `evaluate` applies the same rule to one point.
     """
     wl, tau, area, power = p["wavelength"], p["tau"], p["area"], p["power"]
     n0, n2, eta, sigma, nt = p["n0"], p["n2"], p["eta"], p["sigma"], p["nt"]
@@ -579,7 +580,7 @@ def _kernel(
             np.where(nt == 0.0, 0.0, nt / n),
             sigma.copy(),
             np.abs(detuning) / math.pi,
-            np.where(nl_noise == 0.0, 0.0, nl_noise / gain_sq),
+            np.where(nl_noise == 0.0, 0.0, np.where(gain_sq == 0.0, math.inf, nl_noise / gain_sq)),
         )
 
         clean = (
@@ -588,10 +589,8 @@ def _kernel(
             & (sigma >= 0.0) & (nt >= 0.0)
             & (arm > 0.0) & (arm - 0.5 * signal > 0.0) & (arm + 0.5 * signal > 0.0)
         )
-        for col in (
-            *p.values(), arm, omega, n, chi, k, turns, sigma_sq, gain_sq,
-            delta_x, delta_x_linear, improvement, *margins,
-        ):
+        for col in (*p.values(), arm, omega, n, chi, k, turns,
+                    delta_x, delta_x_linear, improvement):
             clean &= np.isfinite(col)
 
     columns = (

@@ -437,6 +437,15 @@ def test_seed_stays_as_provenance_on_verify_and_regimes(capsys):
         assert "unrecognized arguments: --seed 3" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_tolerance_must_be_finite_and_non_negative(capsys, value):
+    # nan would fail every deterministic check, inf would pass every one
+    code, out, err = run_cli(capsys, "verify", "--max-photons", "4", "--tolerance", value)
+    assert code == 1
+    assert out == ""
+    assert "--tolerance must be >= 0 and finite" in err
+
+
 @pytest.mark.parametrize("flag", ["--dim-margin", "--cases"])
 def test_verify_rejects_negative_counts(capsys, flag):
     code, out, err = run_cli(capsys, "verify", "--max-photons", "2", flag, "-1")

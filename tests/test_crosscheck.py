@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import kerrmich.fock
 from kerrmich.cli import main
-from kerrmich.crosscheck import MC_SIGMA_BAND, CheckCase, CrossCheckReport
+from kerrmich.crosscheck import MC_SIGMA_BAND, CheckCase, CrossCheckReport, run_crosscheck
 from kerrmich.fock import (
     DEFAULT_TRUNCATION_BUDGET,
     KERR_BLOCK_ENTRIES,
@@ -134,16 +134,23 @@ def test_one_level_basis_has_no_mean():
 
 @pytest.mark.parametrize("dim_margin", [0, 7])
 def test_check_lines_match_golden(capsys, dim_margin):
-    # captured from the per-case oracle; the [mean] error digits were
-    # recaptured from the factorised kernel, every other byte is unchanged
+    # captured from the per-case oracle; the [mean] error digits and the
+    # summary line were recaptured from the factorised kernel, every other
+    # byte is unchanged
     argv = ["verify", "--max-photons", "30", "--cases", "300", "--seed", "7",
             "--dim-margin", str(dim_margin)]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == ""
     want = (GOLDEN / f"verify_seed7_margin{dim_margin}.txt").read_text()
-    assert out.splitlines()[:-1] == want.splitlines()[:-1]
+    assert out == want
     assert len(out.splitlines()) == 202 + 300 + 1
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be >= 0 and finite"):
+        run_crosscheck(max_photons=0, tolerance=tolerance)
 
 
 def test_summary_reports_worst_error_per_section():

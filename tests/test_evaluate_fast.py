@@ -94,10 +94,8 @@ def test_squares_round_like_python_power(base, sigma, parameter, fallbacks):
     [
         # dark input: infinite resolution
         dict(power=0.0),
-        # linear medium: 1 m arm, infinite dominance margin under dephasing
-        dict(n2=0.0, sigma=0.05),
-        # (chi * N) ** 2 is subnormal and the dominance margin overflows
-        dict(n2=1e-170, sigma=1e-4),
+        # N > 0, but eta * k**2 * N underflows to a zero divisor
+        dict(eta=1e-200, power=1e-200),
         # (chi * N) ** 2 overflows
         dict(power=1e160),
         # round(inf) on the operating order
@@ -106,10 +104,7 @@ def test_squares_round_like_python_power(base, sigma, parameter, fallbacks):
         dict(signal_x=1e3),
         dict(signal_x=-1e3),
     ],
-    ids=[
-        "dark", "linear-medium", "margin-overflow", "gain-square", "round-inf",
-        "arm-1", "arm-2",
-    ],
+    ids=["dark", "zero-divisor", "gain-square", "round-inf", "arm-1", "arm-2"],
 )
 def test_unclean_points_take_the_fallback(changes, fallbacks):
     params = dataclasses.replace(GIANT_BASE, **changes)
@@ -136,6 +131,10 @@ GIANT_ARM = 125.85291426568021
     [
         # linear medium without noise: 1 m arm, zero dominance margin
         dict(n2=0.0),
+        # linear medium: 1 m arm, infinite dominance margin under dephasing
+        dict(n2=0.0, sigma=0.05),
+        # (chi * N) ** 2 is subnormal and the dominance margin overflows
+        dict(n2=1e-170, sigma=1e-4),
         # negative zeros are echoed, and a zero thermal margin is +0.0
         dict(nt=-0.0, sigma=-0.0, signal_x=-0.0),
         # ints as a library caller may pass them are echoed as ints
@@ -149,8 +148,8 @@ GIANT_ARM = 125.85291426568021
         dict(sigma=1e140),
     ],
     ids=[
-        "linear-medium", "negative-zeros", "ints", "int-arm", "round-half-even",
-        "variance-square",
+        "linear-medium", "linear-medium-dephased", "margin-overflow", "negative-zeros",
+        "ints", "int-arm", "round-half-even", "variance-square",
     ],
 )
 def test_clean_edge_points_take_the_fast_path(changes, fallbacks):

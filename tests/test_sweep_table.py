@@ -22,6 +22,7 @@ from kerrmich.sweep import (
     ParameterSet,
     SweepStats,
     SweepTable,
+    _evaluate_reference,
     evaluate,
     run_sweep,
     sweep_blocks,
@@ -134,6 +135,8 @@ def test_squares_round_like_python_power(base, sigma, parameter):
         (dict(), GridSpec("signal_x", -1e3, 1e3, 3)),
         # zero divisor: area * tau underflows to 0
         (dict(tau=1e-300), GridSpec("area", 1e-300, 1e-10, 3, "log")),
+        # zero divisor: N > 0, but eta * k**2 * N underflows to 0
+        (dict(eta=1e-200), GridSpec("power", 1e-200, 1e-199, 2, "log")),
         # overflowing squares: eta * N * sigma, then sigma, then chi * N
         (dict(), GridSpec("sigma", 1e100, 1e200, 3, "log")),
         (dict(power=1e-20), GridSpec("sigma", 1e150, 1e160, 3, "log")),
@@ -143,6 +146,11 @@ def test_squares_round_like_python_power(base, sigma, parameter):
         (dict(arm_length=1e302, n2=0.0), GridSpec("eta", 0.5, 1.0, 2)),
         # NaN results, no exception
         (dict(n2=1e300), GridSpec("power", 1e300, 1e301, 2)),
+        # a finite resolution, but eta * N underflows to 0 and sigma ** 2
+        # overflows: the dominance margin is 0 * inf = NaN over a zero
+        # square, which `analytic._ratio` makes inf
+        (dict(wavelength=1e-7, n2=0.0, eta=1e-200, power=4e-132),
+         GridSpec("sigma", 1e160, 1e170, 2, "log")),
     ],
 )
 def test_edge_rows_match_evaluate(changes, grid):
@@ -229,6 +237,21 @@ def test_blocks_and_their_stats(monkeypatch):
     # the dark input is the one power the kernel leaves to the fallback
     assert stats.fallback_rows == 3
     assert stats.kernel_s >= 0.0 and stats.fallback_s >= 0.0
+
+
+def test_linear_medium_rows_need_no_fallback():
+    # a linear medium under dephasing or thermal noise has an infinite
+    # dominance margin, which is the composed path's own value
+    base = dataclasses.replace(GIANT_BASE, n2=0.0)
+    grids = [GridSpec("sigma", 0.0, 0.1, 5), GridSpec("nt", 0.0, 10.0, 4)]
+    stats = SweepStats()
+    table = SweepTable.concat(sweep_blocks(base, grids, stats=stats))
+    assert stats.rows == 20
+    assert stats.fallback_rows == 0
+    points = itertools.product(*(g.values() for g in grids))
+    for row, (sigma, nt) in zip(table, points, strict=True):
+        want = _evaluate_reference(dataclasses.replace(base, sigma=sigma, nt=nt))
+        assert bits(row) == bits(want), (sigma, nt)
 
 
 def test_json_rows_are_the_json_module_layout():
