@@ -274,7 +274,8 @@ def validity(
 class SensitivityReport:
     """Resolution of the interferometer and of its linear counterpart.
 
-    delta_x is sqrt(signal_variance)/signal_slope by construction;
+    delta_x is computed by `displacement_resolution`, which equals
+    sqrt(signal_variance)/signal_slope algebraically;
     improvement is the ratio delta_x/delta_x_linear, <= 1 whenever the
     linear scheme sees the same noise floor.
     """

@@ -17,9 +17,10 @@ the rest as relative errors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,7 @@ DEFAULT_PHASE_SETTINGS = (
 )
 MC_SAMPLES = 100_000
 MC_SIGMA_BAND = 3.0
-# Random mean cases drawn, then evaluated by photon number, at a time.
+# Mean cases drawn, then evaluated by photon number, at a time.
 MEAN_WINDOW = 2048
 # Unit of each section's error: relative error, absolute residual, or
 # standard errors from the exact value (limit MC_SIGMA_BAND).
@@ -146,7 +147,7 @@ def _evolved_moments(n: int, chi: float, phi1: float, phi2: float, offset: float
     return moments(apply_kerr(state, phi1, phi2, chi), offset=offset)
 
 
-def _kerr_means(settings: list[tuple], dim_margin: int) -> list[float]:
+def _kerr_means(settings: Sequence[tuple], dim_margin: int) -> list[float]:
     """Exact <M> of each (n, chi, phi1, phi2, offset), from the one-mode
     amplitudes of `_evolved_moments`' product input, built once per n."""
     groups: dict[int, list[int]] = {}
@@ -162,162 +163,120 @@ def _kerr_means(settings: list[tuple], dim_margin: int) -> list[float]:
     return got
 
 
-def _mean_cases(max_photons: int, dim_margin: int, tolerance: float) -> list[CheckCase]:
-    settings = [
-        (n, chi, phi1, phi2, offset)
-        for n in _photon_grid(max_photons)
-        for chi in DEFAULT_CHIS
-        for phi1, phi2, offset in DEFAULT_PHASE_SETTINGS
-    ]
-    return [
-        CheckCase(
-            section="mean",
-            label=f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}",
-            error=relative_error(
-                got, signal_mean_exact(float(n), chi, phi1, phi2, offset)
-            ),
-            limit=tolerance,
-        )
-        for (n, chi, phi1, phi2, offset), got in zip(
-            settings, _kerr_means(settings, dim_margin)
-        )
-    ]
+def _relative_case(
+    section: str, label: str, got: float, want: float, tolerance: float
+) -> CheckCase:
+    return CheckCase(section, label, relative_error(got, want), tolerance)
 
 
-def _extra_mean_cases(
-    max_photons: int,
-    dim_margin: int,
-    count: int,
-    rng: np.random.Generator,
-    tolerance: float,
-) -> list[CheckCase]:
-    cases = []
+def _mean_settings(
+    max_photons: int, count: int, rng: np.random.Generator
+) -> Iterator[tuple[tuple, str, float]]:
+    """(setting, label, exact <M>) of each mean check: the fixed grid, then
+    `count` random draws from rng."""
+    for n, chi, (phi1, phi2, offset) in itertools.product(
+        _photon_grid(max_photons), DEFAULT_CHIS, DEFAULT_PHASE_SETTINGS
+    ):
+        yield (
+            (n, chi, phi1, phi2, offset),
+            f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}",
+            signal_mean_exact(float(n), chi, phi1, phi2, offset),
+        )
     top = max(max_photons, 0)
-    # draw and evaluate a window of cases at a time, so the drawn settings
-    # take O(window) memory next to the O(count) cases
-    for start in range(0, count, MEAN_WINDOW):
-        settings = []
-        wants = []
-        for _ in range(min(MEAN_WINDOW, count - start)):
-            # redraw until the expected mean is not pathologically small, so
-            # a relative comparison stays meaningful
-            while True:
-                n = int(rng.integers(0, top + 1))
-                chi = float(rng.uniform(0.0, 0.12))
-                phi1 = float(rng.uniform(0.0, 2.5))
-                phi2 = float(rng.uniform(0.0, 2.5))
-                offset = float(rng.uniform(-1.0, 1.0))
-                want = signal_mean_exact(float(n), chi, phi1, phi2, offset)
-                if n == 0 or abs(want) >= 1e-3:
-                    break
-            settings.append((n, chi, phi1, phi2, offset))
-            wants.append(want)
+    for i in range(count):
+        # redraw until the expected mean is not pathologically small, so
+        # a relative comparison stays meaningful
+        while True:
+            n = int(rng.integers(0, top + 1))
+            chi = float(rng.uniform(0.0, 0.12))
+            phi1 = float(rng.uniform(0.0, 2.5))
+            phi2 = float(rng.uniform(0.0, 2.5))
+            offset = float(rng.uniform(-1.0, 1.0))
+            want = signal_mean_exact(float(n), chi, phi1, phi2, offset)
+            if n == 0 or abs(want) >= 1e-3:
+                break
+        yield (n, chi, phi1, phi2, offset), f"random[{i}] N={n} chi={chi:.4f}", want
+
+
+def _mean_cases(
+    stream: Iterator[tuple[tuple, str, float]], dim_margin: int, tolerance: float
+) -> list[CheckCase]:
+    # draw and evaluate a window of settings at a time, so they take
+    # O(window) memory next to the O(count) cases
+    cases = []
+    while window := list(itertools.islice(stream, MEAN_WINDOW)):
+        settings, labels, wants = zip(*window)
         cases += [
-            CheckCase(
-                section="mean",
-                label=f"random[{i}] N={n} chi={chi:.4f}",
-                error=relative_error(got, want),
-                limit=tolerance,
-            )
-            for i, ((n, chi, *_), want, got) in enumerate(
-                zip(settings, wants, _kerr_means(settings, dim_margin)), start
-            )
+            _relative_case("mean", label, got, want, tolerance)
+            for label, want, got in zip(labels, wants, _kerr_means(settings, dim_margin))
         ]
     return cases
 
 
 def _identity_cases(max_photons: int, tolerance: float) -> list[CheckCase]:
     mus = tuple(mu for mu in (0.5, 2.0, 5.0, 10.0) if mu <= max(max_photons, 0))
-    if not mus:
-        mus = (0.0,)
-    cases = []
-    for mu in mus:
-        for z in np.linspace(0.0, math.pi, 7):
-            residual = coherent_identity_residual(math.sqrt(mu), float(z))
-            cases.append(
-                CheckCase(
-                    section="identity",
-                    label=f"|beta|^2={mu} z={z:.4f}",
-                    error=residual,
-                    limit=tolerance,
-                )
-            )
-    return cases
+    return [
+        CheckCase(
+            "identity",
+            f"|beta|^2={mu} z={z:.4f}",
+            coherent_identity_residual(math.sqrt(mu), float(z)),
+            tolerance,
+        )
+        for mu in mus or (0.0,)
+        for z in np.linspace(0.0, math.pi, 7)
+    ]
 
 
 def _variance_cases(
     max_photons: int, dim_margin: int, tolerance: float
 ) -> list[CheckCase]:
-    offsets = [j * math.pi / 4.0 + 0.35 for j in range(8)]
-    cases = []
-    for n in _photon_grid(max_photons):
-        for chi in (0.0, 0.1):
-            # phi0 puts the empty interferometer on the operating point,
-            # where the balanced closed form is exact
-            phi0 = 2.0 * math.pi / chi if chi > 0.0 else 0.0
-            for offset in offsets:
-                got = _evolved_moments(n, chi, phi0, phi0, offset, dim_margin).mean_m2
-                want = balanced_second_moment(float(n), offset)
-                cases.append(
-                    CheckCase(
-                        section="variance",
-                        label=f"N={n} chi={chi} off={offset:.4f}",
-                        error=relative_error(got, want),
-                        limit=tolerance,
-                    )
-                )
-    return cases
+    # phi0 puts the empty interferometer on the operating point, where the
+    # balanced closed form is exact
+    return [
+        _relative_case(
+            "variance",
+            f"N={n} chi={chi} off={offset:.4f}",
+            _evolved_moments(n, chi, phi0, phi0, offset, dim_margin).mean_m2,
+            balanced_second_moment(float(n), offset),
+            tolerance,
+        )
+        for n in _photon_grid(max_photons)
+        for chi, phi0 in ((0.0, 0.0), (0.1, 2.0 * math.pi / 0.1))
+        for offset in (j * math.pi / 4.0 + 0.35 for j in range(8))
+    ]
 
 
 def _gaussian_cases(
     seed: int, tolerance: float
 ) -> tuple[list[CheckCase], list[CheckCase]]:
     """Quadrature cases (relative tolerance) and Monte Carlo cases (3 se)."""
-    quad_cases = []
-    mc_cases = []
-    for sigma in (0.1, 0.3, 0.5):
-        # full exact mean under a random common phase: the sigma dependence
-        # must be exactly the factor exp(-sigma^2/2)
-        def averaged(phis: np.ndarray) -> np.ndarray:
-            return np.array(
-                [signal_mean_exact(9.0, 0.01, 0.3, 0.32, float(p)) for p in phis]
-            )
+    # full exact mean under a random common phase: the sigma dependence
+    # must be exactly the factor exp(-sigma^2/2)
+    def averaged(phis: np.ndarray) -> np.ndarray:
+        return np.array([signal_mean_exact(9.0, 0.01, 0.3, 0.32, float(p)) for p in phis])
 
-        got = gauss_hermite_phase(averaged, sigma)
-        want = math.exp(-0.5 * sigma * sigma) * signal_mean_exact(9.0, 0.01, 0.3, 0.32)
-        quad_cases.append(
-            CheckCase(
-                section="gaussian",
-                label=f"quadrature sigma={sigma}",
-                error=relative_error(got, want),
-                limit=tolerance,
-            )
+    quad_cases = [
+        _relative_case(
+            "gaussian",
+            f"quadrature sigma={sigma}",
+            gauss_hermite_phase(averaged, sigma),
+            math.exp(-0.5 * sigma * sigma) * signal_mean_exact(9.0, 0.01, 0.3, 0.32),
+            tolerance,
         )
-    for idx, sigma in enumerate((0.1, 0.3)):
-        est, se = monte_carlo_phase(
-            lambda phi: np.sin(phi + 0.6), sigma, MC_SAMPLES, seed + idx
-        )
-        want = math.exp(-0.5 * sigma * sigma) * math.sin(0.6)
-        mc_cases.append(
-            CheckCase(
-                section="gaussian-mc",
-                label=f"mc sin sigma={sigma}",
-                error=abs(est - want) / se,
-                limit=MC_SIGMA_BAND,
-            )
-        )
-        est, se = monte_carlo_phase(
-            lambda phi: np.cos(2.0 * phi), sigma, MC_SAMPLES, seed + 100 + idx
-        )
-        want = math.exp(-2.0 * sigma * sigma)
-        mc_cases.append(
-            CheckCase(
-                section="gaussian-mc",
-                label=f"mc cos2 sigma={sigma}",
-                error=abs(est - want) / se,
-                limit=MC_SIGMA_BAND,
-            )
-        )
+        for sigma in (0.1, 0.3, 0.5)
+    ]
+    sin, cos2 = (lambda phi: np.sin(phi + 0.6)), (lambda phi: np.cos(2.0 * phi))
+    # label, seed offset, sigma, integrand, its exact Gaussian average
+    mc_table = (
+        ("mc sin sigma=0.1", 0, 0.1, sin, math.exp(-0.5 * 0.1 * 0.1) * math.sin(0.6)),
+        ("mc cos2 sigma=0.1", 100, 0.1, cos2, math.exp(-2.0 * 0.1 * 0.1)),
+        ("mc sin sigma=0.3", 1, 0.3, sin, math.exp(-0.5 * 0.3 * 0.3) * math.sin(0.6)),
+        ("mc cos2 sigma=0.3", 101, 0.3, cos2, math.exp(-2.0 * 0.3 * 0.3)),
+    )
+    mc_cases = []
+    for label, seed_offset, sigma, integrand, want in mc_table:
+        est, se = monte_carlo_phase(integrand, sigma, MC_SAMPLES, seed + seed_offset)
+        mc_cases.append(CheckCase("gaussian-mc", label, abs(est - want) / se, MC_SIGMA_BAND))
     return quad_cases, mc_cases
 
 
@@ -326,23 +285,20 @@ def _noise_cases(max_photons: int, dim_margin: int, tolerance: float) -> list[Ch
     chi = 0.1
     phi0 = 2.0 * math.pi / chi
     base = _evolved_moments(n, chi, phi0, phi0, 0.0, dim_margin)
-    cases = []
-    for eta in (0.5, 1.0):
-        for sigma in (0.0, 0.05, 0.2):
-            for nt in (0.0, 2.0):
-                noisy = noisy_moments(
-                    base, NoiseSpec(efficiency=eta, phase_sigma=sigma, thermal_photons=nt)
-                )
-                want = signal_variance(float(n), eta, sigma, nt, exact=True)
-                cases.append(
-                    CheckCase(
-                        section="noise",
-                        label=f"N={n} eta={eta} sigma={sigma} nt={nt}",
-                        error=relative_error(noisy.mean_m2, want),
-                        limit=tolerance,
-                    )
-                )
-    return cases
+    return [
+        _relative_case(
+            "noise",
+            f"N={n} eta={eta} sigma={sigma} nt={nt}",
+            noisy_moments(
+                base, NoiseSpec(efficiency=eta, phase_sigma=sigma, thermal_photons=nt)
+            ).mean_m2,
+            signal_variance(float(n), eta, sigma, nt, exact=True),
+            tolerance,
+        )
+        for eta in (0.5, 1.0)
+        for sigma in (0.0, 0.05, 0.2)
+        for nt in (0.0, 2.0)
+    ]
 
 
 def run_crosscheck(
@@ -359,6 +315,8 @@ def run_crosscheck(
         raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance!r}")
     if dim_margin < 0:
         raise ValueError(f"dim_margin must be >= 0, got {dim_margin}")
+    if extra_cases < 0:
+        raise ValueError(f"extra_cases must be >= 0, got {extra_cases}")
 
     rng = np.random.default_rng(seed)
     stages: dict[str, float] = {}
@@ -369,9 +327,7 @@ def run_crosscheck(
         now = time.perf_counter()
         stages[section], last = now - last, now
 
-    cases = _mean_cases(max_photons, dim_margin, tolerance)
-    if extra_cases:
-        cases += _extra_mean_cases(max_photons, dim_margin, extra_cases, rng, tolerance)
+    cases = _mean_cases(_mean_settings(max_photons, extra_cases, rng), dim_margin, tolerance)
     lap("mean")
     cases += _identity_cases(max_photons, tolerance)
     lap("identity")
@@ -383,6 +339,4 @@ def run_crosscheck(
     cases += _noise_cases(max_photons, dim_margin, tolerance)
     lap("noise")
     cases += mc
-    return CrossCheckReport(
-        cases=tuple(cases), tolerance=tolerance, seed=seed, stages=stages
-    )
+    return CrossCheckReport(tuple(cases), tolerance, seed, stages)

@@ -258,7 +258,9 @@ def noisy_moments(m: MomentSet, noise: NoiseSpec) -> MomentSet:
     mean_m gains the factor eta*exp(-sigma^2/2). mean_m2 becomes
     eta^2 * (phase-averaged <M0^2>) + eta*(<N1>+<N2>)*(nt + 1 - eta), the
     average multiplying the pair coherence by exp(-2 sigma^2). The arm
-    photon numbers become the detected eta*<N_j> + nt/2.
+    photon numbers become the detected eta*<N_j> + nt/2, and <N1 N2>
+    becomes eta^2 <N1 N2> + eta (nt/2) (<N1> + <N2>) + nt^2/4: binomial
+    thinning of each arm plus independent thermal counts.
     """
     eta = noise.efficiency
     nt = noise.thermal_photons
@@ -274,7 +276,9 @@ def noisy_moments(m: MomentSet, noise: NoiseSpec) -> MomentSet:
     return MomentSet(
         mean_n1=eta * m.mean_n1 + 0.5 * nt,
         mean_n2=eta * m.mean_n2 + 0.5 * nt,
-        mean_n1n2=(eta * m.mean_n1 + 0.5 * nt) * (eta * m.mean_n2 + 0.5 * nt),
+        mean_n1n2=(
+            eta * eta * m.mean_n1n2 + eta * (0.5 * nt) * (m.mean_n1 + m.mean_n2) + 0.25 * nt * nt
+        ),
         cross=eta * coh * m.cross,
         pair=eta * eta * coh2 * m.pair,
         offset=m.offset,

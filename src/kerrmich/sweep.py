@@ -496,11 +496,11 @@ def sweep_blocks(
     names = [g.parameter for g in grids]
     if len(set(names)) != len(names):
         raise ParameterError(f"duplicate sweep parameter in {names}")
-    axes = [np.array(g.values()) for g in grids]
-    shape = tuple(len(a) for a in axes)
+    shape = tuple(g.points for g in grids)
     total = math.prod(shape)
     if total > max_rows:
         raise ParameterError(f"sweep would emit {total} rows, cap is {max_rows}")
+    axes = [np.array(g.values()) for g in grids]
 
     fields = dataclasses.asdict(base)
     for lo in range(0, total, CSV_CHUNK_ROWS):

@@ -147,6 +147,21 @@ def test_check_lines_match_golden(capsys, dim_margin):
     assert len(out.splitlines()) == 202 + 300 + 1
 
 
+def test_mean_lines_stable_across_a_window_boundary():
+    # 75 fixed + 2100 random mean cases span two windows of 2048; the
+    # golden file's 375 mean cases fit in one
+    lines = list(run_crosscheck(max_photons=30, seed=7, extra_cases=2100).lines())
+    mean = [line for line in lines if " [mean] " in line]
+    assert len(mean) == 75 + 2100
+    golden = (GOLDEN / "verify_seed7_margin0.txt").read_text().splitlines()
+    assert mean[:375] == golden[:375]
+
+
+def test_negative_extra_cases_rejected():
+    with pytest.raises(ValueError, match="extra_cases must be >= 0"):
+        run_crosscheck(max_photons=0, extra_cases=-1)
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
 def test_tolerance_must_be_finite_and_non_negative(tolerance):
     with pytest.raises(ValueError, match="tolerance must be >= 0 and finite"):

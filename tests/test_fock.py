@@ -228,6 +228,17 @@ class TestNoisyMoments:
         assert noisy.mean_m2 == pytest.approx(exact, rel=1e-9)
         assert abs(noisy.mean_m2 - budget) <= (eta * n * sigma) ** 2 * sigma**2 + 1e-9
 
+    def test_correlated_pair_count(self):
+        # (|2,0> + |0,2>)/sqrt(2) has <N1 N2> = 0 but <N1> = <N2> = 1, so the
+        # detected <N1 N2> is eta (nt/2) * 2 + nt^2/4, not the product of
+        # the detected arm means
+        c = np.zeros((3, 3))
+        c[2, 0] = c[0, 2] = 1.0 / math.sqrt(2.0)
+        ms = moments(TwoModeState(c))
+        noisy = noisy_moments(ms, NoiseSpec(0.5, 0.0, 2.0))
+        assert noisy.mean_n1 * noisy.mean_n2 == pytest.approx(2.25, rel=1e-12)
+        assert noisy.mean_n1n2 == pytest.approx(2.0, rel=1e-12)
+
     def test_mean_scaling(self):
         ms = moments(apply_kerr(product_input(2.0), 0.3, 0.5, 0.05))
         noisy = noisy_moments(ms, NoiseSpec(0.8, 0.2, 1.0))

@@ -19,6 +19,7 @@ from kerrmich.sweep import (
     evaluate,
     regime_report,
     run_sweep,
+    sweep_blocks,
 )
 
 
@@ -126,6 +127,17 @@ class TestRunSweep:
     def test_row_cap(self):
         with pytest.raises(ParameterError, match="cap"):
             run_sweep(GIANT_BASE, [GridSpec("eta", 0.1, 1.0, 11)], max_rows=10)
+
+    def test_row_cap_checked_before_axes_are_built(self, monkeypatch):
+        # a 1e12-point axis would need terabytes: the cap must reject it
+        # from the point counts alone
+        def values(self):
+            raise AssertionError("grid axis built before the row cap check")
+
+        monkeypatch.setattr(GridSpec, "values", values)
+        blocks = sweep_blocks(GIANT_BASE, [GridSpec("tau", 1e-12, 1e-10, 10**12)])
+        with pytest.raises(ParameterError, match=r"sweep would emit 1000000000000 rows, cap is"):
+            next(blocks)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
