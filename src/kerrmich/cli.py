@@ -367,6 +367,8 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise CliError("--dim-margin must be >= 0")
     if args.cases < 0:
         raise CliError("--cases must be >= 0")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     report = run_crosscheck(
         max_photons=args.max_photons,
         tolerance=args.tolerance,

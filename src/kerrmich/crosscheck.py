@@ -173,7 +173,7 @@ def _mean_settings(
     max_photons: int, count: int, rng: np.random.Generator
 ) -> Iterator[tuple[tuple, str, float]]:
     """(setting, label, exact <M>) of each mean check: the fixed grid, then
-    `count` random draws from rng."""
+    the first `count` kept draws from rng, drawn MEAN_WINDOW at a time."""
     for n, chi, (phi1, phi2, offset) in itertools.product(
         _photon_grid(max_photons), DEFAULT_CHIS, DEFAULT_PHASE_SETTINGS
     ):
@@ -182,20 +182,24 @@ def _mean_settings(
             f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}",
             signal_mean_exact(float(n), chi, phi1, phi2, offset),
         )
+    # each batch draws MEAN_WINDOW settings whatever count is, so draw i
+    # depends on the seed and i alone; a draw is kept only if n == 0 or its
+    # mean is not pathologically small, so a relative comparison stays
+    # meaningful
     top = max(max_photons, 0)
-    for i in range(count):
-        # redraw until the expected mean is not pathologically small, so
-        # a relative comparison stays meaningful
-        while True:
-            n = int(rng.integers(0, top + 1))
-            chi = float(rng.uniform(0.0, 0.12))
-            phi1 = float(rng.uniform(0.0, 2.5))
-            phi2 = float(rng.uniform(0.0, 2.5))
-            offset = float(rng.uniform(-1.0, 1.0))
+    i = 0
+    while i < count:
+        ns = rng.integers(0, top + 1, size=MEAN_WINDOW).tolist()
+        columns = rng.uniform(
+            (0.0, 0.0, 0.0, -1.0), (0.12, 2.5, 2.5, 1.0), size=(MEAN_WINDOW, 4)
+        ).T.tolist()
+        for n, chi, phi1, phi2, offset in zip(ns, *columns):
             want = signal_mean_exact(float(n), chi, phi1, phi2, offset)
             if n == 0 or abs(want) >= 1e-3:
-                break
-        yield (n, chi, phi1, phi2, offset), f"random[{i}] N={n} chi={chi:.4f}", want
+                yield (n, chi, phi1, phi2, offset), f"random[{i}] N={n} chi={chi:.4f}", want
+                i += 1
+                if i == count:
+                    return
 
 
 def _mean_cases(
@@ -317,6 +321,8 @@ def run_crosscheck(
         raise ValueError(f"dim_margin must be >= 0, got {dim_margin}")
     if extra_cases < 0:
         raise ValueError(f"extra_cases must be >= 0, got {extra_cases}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     stages: dict[str, float] = {}

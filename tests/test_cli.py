@@ -454,6 +454,13 @@ def test_verify_rejects_negative_counts(capsys, flag):
     assert f"{flag} must be >= 0" in err
 
 
+def test_verify_rejects_negative_seed(capsys):
+    # numpy's default_rng raises on a negative seed; the CLI stops first
+    assert run_cli(capsys, "verify", "--max-photons", "2", "--seed", "-1") == (
+        1, "", "kerrmich: error: --seed must be >= 0\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_estimate_manifest_counts_its_row_and_validity_failures(capsys, tmp_path, fmt):
     # sigma = 0.05 fails the dephasing and the dominance conditions

@@ -1,12 +1,17 @@
-"""The factorised mean kernel against the dense oracle, and the report.
+"""The factorised mean kernel against the dense oracle, the random mean
+settings, and the report.
 
-`kerr_means` contracts one sum per arm over the one-mode amplitudes of the
-product input. It must agree with the dense two-mode path,
+`kerr_means` sums, per arm, w_n = sqrt(n+1) conj(amps[n]) amps[n+1] times
+the phase of the increment g_j(n+1) - g_j(n) over the one-mode amplitudes
+of the product input. It must agree with the dense two-mode path,
 moments(apply_kerr(product_input(...))).mean_m, and with a 40-digit
 evaluation of the truncated two-mode sum, to 1e-14*(1 + N), whatever the
-batch size and wherever the block boundaries fall. `verify` must print
-the same check lines as the dense path did, up to the last digits of the
-mean errors.
+batch size and wherever the block boundaries fall; and a setting's value
+must not change by a bit with the batch it comes in. The random mean
+settings are drawn MEAN_WINDOW at a time, so draw i depends on the seed
+and i alone; each stays in its range, passes the redraw rule and carries
+its exact mean. `verify` must print the same check lines as the dense path
+did, up to the random mean cases and the last digits of the mean errors.
 """
 
 import json
@@ -21,7 +26,15 @@ from hypothesis import given, settings, strategies as st
 
 import kerrmich.fock
 from kerrmich.cli import main
-from kerrmich.crosscheck import MC_SIGMA_BAND, CheckCase, CrossCheckReport, run_crosscheck
+from kerrmich.analytic import signal_mean_exact
+from kerrmich.crosscheck import (
+    MC_SIGMA_BAND,
+    MEAN_WINDOW,
+    CheckCase,
+    CrossCheckReport,
+    _mean_settings,
+    run_crosscheck,
+)
 from kerrmich.fock import (
     DEFAULT_TRUNCATION_BUDGET,
     KERR_BLOCK_ENTRIES,
@@ -121,6 +134,21 @@ def test_kernel_matches_40_digit_sum(n):
         assert abs(value - mp_mean(n, c, p1, p2, o, len(amps))) <= 1e-14 * (1 + n)
 
 
+@pytest.mark.parametrize("n", [1, 30])
+def test_kernel_value_does_not_depend_on_its_batch(n):
+    # each row is reduced on its own, so a setting gets the same bits alone,
+    # inside a batch of 2048, and wherever the KERR_BLOCK_ENTRIES blocks
+    # split that batch (shifting it by one moves every boundary)
+    amps = one_mode(n)
+    rng = np.random.default_rng(n)
+    columns = rng.uniform((0.0, 0.0, 0.0, -1.0), (2.5, 2.5, 0.12, 1.0), size=(2048, 4)).T
+    assert KERR_BLOCK_ENTRIES // (2 * len(amps)) < 2048
+    batch = kerr_means(amps, *columns)
+    alone = [kerr_means(amps, *columns[:, i : i + 1])[0] for i in range(2048)]
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(kerr_means(amps, *columns[:, 1:]), batch[1:])
+
+
 def test_empty_batch():
     assert kerr_means(one_mode(4), [], [], [], []).shape == (0,)
 
@@ -134,9 +162,9 @@ def test_one_level_basis_has_no_mean():
 
 @pytest.mark.parametrize("dim_margin", [0, 7])
 def test_check_lines_match_golden(capsys, dim_margin):
-    # captured from the per-case oracle; the [mean] error digits and the
-    # summary line were recaptured from the factorised kernel, every other
-    # byte is unchanged
+    # captured from the per-case oracle; the [mean] error digits, the random
+    # [mean] labels and the summary line were recaptured from the increment
+    # kernel and the batched draws, every other byte is unchanged
     argv = ["verify", "--max-photons", "30", "--cases", "300", "--seed", "7",
             "--dim-margin", str(dim_margin)]
     assert main(argv) == 0
@@ -157,9 +185,43 @@ def test_mean_lines_stable_across_a_window_boundary():
     assert mean[:375] == golden[:375]
 
 
+def random_draws(max_photons, count, seed=7):
+    stream = _mean_settings(max_photons, count, np.random.default_rng(seed))
+    return [item for item in stream if item[1].startswith("random[")]
+
+
+@pytest.mark.parametrize("count", [2040, 2100])
+def test_random_draws_are_a_prefix_of_a_longer_run(count):
+    # 4100 draws take at least three batches of MEAN_WINDOW; draw i depends
+    # on the seed and i alone, not on how many draws follow it
+    assert 2 * MEAN_WINDOW < 4100
+    draws = random_draws(30, count)
+    assert len(draws) == count
+    assert draws == random_draws(30, 4100)[:count]
+
+
+@pytest.mark.parametrize("max_photons", [0, 1, 30])
+def test_random_draws_are_in_range_and_carry_their_exact_mean(max_photons):
+    draws = random_draws(max_photons, 4100)
+    assert len(draws) == 4100
+    for i, ((n, chi, phi1, phi2, offset), label, want) in enumerate(draws):
+        assert 0 <= n <= max_photons
+        assert 0.0 <= chi < 0.12
+        assert 0.0 <= phi1 < 2.5 and 0.0 <= phi2 < 2.5
+        assert -1.0 <= offset < 1.0
+        assert label == f"random[{i}] N={n} chi={chi:.4f}"
+        assert want == signal_mean_exact(float(n), chi, phi1, phi2, offset)
+        assert n == 0 or abs(want) >= 1e-3
+
+
 def test_negative_extra_cases_rejected():
     with pytest.raises(ValueError, match="extra_cases must be >= 0"):
         run_crosscheck(max_photons=0, extra_cases=-1)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        run_crosscheck(max_photons=0, seed=-1)
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
