@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .core import ParameterError, get_preset
-from .crosscheck import run_crosscheck
+from .crosscheck import MAX_DIM_MARGIN, run_crosscheck
 from .fock import TruncationError
 from .sweep import (
     CSV_COLUMNS,
@@ -179,7 +179,10 @@ def build_parser() -> _Parser:
         "--dim-margin",
         type=int,
         default=0,
-        help="extra Fock dimensions on top of the default truncation rule",
+        help=(
+            "extra Fock dimensions on top of the default truncation rule "
+            f"(default 0, cap {MAX_DIM_MARGIN})"
+        ),
     )
     ver.add_argument(
         "--tolerance",
@@ -365,6 +368,10 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         raise CliError("--tolerance must be >= 0 and finite")
     if args.dim_margin < 0:
         raise CliError("--dim-margin must be >= 0")
+    if args.dim_margin > MAX_DIM_MARGIN:
+        raise CliError(
+            f"--dim-margin {args.dim_margin} exceeds the cap of {MAX_DIM_MARGIN}"
+        )
     if args.cases < 0:
         raise CliError("--cases must be >= 0")
     if args.seed < 0:

@@ -8,9 +8,10 @@ contraction over the coefficient matrix (`moments`, for any two-mode
 state). The propagator acts on each arm alone, so a product input stays a
 product: `kerr_means` uses that to get <M> from two single-mode sums per
 setting, each over the phase increments g_j(n+1) - g_j(n) between adjacent
-levels. No approximation enters anywhere except the declared basis
-truncation, which makes this module the ground truth the closed-form
-engine is checked against.
+levels. The increment is linear in n, so each sum is a polynomial in
+r_j = exp(i*phi_j*chi), evaluated by Horner's rule. No approximation
+enters anywhere except the declared basis truncation, which makes this
+module the ground truth the closed-form engine is checked against.
 
 Sign convention: the difference photocount is M = i(a2^dag a1 - a1^dag a2),
 so <M> = 2 Im<a1^dag a2>. A deterministic common phase ("offset") rotates
@@ -141,40 +142,61 @@ def apply_kerr(
     return TwoModeState(state.coeffs * phases)
 
 
-# Complex entries per temporary in `kerr_means` (2**14 entries = 256 kB):
-# a block holds as many settings' phase factors, two per setting, as fit.
+def level_weights(amps: np.ndarray) -> np.ndarray:
+    """w_n = sqrt(n+1) conj(amps[n]) amps[n+1] for n < d - 1: the one-mode
+    sum <a> = sum_n w_n exp(i*(g(n+1) - g(n))) that `kerr_means` evaluates."""
+    n = np.arange(len(amps) - 1, dtype=float)
+    return np.sqrt(n + 1.0) * np.conj(amps[:-1]) * amps[1:]
+
+
+# Complex entries per block in `kerr_means` (2**14 entries = 256 kB): a
+# block holds as many settings as fit, counting each setting's gathered
+# weights and its two arms' ratio and running sum.
 KERR_BLOCK_ENTRIES = 2**14
 
 
 def kerr_means(
-    amps: np.ndarray,
+    weights: np.ndarray,
+    rows: np.ndarray,
     phi1: np.ndarray,
     phi2: np.ndarray,
     chi: np.ndarray,
     offset: np.ndarray,
 ) -> np.ndarray:
-    """<M> of the product input amps (x) amps under many Kerr settings at once.
+    """<M> of product inputs amps (x) amps under many Kerr settings at once.
 
-    The Kerr propagator acts on each arm alone, so the product stays a
-    product and <a1^dag a2> = conj(<a1>) <a2>, also in the truncated basis.
-    With g_j as in `apply_kerr`, <a_j> = sum_n w_n exp(i*(g_j(n+1) - g_j(n)))
-    where w_n = sqrt(n+1) conj(amps[n]) amps[n+1] is built once per call and
-    the increment is phi_j*(1 + chi*(n + 1/2)). Entry i equals
+    Setting i takes the level weights weights[rows[i]], `level_weights` of
+    its one-mode amplitudes, each row zero-padded to the table's width. The
+    Kerr propagator acts on each arm alone, so the product stays a product
+    and <a1^dag a2> = conj(<a1>) <a2>, also in the truncated basis. With
+    g_j as in `apply_kerr`, the increment g_j(n+1) - g_j(n) is
+    phi_j*(1 + chi/2) + n*phi_j*chi, so
+    <a_j> = exp(i*phi_j*(1 + chi/2)) * sum_n w_n r_j^n with
+    r_j = exp(i*phi_j*chi). The polynomial is evaluated by Horner's rule
+    from the top level down: two complex exponentials and d multiply-adds
+    per setting and arm. Entry i equals
     moments(apply_kerr(product, phi1[i], phi2[i], chi[i]), offset[i]).mean_m
-    up to rounding, at O(d) work per setting instead of O(d^2). Each row is
-    reduced on its own (no BLAS), so a setting's value does not depend on
-    the batch it came in.
+    up to rounding, at O(d) work per setting instead of O(d^2). Horner
+    carries an exact zero through zero top coefficients and reduces each
+    setting on its own (no BLAS), so a setting's value does not depend on
+    the batch it came in or on the padding of its row.
     """
     phi = np.array([phi1, phi2], dtype=float)
     chi, offset = (np.asarray(v, dtype=float) for v in (chi, offset))
-    n = np.arange(len(amps) - 1, dtype=float)
-    w = np.sqrt(n + 1.0) * np.conj(amps[:-1]) * amps[1:]
+    rows = np.asarray(rows, dtype=np.intp)
+    # level-major, so each Horner step reads one contiguous row of the block
+    levels = np.ascontiguousarray(np.asarray(weights, dtype=complex).T)
     means = np.empty(len(offset))
-    step = max(1, KERR_BLOCK_ENTRIES // (2 * len(amps)))
+    step = max(1, KERR_BLOCK_ENTRIES // (len(levels) + 4))
     for lo in range(0, len(offset), step):
         s = slice(lo, lo + step)
-        increment = phi[:, s, None] * (1.0 + chi[s, None] * (n + 0.5))
-        a = np.sum(w * np.exp(1j * increment), axis=-1)
+        w = levels[:, rows[s]]
+        r = np.exp(1j * (phi[:, s] * chi[s]))
+        a = np.zeros_like(r)
+        for w_n in w[::-1]:
+            a *= r
+            a += w_n
+        a *= np.exp(1j * (phi[:, s] * (1.0 + 0.5 * chi[s])))
         means[s] = 2.0 * (np.exp(1j * offset[s]) * np.conj(a[0]) * a[1]).imag
     return means
 

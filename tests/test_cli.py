@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import kerrmich
+import kerrmich.crosscheck
+import kerrmich.fock
 from kerrmich.cli import CliError, main, parse_grid, parse_n2
+from kerrmich.crosscheck import MAX_DIM_MARGIN
 from kerrmich.core import HBAR, C_LIGHT
 
 
@@ -452,6 +455,20 @@ def test_verify_rejects_negative_counts(capsys, flag):
     assert code == 1
     assert out == ""
     assert f"{flag} must be >= 0" in err
+
+
+@pytest.mark.parametrize("value", [MAX_DIM_MARGIN + 1, 10**9])
+def test_verify_dim_margin_above_the_cap_is_one_clean_error(capsys, monkeypatch, value):
+    # every section builds arrays of the basis size, so an unbounded margin
+    # would try to allocate them; the CLI stops before any is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(kerrmich.crosscheck, "coherent_amplitudes", refuse)
+    monkeypatch.setattr(kerrmich.fock, "coherent_amplitudes", refuse)
+    assert run_cli(capsys, "verify", "--max-photons", "2", "--dim-margin", str(value)) == (
+        1, "", f"kerrmich: error: --dim-margin {value} exceeds the cap of {MAX_DIM_MARGIN}\n"
+    )
 
 
 def test_verify_rejects_negative_seed(capsys):

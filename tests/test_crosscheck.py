@@ -1,17 +1,20 @@
 """The factorised mean kernel against the dense oracle, the random mean
 settings, and the report.
 
-`kerr_means` sums, per arm, w_n = sqrt(n+1) conj(amps[n]) amps[n+1] times
-the phase of the increment g_j(n+1) - g_j(n) over the one-mode amplitudes
-of the product input. It must agree with the dense two-mode path,
-moments(apply_kerr(product_input(...))).mean_m, and with a 40-digit
-evaluation of the truncated two-mode sum, to 1e-14*(1 + N), whatever the
-batch size and wherever the block boundaries fall; and a setting's value
-must not change by a bit with the batch it comes in. The random mean
-settings are drawn MEAN_WINDOW at a time, so draw i depends on the seed
-and i alone; each stays in its range, passes the redraw rule and carries
-its exact mean. `verify` must print the same check lines as the dense path
-did, up to the random mean cases and the last digits of the mean errors.
+`kerr_means` writes each arm's <a_j> as exp(i phi_j (1 + chi/2)) times the
+polynomial sum_n w_n r_j^n in r_j = exp(i phi_j chi), with level weights
+w_n = sqrt(n+1) conj(amps[n]) amps[n+1], and evaluates it by Horner's rule
+from the top level down. It must agree with the dense two-mode path,
+moments(apply_kerr(product_input(...))).mean_m, and with a 40-digit sum, to
+1e-14*(1 + N), whatever the batch size and wherever the block boundaries
+fall; and a setting's value must not change by a bit with the batch it
+comes in or with the zero padding of its weights to a longer row. `verify`
+builds each photon number's weights once per run and evaluates a whole
+window of settings in one kernel call. The random mean settings are drawn
+MEAN_WINDOW at a time, so draw i depends on the seed and i alone; each
+stays in its range, passes the redraw rule and carries its exact mean.
+`verify` must print the same check lines as the dense path did, up to the
+random mean cases and the last digits of the mean errors.
 """
 
 import json
@@ -24,10 +27,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kerrmich.crosscheck
 import kerrmich.fock
 from kerrmich.cli import main
 from kerrmich.analytic import signal_mean_exact
 from kerrmich.crosscheck import (
+    MAX_DIM_MARGIN,
     MC_SIGMA_BAND,
     MEAN_WINDOW,
     CheckCase,
@@ -42,6 +47,7 @@ from kerrmich.fock import (
     coherent_amplitudes,
     fock_dim,
     kerr_means,
+    level_weights,
     moments,
     product_input,
 )
@@ -58,9 +64,15 @@ def one_mode(n, dim_margin=0):
     return amps
 
 
+def means(amps, phi1, phi2, chi, offset):
+    """`kerr_means` with every setting on the one row of amps's weights."""
+    rows = np.zeros(len(offset), dtype=int)
+    return kerr_means(level_weights(amps)[None], rows, phi1, phi2, chi, offset)
+
+
 def assert_matches_dense(n, dim_margin, phi1, phi2, chi, offset):
     amps = one_mode(n, dim_margin)
-    got = kerr_means(amps, phi1, phi2, chi, offset)
+    got = means(amps, phi1, phi2, chi, offset)
     assert got.shape == (len(phi1),)
     state = product_input(math.sqrt(float(n)), dim=len(amps))
     assert np.array_equal(state.coeffs, np.outer(amps, amps))
@@ -75,9 +87,9 @@ def assert_matches_dense(n, dim_margin, phi1, phi2, chi, offset):
 def block_and_batch(draw, dim):
     """Entries per block, and a batch size of 1 or at or around one or two
     block boundaries (at most 100); small blocks put boundaries inside
-    small batches."""
+    small batches. A setting takes dim - 1 weights and four more entries."""
     entries = draw(st.sampled_from([1, 64, 300, 2**12, KERR_BLOCK_ENTRIES]))
-    step = max(1, entries // (2 * dim))
+    step = max(1, entries // (dim + 3))
     sizes = [k for k in (1, 2, step - 1, step, step + 1, 2 * step + 1) if 1 <= k <= 100]
     return entries, draw(st.sampled_from(sizes))
 
@@ -98,15 +110,19 @@ def test_product_input_matches_per_case(data, n, dim_margin):
         assert_matches_dense(n, dim_margin, *settings_for(data.draw, k))
 
 
+def mp_amplitudes(n, dim):
+    beta = mpmath.sqrt(n) / mpmath.sqrt(2)
+    return [
+        mpmath.exp(-beta**2 / 2) * beta**j / mpmath.sqrt(mpmath.factorial(j))
+        for j in range(dim)
+    ]
+
+
 def mp_mean(n, chi, phi1, phi2, offset, dim):
     """<M> of the truncated product input at 40 digits, from the dense
     two-mode sum of conj(c[j+1, m-1]) sqrt((j+1) m) c[j, m]."""
     with mpmath.workdps(40):
-        beta = mpmath.sqrt(n) / mpmath.sqrt(2)
-        amps = [
-            mpmath.exp(-beta**2 / 2) * beta**j / mpmath.sqrt(mpmath.factorial(j))
-            for j in range(dim)
-        ]
+        amps = mp_amplitudes(n, dim)
 
         def evolved(phi):
             phi, c = mpmath.mpf(phi), mpmath.mpf(chi)
@@ -122,49 +138,94 @@ def mp_mean(n, chi, phi1, phi2, offset, dim):
         return float(2 * mpmath.im(mpmath.expj(mpmath.mpf(offset)) * cross))
 
 
-@pytest.mark.parametrize("n", [1, 9, 25, 30])
+def mp_one_mode_mean(n, chi, phi1, phi2, offset, dim):
+    """The same at 40 digits from the one-mode sums <a_j> of the evolved
+    amplitudes, sum_j conj(u[j]) sqrt(j+1) u[j+1]: O(d), not O(d^2)."""
+    with mpmath.workdps(40):
+        amps = mp_amplitudes(n, dim)
+
+        def mean_a(phi):
+            phi, c = mpmath.mpf(phi), mpmath.mpf(chi)
+            u = [a * mpmath.expj(phi * (j + c * j * j / 2)) for j, a in enumerate(amps)]
+            return mpmath.fsum(
+                mpmath.conj(u[j]) * mpmath.sqrt(j + 1) * u[j + 1] for j in range(dim - 1)
+            )
+
+        cross = mpmath.conj(mean_a(phi1)) * mean_a(phi2)
+        return float(2 * mpmath.im(mpmath.expj(mpmath.mpf(offset)) * cross))
+
+
+@pytest.mark.parametrize("n", [1, 9, 25, 30, 100])
 def test_kernel_matches_40_digit_sum(n):
     # (chi, phi1, phi2, offset): the largest Kerr phases verify draws, one
-    # arm left unshifted, and a default setting
+    # arm left unshifted, and a default setting; the dense 40-digit sum up
+    # to verify's 30 photons, the one-mode sum beyond
     cases = [(0.12, 2.5, 2.5, 1.0), (0.12, 2.5, 0.0, -1.0), (0.1, 1.1, 0.9, -0.4)]
     amps = one_mode(n)
     chi, phi1, phi2, offset = zip(*cases)
-    got = kerr_means(amps, phi1, phi2, chi, offset)
+    got = means(amps, phi1, phi2, chi, offset)
+    reference = mp_mean if n <= 30 else mp_one_mode_mean
     for value, (c, p1, p2, o) in zip(got, cases):
-        assert abs(value - mp_mean(n, c, p1, p2, o, len(amps))) <= 1e-14 * (1 + n)
+        assert abs(value - reference(n, c, p1, p2, o, len(amps))) <= 1e-14 * (1 + n)
 
 
-@pytest.mark.parametrize("n", [1, 30])
+@pytest.mark.parametrize("n", [1, 16, 30])
 def test_kernel_value_does_not_depend_on_its_batch(n):
     # each row is reduced on its own, so a setting gets the same bits alone,
     # inside a batch of 2048, and wherever the KERR_BLOCK_ENTRIES blocks
-    # split that batch (shifting it by one moves every boundary)
+    # split that batch (shifting it by one moves every boundary); Horner
+    # carries an exact 0 through zero top weights, so its bits also stay
+    # the same when its row is zero-padded to n = 30's length in a window
+    # that mixes it with n = 30 settings (a pairwise np.sum over the padded
+    # row regroups the terms and moves the last bits for n = 11 to 28)
     amps = one_mode(n)
     rng = np.random.default_rng(n)
     columns = rng.uniform((0.0, 0.0, 0.0, -1.0), (2.5, 2.5, 0.12, 1.0), size=(2048, 4)).T
-    assert KERR_BLOCK_ENTRIES // (2 * len(amps)) < 2048
-    batch = kerr_means(amps, *columns)
-    alone = [kerr_means(amps, *columns[:, i : i + 1])[0] for i in range(2048)]
+    assert KERR_BLOCK_ENTRIES // (len(amps) + 3) < 2048
+    batch = means(amps, *columns)
+    alone = [means(amps, *columns[:, i : i + 1])[0] for i in range(2048)]
     assert np.array_equal(batch, alone)
-    assert np.array_equal(kerr_means(amps, *columns[:, 1:]), batch[1:])
+    assert np.array_equal(means(amps, *columns[:, 1:]), batch[1:])
+    w, longest = level_weights(amps), level_weights(one_mode(30))
+    table = np.zeros((2, len(longest)), dtype=complex)
+    table[0, : len(w)], table[1] = w, longest
+    rows = rng.integers(0, 2, size=2048)
+    padded = kerr_means(table, rows, *columns)
+    assert np.array_equal(padded[rows == 0], batch[rows == 0])
+    assert np.array_equal(padded[rows == 1], means(one_mode(30), *columns)[rows == 1])
 
 
 def test_empty_batch():
-    assert kerr_means(one_mode(4), [], [], [], []).shape == (0,)
+    assert means(one_mode(4), [], [], [], []).shape == (0,)
 
 
 def test_one_level_basis_has_no_mean():
     # d = 1 leaves no ladder term, as in the dense contraction
     amps, _ = coherent_amplitudes(0.0, 1)
-    got = kerr_means(amps, [0.3, 1.0], [0.4, 2.0], [0.1, 0.0], [0.0, 0.5])
+    got = means(amps, [0.3, 1.0], [0.4, 2.0], [0.1, 0.0], [0.0, 0.5])
     assert got.tolist() == [0.0, 0.0]
+
+
+def test_mean_section_builds_each_photon_numbers_amplitudes_once(monkeypatch):
+    # 75 fixed + 4200 random cases over N = 0..30 take three windows, and
+    # every window holds most photon numbers; each is built once per run
+    calls = []
+
+    def spy(beta, dim, budget=None):
+        calls.append(beta)
+        return coherent_amplitudes(beta, dim, budget)
+
+    monkeypatch.setattr(kerrmich.crosscheck, "coherent_amplitudes", spy)
+    report = run_crosscheck(max_photons=30, seed=7, extra_cases=4200)
+    assert sum(c.section == "mean" for c in report.cases) == 75 + 4200
+    assert len(calls) == len(set(calls)) <= 31
 
 
 @pytest.mark.parametrize("dim_margin", [0, 7])
 def test_check_lines_match_golden(capsys, dim_margin):
     # captured from the per-case oracle; the [mean] error digits, the random
-    # [mean] labels and the summary line were recaptured from the increment
-    # kernel and the batched draws, every other byte is unchanged
+    # [mean] labels and the summary line were recaptured from the kernel and
+    # the batched draws, every other byte is unchanged
     argv = ["verify", "--max-photons", "30", "--cases", "300", "--seed", "7",
             "--dim-margin", str(dim_margin)]
     assert main(argv) == 0
@@ -212,6 +273,23 @@ def test_random_draws_are_in_range_and_carry_their_exact_mean(max_photons):
         assert label == f"random[{i}] N={n} chi={chi:.4f}"
         assert want == signal_mean_exact(float(n), chi, phi1, phi2, offset)
         assert n == 0 or abs(want) >= 1e-3
+
+
+@pytest.mark.parametrize("dim_margin", [MAX_DIM_MARGIN + 1, 10**9])
+def test_dim_margin_above_the_cap_rejected_before_any_basis_is_built(
+    monkeypatch, dim_margin
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(kerrmich.crosscheck, "coherent_amplitudes", refuse)
+    monkeypatch.setattr(kerrmich.fock, "coherent_amplitudes", refuse)
+    with pytest.raises(ValueError, match=f"dim_margin {dim_margin} exceeds the cap"):
+        run_crosscheck(max_photons=1, dim_margin=dim_margin)
+
+
+def test_dim_margin_at_the_cap_runs():
+    assert run_crosscheck(max_photons=1, dim_margin=MAX_DIM_MARGIN).ok
 
 
 def test_negative_extra_cases_rejected():
