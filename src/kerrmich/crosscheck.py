@@ -12,16 +12,26 @@ closed form at desk scale (a few tens of photons):
 Deterministic for a fixed seed. Monte Carlo cases pass on a 3-standard-
 error band. Every other case compares its error with the requested
 tolerance: the identity residual |direct - closed| as an absolute error,
-the rest as relative errors.
+the rest as relative errors, NaN (a failure) when either side is NaN.
+
+The mean section is columnar from draw to verdict: the fixed grid and each
+window of MEAN_WINDOW random draws arrive as arrays, with their exact <M>
+from `_signal_means` (bit for bit `signal_mean_exact`), go through one
+`kerr_means` call, and leave as arrays of relative errors; Python runs per
+case only to format a kept case's label and build its `CheckCase`. The
+report makes one pass over the cases for its lines and each section's
+worst error, and counts its failures once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +69,8 @@ DEFAULT_PHASE_SETTINGS = (
 )
 MC_SAMPLES = 100_000
 MC_SIGMA_BAND = 3.0
-# Mean cases drawn, then evaluated in one kernel call, at a time.
+# Random mean settings drawn at a time; the kept ones are evaluated in
+# one kernel call.
 MEAN_WINDOW = 2048
 # Largest basis enlargement a run accepts: every section builds arrays of
 # fock_dim + dim_margin levels (squared in the dense sections).
@@ -76,8 +87,7 @@ SECTION_UNITS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckCase:
+class CheckCase(NamedTuple):
     """One comparison: a label, its error, and the limit it must meet."""
 
     section: str
@@ -88,6 +98,12 @@ class CheckCase:
     @property
     def ok(self) -> bool:
         return self.error <= self.limit
+
+
+def _worse(a: float, b: float) -> float:
+    """The larger of two errors, or NaN if either is NaN (`max` keeps or
+    drops a NaN by where it stands)."""
+    return a if a != a or a >= b else b
 
 
 @dataclass(frozen=True)
@@ -102,41 +118,47 @@ class CrossCheckReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.cases)
+        return not self.failures
 
-    @property
+    @functools.cached_property
     def failures(self) -> tuple[CheckCase, ...]:
         return tuple(c for c in self.cases if not c.ok)
 
     def max_error(self, section: str | None = None) -> float:
+        """The worst error of a section (of every case if None): NaN if any
+        of its errors is NaN, 0.0 if it has no cases."""
         errs = [c.error for c in self.cases if section is None or c.section == section]
-        return max(errs, default=0.0)
+        return functools.reduce(_worse, errs) if errs else 0.0
 
     def lines(self) -> Iterator[str]:
         """One line per check, then the summary: verdict, counts, and each
-        section's worst error in that section's unit."""
-        for c in self.cases:
-            status = "PASS" if c.ok else "FAIL"
-            yield (
-                f"{status} [{c.section}] {c.label}: error {c.error:.3e} "
-                f"(limit {c.limit:.3e})"
-            )
-        worst = ", ".join(
-            f"{section} {self.max_error(section):.3e} {SECTION_UNITS[section]}"
-            for section in dict.fromkeys(c.section for c in self.cases)
+        section's worst error in that section's unit, as `max_error` gives
+        it, gathered in the same pass."""
+        worst: dict[str, float] = {}
+        for case in self.cases:
+            section, label, error, limit = case
+            status = "PASS" if case.ok else "FAIL"
+            yield f"{status} [{section}] {label}: error {error:.3e} (limit {limit:.3e})"
+            worst[section] = _worse(worst.get(section, error), error)
+        summary = ", ".join(
+            f"{section} {error:.3e} {SECTION_UNITS[section]}"
+            for section, error in worst.items()
         )
         status = "PASS" if self.ok else "FAIL"
         yield (
             f"{status} {len(self.cases)} checks, "
-            f"{len(self.failures)} failed, worst error: {worst}"
+            f"{len(self.failures)} failed, worst error: {summary}"
         )
 
 
-def relative_error(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
+def relative_error(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """|a - b| / max(|a|, |b|) for floats or, elementwise, arrays: 0 where
+    both are 0, NaN where either is NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(all="ignore"):
+        errors = np.where(scale == 0.0, 0.0, np.abs(a - b) / scale)
+    return errors if errors.ndim else float(errors)
 
 
 def _photon_grid(max_photons: int) -> tuple[int, ...]:
@@ -157,19 +179,51 @@ def _relative_case(
     return CheckCase(section, label, relative_error(got, want), tolerance)
 
 
+def _signal_means(
+    n: np.ndarray, chi: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, offset: np.ndarray
+) -> np.ndarray:
+    """`signal_mean_exact(float(n[i]), chi[i], phi1[i], phi2[i], offset[i])`
+    for every i, bit for bit: it repeats that function term for term, with
+    numpy for + - * (correctly rounded, as Python's float ops are) and
+    `math.cos`, `math.sin` and `math.exp` mapped over the values, because
+    numpy's own `np.exp` rounds differently from `math.exp` on some hosts.
+    eta = 1 is left out; multiplying by 1.0 is exact."""
+    def mapped(fn, x: np.ndarray) -> np.ndarray:
+        return np.array(list(map(fn, x.tolist())), dtype=float)
+
+    n = np.asarray(n, dtype=float)
+    z1 = 0.5 * phi1 * chi
+    z2 = 0.5 * phi2 * chi
+    envelope = mapped(
+        math.exp, 0.5 * n * (mapped(math.cos, 2.0 * z1) + mapped(math.cos, 2.0 * z2) - 2.0)
+    )
+    arg = (
+        offset
+        + (phi2 - phi1)
+        + (z2 - z1)
+        + 0.5 * n * (mapped(math.sin, 2.0 * z2) - mapped(math.sin, 2.0 * z1))
+    )
+    return n * envelope * mapped(math.sin, arg)
+
+
 def _mean_settings(
     max_photons: int, count: int, rng: np.random.Generator
-) -> Iterator[tuple[tuple, str, float]]:
-    """(setting, label, exact <M>) of each mean check: the fixed grid, then
-    the first `count` kept draws from rng, drawn MEAN_WINDOW at a time."""
-    for n, chi, (phi1, phi2, offset) in itertools.product(
-        _photon_grid(max_photons), DEFAULT_CHIS, DEFAULT_PHASE_SETTINGS
-    ):
-        yield (
-            (n, chi, phi1, phi2, offset),
-            f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}",
-            signal_mean_exact(float(n), chi, phi1, phi2, offset),
+) -> Iterator[tuple]:
+    """The mean checks as windows of columns (n, chi, phi1, phi2, offset,
+    labels, exact <M>): the fixed grid, then the first `count` kept draws
+    from rng, drawn MEAN_WINDOW at a time, one window per draw."""
+    grid = [
+        (n, chi, *phases)
+        for n, chi, phases in itertools.product(
+            _photon_grid(max_photons), DEFAULT_CHIS, DEFAULT_PHASE_SETTINGS
         )
+    ]
+    ns, *columns = (np.array(c) for c in zip(*grid))
+    labels = [
+        f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}"
+        for n, chi, phi1, phi2, offset in grid
+    ]
+    yield ns, *columns, labels, _signal_means(ns, *columns)
     # each batch draws MEAN_WINDOW settings whatever count is, so draw i
     # depends on the seed and i alone; a draw is kept only if n == 0 or its
     # mean is not pathologically small, so a relative comparison stays
@@ -177,31 +231,31 @@ def _mean_settings(
     top = max(max_photons, 0)
     i = 0
     while i < count:
-        ns = rng.integers(0, top + 1, size=MEAN_WINDOW).tolist()
+        ns = rng.integers(0, top + 1, size=MEAN_WINDOW)
         columns = rng.uniform(
             (0.0, 0.0, 0.0, -1.0), (0.12, 2.5, 2.5, 1.0), size=(MEAN_WINDOW, 4)
-        ).T.tolist()
-        for n, chi, phi1, phi2, offset in zip(ns, *columns):
-            want = signal_mean_exact(float(n), chi, phi1, phi2, offset)
-            if n == 0 or abs(want) >= 1e-3:
-                yield (n, chi, phi1, phi2, offset), f"random[{i}] N={n} chi={chi:.4f}", want
-                i += 1
-                if i == count:
-                    return
+        ).T
+        wants = _signal_means(ns, *columns)
+        keep = np.flatnonzero((ns == 0) | (np.abs(wants) >= 1e-3))[: count - i]
+        ns, columns, wants = ns[keep], columns[:, keep], wants[keep]
+        labels = [
+            f"random[{j}] N={n} chi={chi:.4f}"
+            for j, n, chi in zip(itertools.count(i), ns.tolist(), columns[0].tolist())
+        ]
+        yield ns, *columns, labels, wants
+        i += len(keep)
 
 
 def _mean_cases(
-    stream: Iterator[tuple[tuple, str, float]], dim_margin: int, tolerance: float
+    windows: Iterator[tuple], dim_margin: int, tolerance: float
 ) -> list[CheckCase]:
-    # draw and evaluate a window of settings at a time, so they take
-    # O(window) memory next to the O(count) cases; each photon number's
-    # level weights, from the one-mode amplitudes of `_evolved_moments`'
-    # product input, are built once per run and kept across windows
+    # one kernel call per window, so the draws take O(window) memory next
+    # to the O(count) cases; each photon number's level weights, from the
+    # one-mode amplitudes of `_evolved_moments`' product input, are built
+    # once per run and kept across windows
     weights: dict[int, np.ndarray] = {}
     cases = []
-    while window := list(itertools.islice(stream, MEAN_WINDOW)):
-        settings, labels, wants = zip(*window)
-        ns, chi, phi1, phi2, offset = zip(*settings)
+    for ns, chi, phi1, phi2, offset, labels, wants in windows:
         present, rows = np.unique(ns, return_inverse=True)
         present = present.tolist()
         for n in present:
@@ -216,10 +270,9 @@ def _mean_cases(
         for row, n in zip(table, present):
             row[: len(weights[n])] = weights[n]
         got = kerr_means(table, rows, phi1, phi2, chi, offset)
-        cases += [
-            _relative_case("mean", label, value, want, tolerance)
-            for label, want, value in zip(labels, wants, got.tolist())
-        ]
+        errors = relative_error(got, wants).tolist()
+        cases += map(CheckCase, itertools.repeat("mean"), labels, errors,
+                     itertools.repeat(tolerance))
     return cases
 
 

@@ -10,11 +10,16 @@ moments(apply_kerr(product_input(...))).mean_m, and with a 40-digit sum, to
 fall; and a setting's value must not change by a bit with the batch it
 comes in or with the zero padding of its weights to a longer row. `verify`
 builds each photon number's weights once per run and evaluates a whole
-window of settings in one kernel call. The random mean settings are drawn
-MEAN_WINDOW at a time, so draw i depends on the seed and i alone; each
-stays in its range, passes the redraw rule and carries its exact mean.
-`verify` must print the same check lines as the dense path did, up to the
-random mean cases and the last digits of the mean errors.
+window of settings in one kernel call. `_mean_settings` yields the fixed
+grid, then one window of columns per draw of MEAN_WINDOW random settings,
+so draw i depends on the seed and i alone; each stays in its range, passes
+the keep rule and carries its exact mean from `_signal_means`, which must
+equal the scalar `signal_mean_exact` bit for bit. `verify` must print the
+same check lines as the dense path did, up to the random mean cases and
+the last digits of the mean errors. A relative error with a NaN on either
+side is NaN, and a section's worst error is NaN if any of its errors is,
+whatever the order; the report holds one `CheckCase` (a NamedTuple) per
+check.
 """
 
 import json
@@ -25,7 +30,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kerrmich.crosscheck
 import kerrmich.fock
@@ -38,6 +43,8 @@ from kerrmich.crosscheck import (
     CheckCase,
     CrossCheckReport,
     _mean_settings,
+    _signal_means,
+    relative_error,
     run_crosscheck,
 )
 from kerrmich.fock import (
@@ -207,8 +214,9 @@ def test_one_level_basis_has_no_mean():
 
 
 def test_mean_section_builds_each_photon_numbers_amplitudes_once(monkeypatch):
-    # 75 fixed + 4200 random cases over N = 0..30 take three windows, and
-    # every window holds most photon numbers; each is built once per run
+    # 75 fixed + 4200 random cases over N = 0..30 take at least four
+    # windows (the grid, then one per draw of MEAN_WINDOW), and every window
+    # holds most photon numbers; each is built once per run
     calls = []
 
     def spy(beta, dim, budget=None):
@@ -237,8 +245,8 @@ def test_check_lines_match_golden(capsys, dim_margin):
 
 
 def test_mean_lines_stable_across_a_window_boundary():
-    # 75 fixed + 2100 random mean cases span two windows of 2048; the
-    # golden file's 375 mean cases fit in one
+    # 2100 random mean cases take at least two draws of MEAN_WINDOW; the
+    # golden file's 300 fit in one
     lines = list(run_crosscheck(max_photons=30, seed=7, extra_cases=2100).lines())
     mean = [line for line in lines if " [mean] " in line]
     assert len(mean) == 75 + 2100
@@ -247,8 +255,20 @@ def test_mean_lines_stable_across_a_window_boundary():
 
 
 def random_draws(max_photons, count, seed=7):
-    stream = _mean_settings(max_photons, count, np.random.default_rng(seed))
-    return [item for item in stream if item[1].startswith("random[")]
+    """The random mean checks as ((n, chi, phi1, phi2, offset), label,
+    exact <M>), one per case, from the windows of `_mean_settings`."""
+    draws = []
+    for ns, *columns, labels, wants in _mean_settings(
+        max_photons, count, np.random.default_rng(seed)
+    ):
+        assert len(ns) == len(labels) == len(wants) <= MEAN_WINDOW
+        settings = zip(ns.tolist(), *(c.tolist() for c in columns))
+        draws += (
+            item
+            for item in zip(settings, labels, wants.tolist())
+            if item[1].startswith("random[")
+        )
+    return draws
 
 
 @pytest.mark.parametrize("count", [2040, 2100])
@@ -273,6 +293,50 @@ def test_random_draws_are_in_range_and_carry_their_exact_mean(max_photons):
         assert label == f"random[{i}] N={n} chi={chi:.4f}"
         assert want == signal_mean_exact(float(n), chi, phi1, phi2, offset)
         assert n == 0 or abs(want) >= 1e-3
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def scalar_means(n, chi, phi1, phi2, offset):
+    return [
+        signal_mean_exact(float(k), c, p1, p2, o)
+        for k, c, p1, p2, o in zip(n, chi, phi1, phi2, offset)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            st.floats(-10.0, 10.0),
+            st.floats(-10.0, 10.0),
+            st.floats(-4.0, 4.0),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([(0, 0.0, 1.0, 2.0, 0.5), (0, 0.1, 1.0, 2.0, 0.5), (9, 0.0, 1.0, 2.0, 0.5)])
+def test_signal_means_is_signal_mean_exact_bit_for_bit(settings_):
+    n, chi, phi1, phi2, offset = (np.array(c) for c in zip(*settings_))
+    n = n.astype(np.int64)
+    got = _signal_means(n, chi, phi1, phi2, offset)
+    assert bits(got) == bits(scalar_means(n.tolist(), chi, phi1, phi2, offset))
+
+
+@pytest.mark.parametrize("max_photons, first_n, size", [(0, 0, 15), (30, 1, 75)])
+def test_fixed_mean_window_carries_exact_means_bit_for_bit(max_photons, first_n, size):
+    # the grid is the first window, in report order; no random draw follows
+    windows = list(_mean_settings(max_photons, 0, np.random.default_rng(0)))
+    assert len(windows) == 1
+    ns, chi, phi1, phi2, offset, labels, wants = windows[0]
+    assert len(labels) == size
+    assert labels[0] == f"N={first_n} chi=0.0 phi=(0.3,0.32) off=0.0"
+    assert bits(wants) == bits(scalar_means(ns.tolist(), chi, phi1, phi2, offset))
 
 
 @pytest.mark.parametrize("dim_margin", [MAX_DIM_MARGIN + 1, 10**9])
@@ -324,6 +388,63 @@ def test_summary_reports_worst_error_per_section():
         "identity 3.000e-16 abs, gaussian-mc 3.500e+00 z (limit 3), "
         "noise 0.000e+00 rel"
     )
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.nan), (1.0, math.nan), (math.nan, math.nan)])
+def test_relative_error_of_a_nan_is_nan_in_either_order(a, b):
+    # Python's max(0.0, nan) is 0.0: a zero Fock value must not hide a NaN
+    # exact value, nor the other way round
+    for x, y in ((a, b), (b, a)):
+        assert math.isnan(relative_error(x, y))
+        assert math.isnan(relative_error(np.array([x]), np.array([y]))[0])
+
+
+def test_relative_error_scalar_and_array_rules_agree():
+    values = [0.0, -0.0, 1e-300, 1.0, -2.5, 3.0, 1e308, -1e308, math.inf, math.nan]
+    pairs = [(a, b) for a in values for b in values]
+    a, b = (np.array(c) for c in zip(*pairs))
+    assert bits(relative_error(a, b)) == bits([relative_error(x, y) for x, y in pairs])
+    assert relative_error(0.0, -0.0) == 0.0
+    assert relative_error(3.0, 1.0) == 2.0 / 3.0
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_summary_worst_error_is_nan_if_any_error_is(order):
+    # max([1e-3, nan]) is 1e-3 but max([nan, 1e-3]) is nan
+    cases = (
+        CheckCase("mean", "a", 1e-3, 1e-9),
+        CheckCase("mean", "b", math.nan, 1e-9),
+        CheckCase("noise", "c", 2e-16, 1e-9),
+    )[::order]
+    report = CrossCheckReport(cases=cases, tolerance=1e-9, seed=1)
+    assert math.isnan(report.max_error("mean"))
+    assert math.isnan(report.max_error())
+    assert report.max_error("noise") == 2e-16
+    assert report.max_error("variance") == 0.0
+    lines = list(report.lines())
+    assert "FAIL [mean] b: error nan (limit 1.000e-09)" in lines
+    assert lines[-1].startswith("FAIL 3 checks, 2 failed, worst error: ")
+    assert "mean nan rel" in lines[-1]
+    assert not report.ok and len(report.failures) == 2
+
+
+def test_check_case_fields_and_verdict():
+    assert CheckCase._fields == ("section", "label", "error", "limit")
+    case = CheckCase("mean", "a", 1e-9, 1e-9)
+    assert case.ok and case.error == 1e-9 and case.limit == 1e-9
+    assert not CheckCase("mean", "a", 2e-9, 1e-9).ok
+    assert not CheckCase("mean", "a", math.nan, 1e-9).ok
+
+
+def test_report_holds_one_check_case_per_check():
+    report = run_crosscheck(max_photons=4, seed=3, extra_cases=2500)
+    lines = list(report.lines())
+    assert type(report.cases) is tuple
+    # mean 30 + 2500 (two draws), identity 14, variance 32, quadrature 3,
+    # noise 12, Monte Carlo 4
+    assert len(report.cases) == len(lines) - 1 == 30 + 2500 + 14 + 32 + 3 + 12 + 4
+    assert all(type(c) is CheckCase for c in report.cases)
+    assert [c.section for c in report.cases].count("mean") == 30 + 2500
 
 
 def test_summary_line_of_a_cli_run(capsys):
