@@ -40,7 +40,7 @@ from .core import (
     kerr_cm2,
     operating_arm_length,
 )
-from .crosscheck import CheckCase, CrossCheckReport, run_crosscheck
+from .crosscheck import CheckBlock, CheckCase, CrossCheckReport, run_crosscheck
 from .fock import (
     MomentSet,
     TruncationError,

@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .core import ParameterError, get_preset
-from .crosscheck import MAX_DIM_MARGIN, run_crosscheck
+from .crosscheck import MAX_CASES, MAX_DIM_MARGIN, run_crosscheck
 from .fock import TruncationError
 from .sweep import (
     CSV_COLUMNS,
@@ -194,7 +194,10 @@ def build_parser() -> _Parser:
         ),
     )
     ver.add_argument(
-        "--cases", type=int, default=0, help="extra random mean cases (default 0)"
+        "--cases",
+        type=int,
+        default=0,
+        help=f"extra random mean cases (default 0, cap {MAX_CASES})",
     )
     _add_output_flag(ver)
     ver.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
@@ -374,6 +377,8 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         )
     if args.cases < 0:
         raise CliError("--cases must be >= 0")
+    if args.cases > MAX_CASES:
+        raise CliError(f"--cases {args.cases} exceeds the cap of {MAX_CASES}")
     if args.seed < 0:
         raise CliError("--seed must be >= 0")
     report = run_crosscheck(
@@ -393,8 +398,8 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
         },
         seed=args.seed,
     )
-    manifest["checks"] = len(report.cases)
-    manifest["failed"] = len(report.failures)
+    manifest["checks"] = report.checks
+    manifest["failed"] = report.failed
     manifest["stages"] = {f"{section}_s": s for section, s in report.stages.items()}
     _emit_stream(
         lambda f: f.writelines(line + "\n" for line in report.lines()),

@@ -14,13 +14,15 @@ error band. Every other case compares its error with the requested
 tolerance: the identity residual |direct - closed| as an absolute error,
 the rest as relative errors, NaN (a failure) when either side is NaN.
 
-The mean section is columnar from draw to verdict: the fixed grid and each
-window of MEAN_WINDOW random draws arrive as arrays, with their exact <M>
-from `_signal_means` (bit for bit `signal_mean_exact`), go through one
-`kerr_means` call, and leave as arrays of relative errors; Python runs per
-case only to format a kept case's label and build its `CheckCase`. The
-report makes one pass over the cases for its lines and each section's
-worst error, and counts its failures once.
+The report is columnar. Each section gives blocks of checks
+(`CheckBlock`: one limit, a label format, the label's argument columns and
+an array of errors); the mean section gives one per window, the fixed
+grid and each window of MEAN_WINDOW random draws, whose exact <M> come
+from `_signal_means` (bit for bit `signal_mean_exact`) and whose oracle
+values come from one `kerr_means` call. A report line, label included, is
+made by one `%` from a block's columns; verdicts, the failure count and
+each section's worst error are array operations. One `CheckCase` per
+check is built only when `CrossCheckReport.cases` is read.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ MEAN_WINDOW = 2048
 # Largest basis enlargement a run accepts: every section builds arrays of
 # fock_dim + dim_margin levels (squared in the dense sections).
 MAX_DIM_MARGIN = 100
+# Most random mean cases a run accepts (the sweep's MAX_ROWS): the report
+# keeps one error per case.
+MAX_CASES = 1_000_000
 # Unit of each section's error: relative error, absolute residual, or
 # standard errors from the exact value (limit MC_SIGMA_BAND).
 SECTION_UNITS = {
@@ -100,55 +105,110 @@ class CheckCase(NamedTuple):
         return self.error <= self.limit
 
 
+class CheckBlock(NamedTuple):
+    """Checks of one section under one limit, as columns: check i is
+    labelled `label_format % (column[i] for each of label_columns)` and has
+    error `errors[i]`. A column is a numpy array or a sequence of Python
+    values (a list, or a range for running indices)."""
+
+    section: str
+    limit: float
+    label_format: str
+    label_columns: tuple
+    errors: np.ndarray
+
+    def columns(self) -> list:
+        """The label columns as sequences of Python values, which `%`
+        formats as it formats the values they came from."""
+        return [c.tolist() if isinstance(c, np.ndarray) else c for c in self.label_columns]
+
+    def passed(self) -> np.ndarray:
+        """Each check's verdict; a NaN error fails."""
+        return self.errors <= self.limit
+
+    def lines(self) -> list[str]:
+        """One report line per check, each made by one `%`."""
+        line = (
+            f"%s [{self.section}] {self.label_format}: error %.3e "
+            f"(limit {self.limit:.3e})"
+        )
+        status = np.where(self.passed(), "PASS", "FAIL").tolist()
+        return list(map(line.__mod__, zip(status, *self.columns(), self.errors.tolist())))
+
+    def cases(self) -> list[CheckCase]:
+        return [
+            CheckCase(self.section, self.label_format % row[:-1], row[-1], self.limit)
+            for row in zip(*self.columns(), self.errors.tolist())
+        ]
+
+
 def _worse(a: float, b: float) -> float:
     """The larger of two errors, or NaN if either is NaN (`max` keeps or
     drops a NaN by where it stands)."""
     return a if a != a or a >= b else b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossCheckReport:
-    """The checks in report order, and the seconds each section took to
-    compute (`run_crosscheck` fills `stages`; it takes no part in ==)."""
+    """The checks in report order, as blocks of columns, and the seconds
+    each section took to compute (`run_crosscheck` fills `stages`).
+    Reports compare by identity, as their blocks hold arrays."""
 
-    cases: tuple[CheckCase, ...]
+    blocks: tuple[CheckBlock, ...]
     tolerance: float
     seed: int
-    stages: dict[str, float] = field(default_factory=dict, compare=False)
+    stages: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def checks(self) -> int:
+        return sum(len(b.errors) for b in self.blocks)
+
+    @functools.cached_property
+    def failed(self) -> int:
+        return sum(int(np.count_nonzero(~b.passed())) for b in self.blocks)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.failed == 0
+
+    @functools.cached_property
+    def cases(self) -> tuple[CheckCase, ...]:
+        return tuple(itertools.chain.from_iterable(b.cases() for b in self.blocks))
 
     @functools.cached_property
     def failures(self) -> tuple[CheckCase, ...]:
         return tuple(c for c in self.cases if not c.ok)
 
+    @functools.cached_property
+    def _worst(self) -> dict[str, float]:
+        # a block's max is NaN if any of its errors is, as `_worse` keeps it
+        worst: dict[str, float] = {}
+        for b in self.blocks:
+            if len(b.errors):
+                error = float(b.errors.max())
+                worst[b.section] = _worse(worst.get(b.section, error), error)
+        return worst
+
     def max_error(self, section: str | None = None) -> float:
         """The worst error of a section (of every case if None): NaN if any
         of its errors is NaN, 0.0 if it has no cases."""
-        errs = [c.error for c in self.cases if section is None or c.section == section]
-        return functools.reduce(_worse, errs) if errs else 0.0
+        if section is not None:
+            return self._worst.get(section, 0.0)
+        worst = self._worst.values()
+        return functools.reduce(_worse, worst) if worst else 0.0
 
     def lines(self) -> Iterator[str]:
         """One line per check, then the summary: verdict, counts, and each
         section's worst error in that section's unit, as `max_error` gives
-        it, gathered in the same pass."""
-        worst: dict[str, float] = {}
-        for case in self.cases:
-            section, label, error, limit = case
-            status = "PASS" if case.ok else "FAIL"
-            yield f"{status} [{section}] {label}: error {error:.3e} (limit {limit:.3e})"
-            worst[section] = _worse(worst.get(section, error), error)
-        summary = ", ".join(
+        it."""
+        for block in self.blocks:
+            yield from block.lines()
+        worst = ", ".join(
             f"{section} {error:.3e} {SECTION_UNITS[section]}"
-            for section, error in worst.items()
+            for section, error in self._worst.items()
         )
         status = "PASS" if self.ok else "FAIL"
-        yield (
-            f"{status} {len(self.cases)} checks, "
-            f"{len(self.failures)} failed, worst error: {summary}"
-        )
+        yield f"{status} {self.checks} checks, {self.failed} failed, worst error: {worst}"
 
 
 def relative_error(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
@@ -166,17 +226,14 @@ def _photon_grid(max_photons: int) -> tuple[int, ...]:
     return ns if ns else (0,)
 
 
-def _evolved_moments(n: int, chi: float, phi1: float, phi2: float, offset: float,
-                     dim_margin: int):
-    dim = fock_dim(n / 2.0) + dim_margin
-    state = product_input(math.sqrt(float(n)), dim=dim)
-    return moments(apply_kerr(state, phi1, phi2, chi), offset=offset)
+def _product_input(n: int, dim_margin: int):
+    return product_input(math.sqrt(float(n)), dim=fock_dim(n / 2.0) + dim_margin)
 
 
-def _relative_case(
-    section: str, label: str, got: float, want: float, tolerance: float
-) -> CheckCase:
-    return CheckCase(section, label, relative_error(got, want), tolerance)
+def _labelled_block(
+    section: str, limit: float, labels: list[str], errors: list[float] | np.ndarray
+) -> CheckBlock:
+    return CheckBlock(section, limit, "%s", (labels,), np.asarray(errors, dtype=float))
 
 
 def _signal_means(
@@ -210,20 +267,17 @@ def _mean_settings(
     max_photons: int, count: int, rng: np.random.Generator
 ) -> Iterator[tuple]:
     """The mean checks as windows of columns (n, chi, phi1, phi2, offset,
-    labels, exact <M>): the fixed grid, then the first `count` kept draws
-    from rng, drawn MEAN_WINDOW at a time, one window per draw."""
+    label format, label columns, exact <M>): the fixed grid, then the first
+    `count` kept draws from rng, drawn MEAN_WINDOW at a time, one window
+    per draw."""
     grid = [
         (n, chi, *phases)
         for n, chi, phases in itertools.product(
             _photon_grid(max_photons), DEFAULT_CHIS, DEFAULT_PHASE_SETTINGS
         )
     ]
-    ns, *columns = (np.array(c) for c in zip(*grid))
-    labels = [
-        f"N={n} chi={chi} phi=({phi1},{phi2}) off={offset}"
-        for n, chi, phi1, phi2, offset in grid
-    ]
-    yield ns, *columns, labels, _signal_means(ns, *columns)
+    columns = tuple(np.array(c) for c in zip(*grid))
+    yield (*columns, "N=%d chi=%s phi=(%s,%s) off=%s", columns, _signal_means(*columns))
     # each batch draws MEAN_WINDOW settings whatever count is, so draw i
     # depends on the seed and i alone; a draw is kept only if n == 0 or its
     # mean is not pathologically small, so a relative comparison stays
@@ -238,24 +292,21 @@ def _mean_settings(
         wants = _signal_means(ns, *columns)
         keep = np.flatnonzero((ns == 0) | (np.abs(wants) >= 1e-3))[: count - i]
         ns, columns, wants = ns[keep], columns[:, keep], wants[keep]
-        labels = [
-            f"random[{j}] N={n} chi={chi:.4f}"
-            for j, n, chi in zip(itertools.count(i), ns.tolist(), columns[0].tolist())
-        ]
-        yield ns, *columns, labels, wants
+        label_columns = (range(i, i + len(keep)), ns, columns[0])
+        yield ns, *columns, "random[%d] N=%d chi=%.4f", label_columns, wants
         i += len(keep)
 
 
-def _mean_cases(
+def _mean_blocks(
     windows: Iterator[tuple], dim_margin: int, tolerance: float
-) -> list[CheckCase]:
-    # one kernel call per window, so the draws take O(window) memory next
-    # to the O(count) cases; each photon number's level weights, from the
-    # one-mode amplitudes of `_evolved_moments`' product input, are built
-    # once per run and kept across windows
+) -> list[CheckBlock]:
+    # one kernel call and one block per window, so the draws take
+    # O(window) memory next to the O(count) errors; each photon number's
+    # level weights, from the one-mode amplitudes of `_product_input`, are
+    # built once per run and kept across windows
     weights: dict[int, np.ndarray] = {}
-    cases = []
-    for ns, chi, phi1, phi2, offset, labels, wants in windows:
+    blocks = []
+    for ns, chi, phi1, phi2, offset, label_format, label_columns, wants in windows:
         present, rows = np.unique(ns, return_inverse=True)
         present = present.tolist()
         for n in present:
@@ -270,64 +321,57 @@ def _mean_cases(
         for row, n in zip(table, present):
             row[: len(weights[n])] = weights[n]
         got = kerr_means(table, rows, phi1, phi2, chi, offset)
-        errors = relative_error(got, wants).tolist()
-        cases += map(CheckCase, itertools.repeat("mean"), labels, errors,
-                     itertools.repeat(tolerance))
-    return cases
+        blocks.append(CheckBlock(
+            "mean", tolerance, label_format, label_columns, relative_error(got, wants)
+        ))
+    return blocks
 
 
-def _identity_cases(max_photons: int, tolerance: float) -> list[CheckCase]:
+def _identity_block(max_photons: int, tolerance: float) -> CheckBlock:
     mus = tuple(mu for mu in (0.5, 2.0, 5.0, 10.0) if mu <= max(max_photons, 0))
-    return [
-        CheckCase(
-            "identity",
-            f"|beta|^2={mu} z={z:.4f}",
-            coherent_identity_residual(math.sqrt(mu), float(z)),
-            tolerance,
-        )
+    checks = [
+        (f"|beta|^2={mu} z={z:.4f}", coherent_identity_residual(math.sqrt(mu), float(z)))
         for mu in mus or (0.0,)
         for z in np.linspace(0.0, math.pi, 7)
     ]
+    return _labelled_block("identity", tolerance, *zip(*checks))
 
 
-def _variance_cases(
-    max_photons: int, dim_margin: int, tolerance: float
-) -> list[CheckCase]:
+def _variance_block(max_photons: int, dim_margin: int, tolerance: float) -> CheckBlock:
     # phi0 puts the empty interferometer on the operating point, where the
-    # balanced closed form is exact
-    return [
-        _relative_case(
-            "variance",
-            f"N={n} chi={chi} off={offset:.4f}",
-            _evolved_moments(n, chi, phi0, phi0, offset, dim_margin).mean_m2,
-            balanced_second_moment(float(n), offset),
-            tolerance,
-        )
-        for n in _photon_grid(max_photons)
-        for chi, phi0 in ((0.0, 0.0), (0.1, 2.0 * math.pi / 0.1))
-        for offset in (j * math.pi / 4.0 + 0.35 for j in range(8))
-    ]
+    # balanced closed form is exact; each state is evolved once and read at
+    # every offset
+    labels, got, want = [], [], []
+    for n in _photon_grid(max_photons):
+        state = _product_input(n, dim_margin)
+        for chi, phi0 in ((0.0, 0.0), (0.1, 2.0 * math.pi / 0.1)):
+            evolved = apply_kerr(state, phi0, phi0, chi)
+            for offset in (j * math.pi / 4.0 + 0.35 for j in range(8)):
+                labels.append(f"N={n} chi={chi} off={offset:.4f}")
+                got.append(moments(evolved, offset=offset).mean_m2)
+                want.append(balanced_second_moment(float(n), offset))
+    return _labelled_block("variance", tolerance, labels, relative_error(got, want))
 
 
-def _gaussian_cases(
-    seed: int, tolerance: float
-) -> tuple[list[CheckCase], list[CheckCase]]:
-    """Quadrature cases (relative tolerance) and Monte Carlo cases (3 se)."""
+def _gaussian_blocks(seed: int, tolerance: float) -> tuple[CheckBlock, CheckBlock]:
+    """Quadrature checks (relative tolerance) and Monte Carlo checks (3 se)."""
     # full exact mean under a random common phase: the sigma dependence
     # must be exactly the factor exp(-sigma^2/2)
     def averaged(phis: np.ndarray) -> np.ndarray:
         return np.array([signal_mean_exact(9.0, 0.01, 0.3, 0.32, float(p)) for p in phis])
 
-    quad_cases = [
-        _relative_case(
-            "gaussian",
-            f"quadrature sigma={sigma}",
-            gauss_hermite_phase(averaged, sigma),
-            math.exp(-0.5 * sigma * sigma) * signal_mean_exact(9.0, 0.01, 0.3, 0.32),
-            tolerance,
-        )
-        for sigma in (0.1, 0.3, 0.5)
+    sigmas = (0.1, 0.3, 0.5)
+    got = [gauss_hermite_phase(averaged, sigma) for sigma in sigmas]
+    want = [
+        math.exp(-0.5 * sigma * sigma) * signal_mean_exact(9.0, 0.01, 0.3, 0.32)
+        for sigma in sigmas
     ]
+    quad = _labelled_block(
+        "gaussian",
+        tolerance,
+        [f"quadrature sigma={sigma}" for sigma in sigmas],
+        relative_error(got, want),
+    )
     sin, cos2 = (lambda phi: np.sin(phi + 0.6)), (lambda phi: np.cos(2.0 * phi))
     # label, seed offset, sigma, integrand, its exact Gaussian average
     mc_table = (
@@ -336,32 +380,35 @@ def _gaussian_cases(
         ("mc sin sigma=0.3", 1, 0.3, sin, math.exp(-0.5 * 0.3 * 0.3) * math.sin(0.6)),
         ("mc cos2 sigma=0.3", 101, 0.3, cos2, math.exp(-2.0 * 0.3 * 0.3)),
     )
-    mc_cases = []
-    for label, seed_offset, sigma, integrand, want in mc_table:
+    z_scores = []
+    for _, seed_offset, sigma, integrand, want in mc_table:
         est, se = monte_carlo_phase(integrand, sigma, MC_SAMPLES, seed + seed_offset)
-        mc_cases.append(CheckCase("gaussian-mc", label, abs(est - want) / se, MC_SIGMA_BAND))
-    return quad_cases, mc_cases
+        z_scores.append(abs(est - want) / se)
+    mc = _labelled_block("gaussian-mc", MC_SIGMA_BAND, [t[0] for t in mc_table], z_scores)
+    return quad, mc
 
 
-def _noise_cases(max_photons: int, dim_margin: int, tolerance: float) -> list[CheckCase]:
+def _noise_block(max_photons: int, dim_margin: int, tolerance: float) -> CheckBlock:
     n = min(16, max_photons) if max_photons > 0 else 0
     chi = 0.1
     phi0 = 2.0 * math.pi / chi
-    base = _evolved_moments(n, chi, phi0, phi0, 0.0, dim_margin)
-    return [
-        _relative_case(
-            "noise",
-            f"N={n} eta={eta} sigma={sigma} nt={nt}",
-            noisy_moments(
-                base, NoiseSpec(efficiency=eta, phase_sigma=sigma, thermal_photons=nt)
-            ).mean_m2,
-            signal_variance(float(n), eta, sigma, nt, exact=True),
-            tolerance,
-        )
-        for eta in (0.5, 1.0)
-        for sigma in (0.0, 0.05, 0.2)
-        for nt in (0.0, 2.0)
+    base = moments(apply_kerr(_product_input(n, dim_margin), phi0, phi0, chi), offset=0.0)
+    settings = list(itertools.product((0.5, 1.0), (0.0, 0.05, 0.2), (0.0, 2.0)))
+    got = [
+        noisy_moments(
+            base, NoiseSpec(efficiency=eta, phase_sigma=sigma, thermal_photons=nt)
+        ).mean_m2
+        for eta, sigma, nt in settings
     ]
+    want = [
+        signal_variance(float(n), eta, sigma, nt, exact=True) for eta, sigma, nt in settings
+    ]
+    return _labelled_block(
+        "noise",
+        tolerance,
+        [f"N={n} eta={eta} sigma={sigma} nt={nt}" for eta, sigma, nt in settings],
+        relative_error(got, want),
+    )
 
 
 def run_crosscheck(
@@ -382,6 +429,8 @@ def run_crosscheck(
         raise ValueError(f"dim_margin {dim_margin} exceeds the cap of {MAX_DIM_MARGIN}")
     if extra_cases < 0:
         raise ValueError(f"extra_cases must be >= 0, got {extra_cases}")
+    if extra_cases > MAX_CASES:
+        raise ValueError(f"extra_cases {extra_cases} exceeds the cap of {MAX_CASES}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -394,16 +443,16 @@ def run_crosscheck(
         now = time.perf_counter()
         stages[section], last = now - last, now
 
-    cases = _mean_cases(_mean_settings(max_photons, extra_cases, rng), dim_margin, tolerance)
+    blocks = _mean_blocks(_mean_settings(max_photons, extra_cases, rng), dim_margin, tolerance)
     lap("mean")
-    cases += _identity_cases(max_photons, tolerance)
+    blocks.append(_identity_block(max_photons, tolerance))
     lap("identity")
-    cases += _variance_cases(max_photons, dim_margin, tolerance)
+    blocks.append(_variance_block(max_photons, dim_margin, tolerance))
     lap("variance")
-    quad, mc = _gaussian_cases(seed, tolerance)
+    quad, mc = _gaussian_blocks(seed, tolerance)
     lap("gaussian")
-    cases += quad
-    cases += _noise_cases(max_photons, dim_margin, tolerance)
+    blocks.append(quad)
+    blocks.append(_noise_block(max_photons, dim_margin, tolerance))
     lap("noise")
-    cases += mc
-    return CrossCheckReport(tuple(cases), tolerance, seed, stages)
+    blocks.append(mc)
+    return CrossCheckReport(tuple(blocks), tolerance, seed, stages)

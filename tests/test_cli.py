@@ -11,7 +11,7 @@ import kerrmich
 import kerrmich.crosscheck
 import kerrmich.fock
 from kerrmich.cli import CliError, main, parse_grid, parse_n2
-from kerrmich.crosscheck import MAX_DIM_MARGIN
+from kerrmich.crosscheck import MAX_CASES, MAX_DIM_MARGIN
 from kerrmich.core import HBAR, C_LIGHT
 
 
@@ -468,6 +468,18 @@ def test_verify_dim_margin_above_the_cap_is_one_clean_error(capsys, monkeypatch,
     monkeypatch.setattr(kerrmich.fock, "coherent_amplitudes", refuse)
     assert run_cli(capsys, "verify", "--max-photons", "2", "--dim-margin", str(value)) == (
         1, "", f"kerrmich: error: --dim-margin {value} exceeds the cap of {MAX_DIM_MARGIN}\n"
+    )
+
+
+def test_verify_cases_above_the_cap_is_one_clean_error(capsys, monkeypatch):
+    # the report keeps one error per case; the CLI stops before any is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite was run")
+
+    monkeypatch.setattr(kerrmich.cli, "run_crosscheck", refuse)
+    value = MAX_CASES + 1
+    assert run_cli(capsys, "verify", "--max-photons", "2", "--cases", str(value)) == (
+        1, "", f"kerrmich: error: --cases {value} exceeds the cap of {MAX_CASES}\n"
     )
 
 

@@ -18,10 +18,17 @@ equal the scalar `signal_mean_exact` bit for bit. `verify` must print the
 same check lines as the dense path did, up to the random mean cases and
 the last digits of the mean errors. A relative error with a NaN on either
 side is NaN, and a section's worst error is NaN if any of its errors is,
-whatever the order; the report holds one `CheckCase` (a NamedTuple) per
-check.
+whatever the order. The report holds its checks as blocks of columns, one
+per mean window and one per other section; its lines, its `cases` view of
+one `CheckCase` (a NamedTuple) per check, its counts and its worst errors
+must agree with one another and with the report as it was printed from one
+`CheckCase` at a time. Each variance state is built and evolved once and
+read at every offset, and `--cases` is capped at MAX_CASES.
 """
 
+import collections
+import functools
+import itertools
 import json
 import math
 import re
@@ -37,13 +44,17 @@ import kerrmich.fock
 from kerrmich.cli import main
 from kerrmich.analytic import signal_mean_exact
 from kerrmich.crosscheck import (
+    MAX_CASES,
     MAX_DIM_MARGIN,
     MC_SIGMA_BAND,
     MEAN_WINDOW,
+    SECTION_UNITS,
+    CheckBlock,
     CheckCase,
     CrossCheckReport,
     _mean_settings,
     _signal_means,
+    _worse,
     relative_error,
     run_crosscheck,
 )
@@ -254,13 +265,20 @@ def test_mean_lines_stable_across_a_window_boundary():
     assert mean[:375] == golden[:375]
 
 
+def window_labels(label_format, label_columns):
+    """A window's labels, formatted the way the report formats them."""
+    block = CheckBlock("mean", 0.0, label_format, label_columns, np.zeros(0))
+    return [label_format % row for row in zip(*block.columns())]
+
+
 def random_draws(max_photons, count, seed=7):
     """The random mean checks as ((n, chi, phi1, phi2, offset), label,
     exact <M>), one per case, from the windows of `_mean_settings`."""
     draws = []
-    for ns, *columns, labels, wants in _mean_settings(
+    for ns, *columns, label_format, label_columns, wants in _mean_settings(
         max_photons, count, np.random.default_rng(seed)
     ):
+        labels = window_labels(label_format, label_columns)
         assert len(ns) == len(labels) == len(wants) <= MEAN_WINDOW
         settings = zip(ns.tolist(), *(c.tolist() for c in columns))
         draws += (
@@ -333,7 +351,8 @@ def test_fixed_mean_window_carries_exact_means_bit_for_bit(max_photons, first_n,
     # the grid is the first window, in report order; no random draw follows
     windows = list(_mean_settings(max_photons, 0, np.random.default_rng(0)))
     assert len(windows) == 1
-    ns, chi, phi1, phi2, offset, labels, wants = windows[0]
+    ns, chi, phi1, phi2, offset, label_format, label_columns, wants = windows[0]
+    labels = window_labels(label_format, label_columns)
     assert len(labels) == size
     assert labels[0] == f"N={first_n} chi=0.0 phi=(0.3,0.32) off=0.0"
     assert bits(wants) == bits(scalar_means(ns.tolist(), chi, phi1, phi2, offset))
@@ -356,6 +375,30 @@ def test_dim_margin_at_the_cap_runs():
     assert run_crosscheck(max_photons=1, dim_margin=MAX_DIM_MARGIN).ok
 
 
+def test_extra_cases_above_the_cap_rejected_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr(kerrmich.crosscheck, "_mean_settings", refuse)
+    value = MAX_CASES + 1
+    with pytest.raises(ValueError, match=f"extra_cases {value} exceeds the cap of {MAX_CASES}"):
+        run_crosscheck(max_photons=1, extra_cases=value)
+
+
+def test_each_dense_state_is_built_and_evolved_once(monkeypatch):
+    # variance: 5 photon numbers x 2 chis, each evolved state read at 8
+    # offsets; noise: one state
+    calls = collections.Counter()
+    for name in ("product_input", "apply_kerr", "moments"):
+        def spy(*args, _real=getattr(kerrmich.crosscheck, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kerrmich.crosscheck, name, spy)
+    assert run_crosscheck(max_photons=30).ok
+    assert calls == {"product_input": 5 + 1, "apply_kerr": 10 + 1, "moments": 80 + 1}
+
+
 def test_negative_extra_cases_rejected():
     with pytest.raises(ValueError, match="extra_cases must be >= 0"):
         run_crosscheck(max_photons=0, extra_cases=-1)
@@ -372,6 +415,17 @@ def test_tolerance_must_be_finite_and_non_negative(tolerance):
         run_crosscheck(max_photons=0, tolerance=tolerance)
 
 
+def blocks_of(cases):
+    """Hand-built checks as report blocks: one block of "%s" labels per run
+    of cases with the same section and limit."""
+    runs = itertools.groupby(cases, key=lambda c: (c.section, c.limit))
+    return tuple(
+        CheckBlock(section, limit, "%s", ([c.label for c in run],),
+                   np.array([c.error for c in run]))
+        for (section, limit), run in ((key, list(run)) for key, run in runs)
+    )
+
+
 def test_summary_reports_worst_error_per_section():
     cases = (
         CheckCase("mean", "a", 2e-15, 1e-9),
@@ -380,7 +434,7 @@ def test_summary_reports_worst_error_per_section():
         CheckCase("gaussian-mc", "d", 3.5, MC_SIGMA_BAND),
         CheckCase("noise", "e", 0.0, 1e-9),
     )
-    lines = list(CrossCheckReport(cases=cases, tolerance=1e-9, seed=1).lines())
+    lines = list(CrossCheckReport(blocks_of(cases), tolerance=1e-9, seed=1).lines())
     assert len(lines) == len(cases) + 1
     assert lines[3] == "FAIL [gaussian-mc] d: error 3.500e+00 (limit 3.000e+00)"
     assert lines[-1] == (
@@ -416,7 +470,7 @@ def test_summary_worst_error_is_nan_if_any_error_is(order):
         CheckCase("mean", "b", math.nan, 1e-9),
         CheckCase("noise", "c", 2e-16, 1e-9),
     )[::order]
-    report = CrossCheckReport(cases=cases, tolerance=1e-9, seed=1)
+    report = CrossCheckReport(blocks_of(cases), tolerance=1e-9, seed=1)
     assert math.isnan(report.max_error("mean"))
     assert math.isnan(report.max_error())
     assert report.max_error("noise") == 2e-16
@@ -488,3 +542,100 @@ def test_manifest_counts_checks_and_times_each_section(capsys, tmp_path):
     stages = manifest["stages"]
     assert list(stages) == ["mean_s", "identity_s", "variance_s", "gaussian_s", "noise_s"]
     assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
+
+
+def render(case):
+    """A check line as the report printed it from one `CheckCase` each."""
+    status = "PASS" if case.ok else "FAIL"
+    return (
+        f"{status} [{case.section}] {case.label}: error {case.error:.3e} "
+        f"(limit {case.limit:.3e})"
+    )
+
+
+def hand_built_report():
+    # PASS, FAIL, NaN and inf in several sections; the mean section in three
+    # blocks, one of them empty, with its NaN in the first
+    blocks = (
+        CheckBlock(
+            "mean", 1e-9, "N=%d chi=%s phi=(%s,%s) off=%s",
+            (np.array([1, 4]), np.array([0.0, 0.1]), [0.3, 1.1], [0.32, 0.9], [0.0, -0.4]),
+            np.array([2e-15, math.nan]),
+        ),
+        CheckBlock(
+            "mean", 1e-9, "random[%d] N=%d chi=%.4f",
+            (range(0, 3), np.array([0, 7, 30]), np.array([0.0, 0.05, 0.11999])),
+            np.array([0.0, 3e-9, math.inf]),
+        ),
+        CheckBlock(
+            "mean", 1e-9, "random[%d] N=%d chi=%.4f",
+            (range(3, 3), np.zeros(0, dtype=int), np.zeros(0)), np.zeros(0),
+        ),
+        CheckBlock("identity", 1e-9, "%s", (["|beta|^2=0.5 z=0.0000"],), np.array([1e-9])),
+        CheckBlock(
+            "gaussian-mc", MC_SIGMA_BAND, "%s",
+            (["mc sin sigma=0.1", "mc cos2 sigma=0.1"],), np.array([3.5, 0.2]),
+        ),
+        CheckBlock("noise", 1e-9, "%s", (["N=16 eta=0.5 sigma=0.0 nt=0.0"],),
+                   np.array([math.inf])),
+    )
+    return CrossCheckReport(blocks, tolerance=1e-9, seed=1)
+
+
+def same_error(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        hand_built_report,
+        # 2100 random cases cross a window boundary: the grid and two windows
+        lambda: run_crosscheck(max_photons=30, seed=5, extra_cases=2100),
+    ],
+    ids=["hand-built", "run"],
+)
+def test_lines_and_cases_view_agree(build):
+    report = build()
+    assert sum(b.section == "mean" for b in report.blocks) == 3
+    lines = list(report.lines())
+    assert [render(c) for c in report.cases] == lines[:-1]
+    # the summary and the counts, as folded from the cases one at a time
+    worst = {}
+    for c in report.cases:
+        worst[c.section] = _worse(worst.get(c.section, c.error), c.error)
+    failures = tuple(c for c in report.cases if not c.ok)
+    summary = ", ".join(f"{s} {e:.3e} {SECTION_UNITS[s]}" for s, e in worst.items())
+    status = "FAIL" if failures else "PASS"
+    assert lines[-1] == (
+        f"{status} {len(report.cases)} checks, {len(failures)} failed, "
+        f"worst error: {summary}"
+    )
+    # NaN != NaN, so compare the failures by their lines
+    assert list(map(render, report.failures)) == list(map(render, failures))
+    assert report.checks == len(report.cases)
+    assert report.failed == len(failures)
+    assert report.ok == (not failures)
+    for section in (*SECTION_UNITS, None):
+        errors = [c.error for c in report.cases if section is None or c.section == section]
+        want = functools.reduce(_worse, errors) if errors else 0.0
+        assert same_error(report.max_error(section), want)
+
+
+def test_hand_built_report_verdicts():
+    report = hand_built_report()
+    assert [c.label for c in report.failures] == [
+        "N=4 chi=0.1 phi=(1.1,0.9) off=-0.4",
+        "random[1] N=7 chi=0.0500",
+        "random[2] N=30 chi=0.1200",
+        "mc sin sigma=0.1",
+        "N=16 eta=0.5 sigma=0.0 nt=0.0",
+    ]
+    assert math.isnan(report.max_error("mean")) and math.isnan(report.max_error())
+    assert report.max_error("noise") == math.inf
+    assert report.max_error("identity") == 1e-9
+    assert report.max_error("variance") == 0.0
+    assert list(report.lines())[-1] == (
+        "FAIL 9 checks, 5 failed, worst error: mean nan rel, identity 1.000e-09 abs, "
+        "gaussian-mc 3.500e+00 z (limit 3), noise inf rel"
+    )
