@@ -1,8 +1,9 @@
 """Command-line front end: estimate, sweep, verify, regimes.
 
 Output is machine-readable (JSON or the fixed-column CSV) with floats
-serialized at full round-trip precision. Exit codes: 0 success, 1 input
-error, 2 verification failure.
+serialized at full round-trip precision. JSON is strict: inf and NaN are
+null, where the CSV keeps Python's inf and nan. Exit codes: 0 success,
+1 input error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def build_parser() -> _Parser:
         help="sweep axis (repeatable, up to 3), e.g. tau=1e-13:1e-10:50:log",
     )
     sw.add_argument(
-        "--max-rows", type=int, default=MAX_ROWS, help="row cap (default 1e6)"
+        "--max-rows", type=int, default=MAX_ROWS, help="row cap, at least 1 (default 1e6)"
     )
 
     ver = sub.add_parser(
@@ -233,10 +234,17 @@ def _manifest(argv: Sequence[str], params: dict, **provenance) -> dict:
     }
 
 
+def _json_text(obj) -> str:
+    """`json.dumps(obj, indent=2)` as strict JSON: inf and NaN are null.
+    The round trip through `json.loads` keeps every float bit for bit."""
+    finite = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2, allow_nan=False)
+
+
 def _write_sidecar(output: Path, manifest: dict | None) -> None:
     if manifest is not None:
         sidecar = output.with_name(output.name + ".manifest.json")
-        sidecar.write_text(json.dumps(manifest, indent=2) + "\n")
+        sidecar.write_text(_json_text(manifest) + "\n")
 
 
 def _emit_stream(
@@ -253,12 +261,12 @@ def _emit_stream(
 
 def _emit_json(obj: dict, output: Path | None, manifest: dict | None) -> None:
     if output is None:
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        sys.stdout.write(_json_text(obj) + "\n")
         return
     embedded = dict(obj)
     if manifest is not None:
         embedded["manifest"] = manifest
-    output.write_text(json.dumps(embedded, indent=2) + "\n")
+    output.write_text(_json_text(embedded) + "\n")
 
 
 def _estimate_payload(row: SweepRow, validity: dict) -> dict:
@@ -298,6 +306,8 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
+    if args.max_rows < 1:
+        raise CliError("--max-rows must be >= 1")
     params = _params_from_args(args)
     grids = [parse_grid(g) for g in args.grid]
     if args.format != "json":
@@ -355,9 +365,9 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _json_frame(payload: dict) -> list[str]:
-    """`json.dumps(payload, indent=2)` before and after the items of
+    """`_json_text(payload)` before and after the items of
     payload["rows"], which holds the single item None."""
-    return json.dumps(payload, indent=2).split("\n    null\n", 1)
+    return _json_text(payload).split("\n    null\n", 1)
 
 
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:

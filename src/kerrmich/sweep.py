@@ -18,6 +18,11 @@ which composes `derive` and `sensitivity_report` themselves and raises
 what they raise, with an arithmetic failure reported as a
 `ParameterError`. So every row is bit for bit the row of the composed
 path, which the tests use as the reference.
+
+`SweepTable.write_csv_rows` and `write_json_rows` format each distinct
+float of a block once, all in one call of `floattext.float_texts`, which
+computes the shortest round-trip digits in NumPy and is byte for byte
+`repr`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -373,55 +378,58 @@ class SweepTable(Sequence[SweepRow]):
 
     def write_csv_rows(self, out: TextIO) -> None:
         """One CSV line per row, each value as `repr` of its float."""
-        last = len(CSV_COLUMNS) - 1
-        _write_row_major(out, [
-            _reprs(self.columns[name], after="\n" if i == last else ",")
-            for i, name in enumerate(CSV_COLUMNS)
-        ])
+        afters = [","] * (len(CSV_COLUMNS) - 1) + ["\n"]
+        columns = [self.columns[name] for name in CSV_COLUMNS]
+        _write_row_major(out, _texts(columns, [""] * len(afters), afters))
 
     def write_json_rows(self, out: TextIO) -> None:
         """The rows as `json.dumps(..., indent=2)` lays out the items of a
         list held by a top-level key, such as the "rows" of a sweep: one
         object per row, joined by ",\n", with no newline at either end.
 
-        Floats are `float.__repr__`, or NaN, Infinity and -Infinity, and
-        flags are true and false, as `json.dumps` writes them.
+        Floats are `float.__repr__`, or null where not finite, and flags
+        are true and false: strict JSON.
         """
-        last = len(ROW_FIELDS) - 1
-        columns = [
-            _reprs(
-                self.columns[name],
-                _json_value,
-                before=("    {\n" if i == 0 else "") + f'      "{name}": ',
-                after="\n    },\n" if i == last else ",\n",
-            )
-            for i, name in enumerate(ROW_FIELDS)
-        ]
+        befores = [f'      "{name}": ' for name in ROW_FIELDS]
+        befores[0] = "    {\n" + befores[0]
+        afters = [",\n"] * (len(ROW_FIELDS) - 1) + ["\n    },\n"]
+        columns = [self.columns[name] for name in ROW_FIELDS]
+        columns = _texts(columns, befores, afters, nonfinite="null")
         columns[-1][-1] = columns[-1][-1].removesuffix(",\n")
         _write_row_major(out, columns)
 
 
-# `repr` of the values `json.dumps` spells differently
-_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "True": "true", "False": "false"}
+_FLAG_WORDS = np.array(["false", "true"], dtype=object)
 
 
-def _json_value(value: float | bool) -> str:
-    text = repr(value)
-    return _JSON_WORDS.get(text, text)
+def _texts(
+    columns: list[np.ndarray], befores: list[str], afters: list[str], nonfinite: str | None = None
+) -> list[np.ndarray]:
+    """before + text + after for every value of each column, as object
+    arrays of str: a float as `repr`, or as nonfinite if given and the
+    float is inf or NaN, and a flag as false or true. Each distinct value
+    of a column is formatted once, and the distinct floats of all columns
+    in one `float_texts` call. Values are told apart by their bits, so
+    -0.0 is not 0.0."""
+    from .floattext import float_texts  # only the writers load the formatter
 
-
-def _reprs(
-    col: np.ndarray,
-    text: Callable[[float | bool], str] = repr,
-    before: str = "",
-    after: str = "",
-) -> np.ndarray:
-    """before + text(value) + after for every value, as an object array,
-    computed once per distinct value. Values are told apart by their bits,
-    so -0.0 is not merged with 0.0."""
-    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    texts = np.array(list(map(text, bits.view(col.dtype).tolist())), dtype=object)
-    return (before + texts + after)[inverse]
+    distinct = [np.unique(col.view(f"u{col.itemsize}"), return_inverse=True) for col in columns]
+    floats = [bits for bits, _ in distinct if bits.dtype == np.uint64]
+    floats = np.concatenate(floats).view(np.float64)
+    texts = float_texts(floats)
+    if nonfinite is not None:
+        texts.view("S24")[~np.isfinite(floats)] = nonfinite
+    result, lo = [], 0
+    for before, after in zip(befores, afters):
+        bits, inverse = distinct.pop(0)  # so each column's inverse is freed once used
+        if bits.dtype == np.uint64:
+            # NumPy makes str of UCS-4 code points faster than of ASCII bytes
+            words = texts[lo : lo + len(bits)].astype(np.uint32).view("U24")[:, 0].astype(object)
+            lo += len(bits)
+        else:
+            words = _FLAG_WORDS[bits]
+        result.append((before + words + after)[inverse])
+    return result
 
 
 # Rows of text joined and written at once, a quarter of a block. Joining

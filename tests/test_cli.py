@@ -188,6 +188,12 @@ class TestSweep:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_row_cap_below_one_is_one_clean_error(self, capsys, value):
+        assert run_cli(
+            capsys, "sweep", "--regime", "giant-eit", "--max-rows", value
+        ) == (1, "", "kerrmich: error: --max-rows must be >= 1\n")
+
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--regime", "giant-eit", "--grid", "sigma=0:0.1:9")
         code_a, out_a, _ = run_cli(capsys, *args)
@@ -566,6 +572,42 @@ def test_overflowing_validity_squares_still_exit_zero(capsys, flag):
     assert code == 0
     assert "Traceback" not in err
     assert json.loads(out)["chi"] == 3.972891711863591e-09
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "flags, nulls",
+    [
+        # the dephasing variance overflows: infinite resolution and margin
+        (("--sigma", "1e155"), ["delta_x_m", "improvement", "margin_nl_dominant"]),
+        # inf photons: NaN resolutions and margins, inf photon number
+        (("--tau", "1e200", "--power", "1e200"),
+         ["n_photons", "delta_x_m", "improvement", "margin_small_signal", "margin_nl_dominant"]),
+    ],
+)
+def test_non_finite_values_are_strict_json_null(capsys, tmp_path, flags, nulls):
+    code, out, _ = run_cli(capsys, "estimate", "--regime", "giant-eit", *flags)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    values = {**payload, **payload["validity"]}
+    assert sorted(k for k, v in values.items() if v is None) == sorted(nulls)
+    # the same row as a one-point JSON sweep, and with its manifest
+    target = tmp_path / "point.json"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", *flags, "--format", "json",
+        "--output", str(target),
+    )
+    assert code == 0
+    (row,) = json.loads(target.read_text(), parse_constant=_reject_constant)["rows"]
+    assert sorted(k for k, v in row.items() if v is None) == sorted(nulls)
+    # CSV keeps repr: inf and nan
+    code, out, _ = run_cli(capsys, "estimate", "--regime", "giant-eit", *flags, "--format", "csv")
+    header, line = out.splitlines()
+    cells = dict(zip(header.split(","), line.split(",")))
+    assert all(cells[name] in ("inf", "nan") for name in nulls)
 
 
 def test_arithmetic_failure_is_a_one_line_error(capsys):

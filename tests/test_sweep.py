@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from kerrmich.core import (
@@ -166,6 +167,26 @@ class TestRunSweep:
             # chi*N >> 1 asymptote the ratio tracks tau linearly
             assert b.improvement > a.improvement
             assert b.improvement == pytest.approx(2.0 * a.improvement, rel=1e-4)
+
+    def test_pulse_duration_at_fixed_energy(self):
+        # The abstract's "pulse duration as a new variable": at a fixed
+        # pulse energy E = P tau the photon number is fixed and chi goes as
+        # 1/tau, so delta_x = 1/(k sqrt(eta N) (1 + chi N / 2)) and, deep
+        # in chi N >> 1, delta_x / tau is constant to within 2 / (chi N).
+        energy = GIANT_BASE.power * GIANT_BASE.tau
+        base = dataclasses.replace(GIANT_BASE, sigma=0.0, nt=0.0)
+        rows = [
+            evaluate(dataclasses.replace(base, tau=tau, power=energy / tau))
+            for tau in np.geomspace(1e-12, 1e-8, 9).tolist()
+        ]
+        for row in rows:
+            gain = 1.0 + row.chi * row.n_photons / 2.0
+            product = row.delta_x_m * row.k_per_m * math.sqrt(row.eta * row.n_photons) * gain
+            assert abs(product - 1.0) <= 4 * math.ulp(1.0), row.tau_s
+        assert rows[0].n_photons == pytest.approx(rows[-1].n_photons, rel=1e-12)
+        ratios = [row.delta_x_m / row.tau_s for row in rows]
+        smallest_gain = min(row.chi * row.n_photons for row in rows)
+        assert max(ratios) / min(ratios) - 1.0 <= 2.0 / smallest_gain
 
     def test_linear_resolution_scales_as_inverse_sqrt_photons(self):
         rows = run_sweep(GIANT_BASE, [GridSpec("power", 1e5, 1e7, 5, "log")])

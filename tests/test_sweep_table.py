@@ -10,6 +10,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -261,6 +262,11 @@ def test_json_rows_are_the_json_module_layout():
     out = io.StringIO()
     SweepTable.from_rows(rows).write_json_rows(out)
     text = out.getvalue()
-    want = json.dumps({"rows": [dataclasses.asdict(r) for r in rows]}, indent=2)
+    # strict JSON: the infinite resolutions of the dark input are null
+    items = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+        for row in map(dataclasses.asdict, rows)
+    ]
+    want = json.dumps({"rows": items}, indent=2, allow_nan=False)
     assert want == '{\n  "rows": [\n' + text + "\n  ]\n}"
-    assert "Infinity" in text and "-0.0" in text and "true" in text
+    assert "null" in text and "-0.0" in text and "true" in text
