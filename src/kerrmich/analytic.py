@@ -7,10 +7,10 @@ difference photocount M between the output ports. Three descriptions of
 M at the balance point and the resolution this noise-to-signal ratio
 implies for an anti-symmetric arm-length change x.
 
-Everything here is a pure function of floats; none of it is restricted to
-photon numbers a simulator could reach. The desk-scale regime where the
-formulas can be checked against the exact Fock-space contraction lives in
-`kerrmich.fock`.
+Everything here is a pure function of floats (`signal_mean_exact` also of
+arrays); none of it is restricted to photon numbers a simulator could
+reach. The desk-scale regime where the formulas can be checked against
+the exact Fock-space contraction lives in `kerrmich.fock`.
 """
 
 from __future__ import annotations
@@ -18,17 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import GeometrySpec, KerrDerived, NoiseSpec
 
 
 def signal_mean_exact(
-    n_photons: float,
-    chi: float,
-    phi1: float,
-    phi2: float,
-    offset: float = 0.0,
-    eta: float = 1.0,
-) -> float:
+    n_photons: float | np.ndarray,
+    chi: float | np.ndarray,
+    phi1: float | np.ndarray,
+    phi2: float | np.ndarray,
+    offset: float | np.ndarray = 0.0,
+    eta: float | np.ndarray = 1.0,
+) -> float | np.ndarray:
     """Exact <M> for a coherent probe, valid for any arm phases.
 
     With z_j = phi_j*chi/2:
@@ -39,19 +41,37 @@ def signal_mean_exact(
 
     No small-parameter assumption; the only idealization is the coherent
     input itself.
+
+    The arguments are floats or arrays that broadcast together. Each entry
+    of an array result has the bits of the call on that entry's floats:
+    + - * are NumPy's, correctly rounded as Python's are, and cos, sin and
+    exp are `math`'s, mapped over the values, because NumPy's own ufuncs
+    round differently from `math` on some hosts. A call on floats (or 0-d
+    arrays) returns a float.
     """
-    z1 = 0.5 * phi1 * chi
-    z2 = 0.5 * phi2 * chi
-    envelope = math.exp(
-        0.5 * n_photons * (math.cos(2.0 * z1) + math.cos(2.0 * z2) - 2.0)
+    n, chi, phi1, phi2, offset, eta = (
+        np.asarray(v, dtype=float) for v in (n_photons, chi, phi1, phi2, offset, eta)
     )
-    arg = (
-        offset
-        + (phi2 - phi1)
-        + (z2 - z1)
-        + 0.5 * n_photons * (math.sin(2.0 * z2) - math.sin(2.0 * z1))
-    )
-    return eta * n_photons * envelope * math.sin(arg)
+    # inf and NaN propagate silently, as through Python's float operations
+    with np.errstate(all="ignore"):
+        z1 = 0.5 * phi1 * chi
+        z2 = 0.5 * phi2 * chi
+        envelope = _mapped(
+            math.exp, 0.5 * n * (_mapped(math.cos, 2.0 * z1) + _mapped(math.cos, 2.0 * z2) - 2.0)
+        )
+        arg = (
+            offset
+            + (phi2 - phi1)
+            + (z2 - z1)
+            + 0.5 * n * (_mapped(math.sin, 2.0 * z2) - _mapped(math.sin, 2.0 * z1))
+        )
+        mean = eta * n * envelope * _mapped(math.sin, arg)
+    return mean if mean.ndim else float(mean)
+
+
+def _mapped(fn, x: np.ndarray) -> np.ndarray:
+    """fn, a `math` function, at each value of x."""
+    return np.array(list(map(fn, np.ravel(x).tolist())), dtype=float).reshape(np.shape(x))
 
 
 def signal_mean(

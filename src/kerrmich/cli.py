@@ -299,7 +299,11 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
     if args.format == "csv":
-        _emit_stream(table.write_csv, args.output, manifest)
+        def write(out: TextIO) -> None:
+            out.write(CSV_HEADER)
+            table.write_csv_rows(out)
+
+        _emit_stream(write, args.output, manifest)
     else:
         _emit_json(_estimate_payload(row, _row_validity(row)), args.output, manifest)
     return 0

@@ -17,12 +17,12 @@ the rest as relative errors, NaN (a failure) when either side is NaN.
 The report is columnar. Each section gives blocks of checks
 (`CheckBlock`: one limit, a label format, the label's argument columns and
 an array of errors); the mean section gives one per window, the fixed
-grid and each window of MEAN_WINDOW random draws, whose exact <M> come
-from `_signal_means` (bit for bit `signal_mean_exact`) and whose oracle
-values come from one `kerr_means` call. A report line, label included, is
-made by one `%` from a block's columns; verdicts, the failure count and
-each section's worst error are array operations. One `CheckCase` per
-check is built only when `CrossCheckReport.cases` is read.
+grid and each window of MEAN_WINDOW random draws. Each window gets its
+exact <M> from one `signal_mean_exact` call and its oracle values from
+one `kerr_means` call. A report line, label included, is made by one `%`
+from a block's columns; verdicts (`CheckBlock.passed`, the one rule), the
+failure count and each section's worst error are array operations. One
+`CheckCase` per check is built only when `CrossCheckReport.cases` is read.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ class CheckCase(NamedTuple):
     error: float
     limit: float
 
-    @property
-    def ok(self) -> bool:
-        return self.error <= self.limit
-
 
 class CheckBlock(NamedTuple):
     """Checks of one section under one limit, as columns: check i is
@@ -176,10 +172,6 @@ class CrossCheckReport:
         return tuple(itertools.chain.from_iterable(b.cases() for b in self.blocks))
 
     @functools.cached_property
-    def failures(self) -> tuple[CheckCase, ...]:
-        return tuple(c for c in self.cases if not c.ok)
-
-    @functools.cached_property
     def _worst(self) -> dict[str, float]:
         # a block's max is NaN if any of its errors is, as `_worse` keeps it
         worst: dict[str, float] = {}
@@ -236,33 +228,6 @@ def _labelled_block(
     return CheckBlock(section, limit, "%s", (labels,), np.asarray(errors, dtype=float))
 
 
-def _signal_means(
-    n: np.ndarray, chi: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, offset: np.ndarray
-) -> np.ndarray:
-    """`signal_mean_exact(float(n[i]), chi[i], phi1[i], phi2[i], offset[i])`
-    for every i, bit for bit: it repeats that function term for term, with
-    numpy for + - * (correctly rounded, as Python's float ops are) and
-    `math.cos`, `math.sin` and `math.exp` mapped over the values, because
-    numpy's own `np.exp` rounds differently from `math.exp` on some hosts.
-    eta = 1 is left out; multiplying by 1.0 is exact."""
-    def mapped(fn, x: np.ndarray) -> np.ndarray:
-        return np.array(list(map(fn, x.tolist())), dtype=float)
-
-    n = np.asarray(n, dtype=float)
-    z1 = 0.5 * phi1 * chi
-    z2 = 0.5 * phi2 * chi
-    envelope = mapped(
-        math.exp, 0.5 * n * (mapped(math.cos, 2.0 * z1) + mapped(math.cos, 2.0 * z2) - 2.0)
-    )
-    arg = (
-        offset
-        + (phi2 - phi1)
-        + (z2 - z1)
-        + 0.5 * n * (mapped(math.sin, 2.0 * z2) - mapped(math.sin, 2.0 * z1))
-    )
-    return n * envelope * mapped(math.sin, arg)
-
-
 def _mean_settings(
     max_photons: int, count: int, rng: np.random.Generator
 ) -> Iterator[tuple]:
@@ -277,7 +242,7 @@ def _mean_settings(
         )
     ]
     columns = tuple(np.array(c) for c in zip(*grid))
-    yield (*columns, "N=%d chi=%s phi=(%s,%s) off=%s", columns, _signal_means(*columns))
+    yield (*columns, "N=%d chi=%s phi=(%s,%s) off=%s", columns, signal_mean_exact(*columns))
     # each batch draws MEAN_WINDOW settings whatever count is, so draw i
     # depends on the seed and i alone; a draw is kept only if n == 0 or its
     # mean is not pathologically small, so a relative comparison stays
@@ -289,7 +254,7 @@ def _mean_settings(
         columns = rng.uniform(
             (0.0, 0.0, 0.0, -1.0), (0.12, 2.5, 2.5, 1.0), size=(MEAN_WINDOW, 4)
         ).T
-        wants = _signal_means(ns, *columns)
+        wants = signal_mean_exact(ns, *columns)
         keep = np.flatnonzero((ns == 0) | (np.abs(wants) >= 1e-3))[: count - i]
         ns, columns, wants = ns[keep], columns[:, keep], wants[keep]
         label_columns = (range(i, i + len(keep)), ns, columns[0])
@@ -357,9 +322,7 @@ def _gaussian_blocks(seed: int, tolerance: float) -> tuple[CheckBlock, CheckBloc
     """Quadrature checks (relative tolerance) and Monte Carlo checks (3 se)."""
     # full exact mean under a random common phase: the sigma dependence
     # must be exactly the factor exp(-sigma^2/2)
-    def averaged(phis: np.ndarray) -> np.ndarray:
-        return np.array([signal_mean_exact(9.0, 0.01, 0.3, 0.32, float(p)) for p in phis])
-
+    averaged = functools.partial(signal_mean_exact, 9.0, 0.01, 0.3, 0.32)
     sigmas = (0.1, 0.3, 0.5)
     got = [gauss_hermite_phase(averaged, sigma) for sigma in sigmas]
     want = [

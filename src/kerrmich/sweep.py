@@ -323,9 +323,8 @@ def _make_row(values: Iterable) -> SweepRow:
 class SweepTable(Sequence[SweepRow]):
     """The rows of a sweep, stored as one NumPy column per SweepRow field.
 
-    A SweepRow is built only when a row is indexed; `write_csv`,
-    `write_csv_rows`, `write_json_rows` and `validity_failures` read the
-    columns directly.
+    A SweepRow is built only when a row is indexed; `write_csv_rows`,
+    `write_json_rows` and `validity_failures` read the columns directly.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
@@ -368,14 +367,6 @@ class SweepTable(Sequence[SweepRow]):
         """Number of rows failing each of the five validity conditions."""
         return {name: len(self) - int(self.columns[name].sum()) for name in FLAG_FIELDS}
 
-    def write_csv(self, out: TextIO) -> None:
-        """The CSV_COLUMNS header and `write_csv_rows`, CSV_CHUNK_ROWS rows
-        at a time."""
-        out.write(CSV_HEADER)
-        for lo in range(0, len(self), CSV_CHUNK_ROWS):
-            block = {name: col[lo : lo + CSV_CHUNK_ROWS] for name, col in self.columns.items()}
-            SweepTable(block).write_csv_rows(out)
-
     def write_csv_rows(self, out: TextIO) -> None:
         """One CSV line per row, each value as `repr` of its float."""
         afters = [","] * (len(CSV_COLUMNS) - 1) + ["\n"]
@@ -388,14 +379,16 @@ class SweepTable(Sequence[SweepRow]):
         object per row, joined by ",\n", with no newline at either end.
 
         Floats are `float.__repr__`, or null where not finite, and flags
-        are true and false: strict JSON.
+        are true and false: strict JSON. A table with no rows writes
+        nothing.
         """
         befores = [f'      "{name}": ' for name in ROW_FIELDS]
         befores[0] = "    {\n" + befores[0]
         afters = [",\n"] * (len(ROW_FIELDS) - 1) + ["\n    },\n"]
         columns = [self.columns[name] for name in ROW_FIELDS]
         columns = _texts(columns, befores, afters, nonfinite="null")
-        columns[-1][-1] = columns[-1][-1].removesuffix(",\n")
+        if len(self):
+            columns[-1][-1] = columns[-1][-1].removesuffix(",\n")
         _write_row_major(out, columns)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,13 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kerrmich
 import kerrmich.crosscheck
 import kerrmich.fock
-from kerrmich.cli import CliError, main, parse_grid, parse_n2
+from kerrmich.cli import DESIGN_FLAGS, CliError, main, parse_grid, parse_n2
 from kerrmich.crosscheck import MAX_CASES, MAX_DIM_MARGIN
 from kerrmich.core import HBAR, C_LIGHT
+from kerrmich.sweep import CSV_HEADER
 
 
 def order_band(value, decade, factor=5.0):
@@ -622,6 +626,42 @@ def test_arithmetic_failure_is_a_one_line_error(capsys):
         "kerrmich: error: design cannot be evaluated: "
         "ZeroDivisionError: float division by zero\n"
     )
+
+
+# Every physical flag, and the validity threshold.
+VALUE_FLAGS = (*(flag for flag, _, _ in DESIGN_FLAGS.values()), "--threshold")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["estimate", "sweep"]),
+    fmt=st.sampled_from(["json", "csv"]),
+    regime=st.sampled_from([None, "natural", "giant-eit"]),
+    values=st.dictionaries(st.sampled_from(VALUE_FLAGS), st.floats(), max_size=4),
+)
+def test_any_float_input_ends_in_one_error_line_or_strict_output(command, fmt, regime, values):
+    # a sweep with no --grid is one point; --flag=value lets argparse take
+    # values such as -inf and -1e+300 that look like flags
+    argv = [command, "--format", fmt, *(f"{flag}={value!r}" for flag, value in values.items())]
+    if regime is not None:
+        argv += ["--regime", regime]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 1:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert err.startswith("kerrmich: error: "), err
+        return
+    assert code == 0, (code, err)
+    assert all(line.startswith("kerrmich: warning: ") for line in err.splitlines()), err
+    if fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        header, row = out.split("\n", 1)
+        assert header + "\n" == CSV_HEADER and row.endswith("\n")
+        assert all(field == repr(float(field)) for field in row[:-1].split(","))
 
 
 SWEEP_FAILURES = {

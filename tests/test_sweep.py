@@ -173,20 +173,27 @@ class TestRunSweep:
         # pulse energy E = P tau the photon number is fixed and chi goes as
         # 1/tau, so delta_x = 1/(k sqrt(eta N) (1 + chi N / 2)) and, deep
         # in chi N >> 1, delta_x / tau is constant to within 2 / (chi N).
-        energy = GIANT_BASE.power * GIANT_BASE.tau
-        base = dataclasses.replace(GIANT_BASE, sigma=0.0, nt=0.0)
-        rows = [
-            evaluate(dataclasses.replace(base, tau=tau, power=energy / tau))
-            for tau in np.geomspace(1e-12, 1e-8, 9).tolist()
-        ]
-        for row in rows:
-            gain = 1.0 + row.chi * row.n_photons / 2.0
-            product = row.delta_x_m * row.k_per_m * math.sqrt(row.eta * row.n_photons) * gain
-            assert abs(product - 1.0) <= 4 * math.ulp(1.0), row.tau_s
-        assert rows[0].n_photons == pytest.approx(rows[-1].n_photons, rel=1e-12)
-        ratios = [row.delta_x_m / row.tau_s for row in rows]
-        smallest_gain = min(row.chi * row.n_photons for row in rows)
-        assert max(ratios) / min(ratios) - 1.0 <= 2.0 / smallest_gain
+        # The window x_max / delta_x, with x_max = 1/(chi N k) as
+        # `regime_report` defines it, is sqrt(eta N) (1/(chi N) + 1/2).
+        for preset in (GIANT_BASE, NATURAL_BASE):
+            energy = preset.power * preset.tau
+            base = dataclasses.replace(preset, sigma=0.0, nt=0.0)
+            rows = [
+                evaluate(dataclasses.replace(base, tau=tau, power=energy / tau))
+                for tau in (preset.tau * np.geomspace(1e-2, 1e2, 9)).tolist()
+            ]
+            for row in rows:
+                gain = 1.0 + row.chi * row.n_photons / 2.0
+                root = math.sqrt(row.eta * row.n_photons)
+                product = row.delta_x_m * row.k_per_m * root * gain
+                assert abs(product - 1.0) <= 4 * math.ulp(1.0), row.tau_s
+                x_max = 1.0 / (row.chi * row.n_photons * row.k_per_m)
+                window = root * (1.0 / (row.chi * row.n_photons) + 0.5)
+                assert abs(x_max / row.delta_x_m / window - 1.0) <= 4 * math.ulp(1.0), row.tau_s
+            assert rows[0].n_photons == pytest.approx(rows[-1].n_photons, rel=1e-12)
+            ratios = [row.delta_x_m / row.tau_s for row in rows]
+            smallest_gain = min(row.chi * row.n_photons for row in rows)
+            assert max(ratios) / min(ratios) - 1.0 <= 2.0 / smallest_gain
 
     def test_linear_resolution_scales_as_inverse_sqrt_photons(self):
         rows = run_sweep(GIANT_BASE, [GridSpec("power", 1e5, 1e7, 5, "log")])

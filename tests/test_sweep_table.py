@@ -199,12 +199,12 @@ class TestSweepTable:
     def test_csv_keeps_negative_zero_apart(self):
         rows = [evaluate(dataclasses.replace(GIANT_BASE, sigma=s)) for s in (0.0, -0.0, 0.0)]
         out = io.StringIO()
-        SweepTable.from_rows(rows).write_csv(out)
+        SweepTable.from_rows(rows).write_csv_rows(out)
         lines = out.getvalue().splitlines()
-        assert lines[1:] == [
+        assert lines == [
             ",".join(repr(getattr(r, col)) for col in CSV_COLUMNS) for r in rows
         ]
-        assert [line.split(",")[6] for line in lines[1:]] == ["0.0", "-0.0", "0.0"]
+        assert [line.split(",")[6] for line in lines] == ["0.0", "-0.0", "0.0"]
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
@@ -270,3 +270,8 @@ def test_json_rows_are_the_json_module_layout():
     want = json.dumps({"rows": items}, indent=2, allow_nan=False)
     assert want == '{\n  "rows": [\n' + text + "\n  ]\n}"
     assert "null" in text and "-0.0" in text and "true" in text
+    # a table with no rows writes nothing, in JSON as in CSV
+    for write in (SweepTable.write_json_rows, SweepTable.write_csv_rows):
+        out = io.StringIO()
+        write(SweepTable.from_rows([]), out)
+        assert out.getvalue() == ""
