@@ -3,7 +3,7 @@
 Output is machine-readable (JSON or the fixed-column CSV) with floats
 serialized at full round-trip precision. JSON is strict: inf and NaN are
 null, where the CSV keeps Python's inf and nan. Exit codes: 0 success,
-1 input error, 2 verification failure.
+1 input error or closed output pipe, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import shlex
 import sys
 import time
@@ -483,14 +484,23 @@ def main(argv: Sequence[str] | None = None) -> int:
             "verify": cmd_verify,
             "regimes": cmd_regimes,
         }[args.command]
-        return handler(args, list(argv))
-    except (CliError, ParameterError, TruncationError) as exc:
+        code = handler(args, list(argv))
+        # a reader that closed the pipe early is reported here, not at exit
+        sys.stdout.flush()
+        return code
+    except (CliError, ParameterError, TruncationError, BrokenPipeError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what a closed pipe left buffered goes nowhere, so exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,12 @@ The report is columnar. Each section gives blocks of checks
 an array of errors); the mean section gives one per window, the fixed
 grid and each window of MEAN_WINDOW random draws. Each window gets its
 exact <M> from one `signal_mean_exact` call and its oracle values from
-one `kerr_means` call. A report line, label included, is made by one `%`
-from a block's columns; verdicts (`CheckBlock.passed`, the one rule), the
-failure count and each section's worst error are array operations. One
-`CheckCase` per check is built only when `CrossCheckReport.cases` is read.
+one `kerr_means` call on the one weight table the run builds first (row
+n for n photons, zero-padded to the longest row). A report line, label
+included, is made by one `%` from a block's columns; verdicts
+(`CheckBlock.passed`, the one rule), the failure count and each section's
+worst error are array operations. One `CheckCase` per check is built only
+when `CrossCheckReport.cases` is read.
 """
 
 from __future__ import annotations
@@ -263,29 +265,23 @@ def _mean_settings(
 
 
 def _mean_blocks(
-    windows: Iterator[tuple], dim_margin: int, tolerance: float
+    max_photons: int, count: int, rng: np.random.Generator, dim_margin: int, tolerance: float
 ) -> list[CheckBlock]:
+    # row n: the level weights of n photons, from the one-mode amplitudes of
+    # `_product_input`; fock_dim grows with n, so the last row is the longest
+    top = max(max_photons, 0)
+    table = np.zeros((top + 1, fock_dim(top / 2.0) + dim_margin - 1), dtype=complex)
+    for n, row in enumerate(table):
+        beta = math.sqrt(float(n)) / math.sqrt(2.0)
+        dim = fock_dim(n / 2.0) + dim_margin
+        amps, _ = coherent_amplitudes(beta, dim, budget=DEFAULT_TRUNCATION_BUDGET)
+        row[: dim - 1] = level_weights(amps)
     # one kernel call and one block per window, so the draws take
-    # O(window) memory next to the O(count) errors; each photon number's
-    # level weights, from the one-mode amplitudes of `_product_input`, are
-    # built once per run and kept across windows
-    weights: dict[int, np.ndarray] = {}
+    # O(window) memory next to the O(count) errors
     blocks = []
+    windows = _mean_settings(max_photons, count, rng)
     for ns, chi, phi1, phi2, offset, label_format, label_columns, wants in windows:
-        present, rows = np.unique(ns, return_inverse=True)
-        present = present.tolist()
-        for n in present:
-            if n not in weights:
-                beta = math.sqrt(float(n)) / math.sqrt(2.0)
-                dim = fock_dim(n / 2.0) + dim_margin
-                amps, _ = coherent_amplitudes(beta, dim, budget=DEFAULT_TRUNCATION_BUDGET)
-                weights[n] = level_weights(amps)
-        # fock_dim grows with n, so the largest n has the longest row; zero
-        # padding leaves the values of the others unchanged to the bit
-        table = np.zeros((len(present), len(weights[present[-1]])), dtype=complex)
-        for row, n in zip(table, present):
-            row[: len(weights[n])] = weights[n]
-        got = kerr_means(table, rows, phi1, phi2, chi, offset)
+        got = kerr_means(table, ns, phi1, phi2, chi, offset)
         blocks.append(CheckBlock(
             "mean", tolerance, label_format, label_columns, relative_error(got, wants)
         ))
@@ -406,7 +402,7 @@ def run_crosscheck(
         now = time.perf_counter()
         stages[section], last = now - last, now
 
-    blocks = _mean_blocks(_mean_settings(max_photons, extra_cases, rng), dim_margin, tolerance)
+    blocks = _mean_blocks(max_photons, extra_cases, rng, dim_margin, tolerance)
     lap("mean")
     blocks.append(_identity_block(max_photons, tolerance))
     lap("identity")

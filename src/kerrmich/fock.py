@@ -9,9 +9,10 @@ state). The propagator acts on each arm alone, so a product input stays a
 product: `kerr_means` uses that to get <M> from two single-mode sums per
 setting, each over the phase increments g_j(n+1) - g_j(n) between adjacent
 levels. The increment is linear in n, so each sum is a polynomial in
-r_j = exp(i*phi_j*chi), evaluated by Horner's rule. No approximation
-enters anywhere except the declared basis truncation, which makes this
-module the ground truth the closed-form engine is checked against.
+r_j = exp(i*phi_j*chi), evaluated by Horner's rule in one pass over a
+whole batch of settings. No approximation enters anywhere except the
+declared basis truncation, which makes this module the ground truth the
+closed-form engine is checked against.
 
 Sign convention: the difference photocount is M = i(a2^dag a1 - a1^dag a2),
 so <M> = 2 Im<a1^dag a2>. A deterministic common phase ("offset") rotates
@@ -149,12 +150,6 @@ def level_weights(amps: np.ndarray) -> np.ndarray:
     return np.sqrt(n + 1.0) * np.conj(amps[:-1]) * amps[1:]
 
 
-# Complex entries per block in `kerr_means` (2**14 entries = 256 kB): a
-# block holds as many settings as fit, counting each setting's gathered
-# weights and its two arms' ratio and running sum.
-KERR_BLOCK_ENTRIES = 2**14
-
-
 def kerr_means(
     weights: np.ndarray,
     rows: np.ndarray,
@@ -173,32 +168,26 @@ def kerr_means(
     phi_j*(1 + chi/2) + n*phi_j*chi, so
     <a_j> = exp(i*phi_j*(1 + chi/2)) * sum_n w_n r_j^n with
     r_j = exp(i*phi_j*chi). The polynomial is evaluated by Horner's rule
-    from the top level down: two complex exponentials and d multiply-adds
-    per setting and arm. Entry i equals
+    from the top level down, one pass over all settings: two complex
+    exponentials and d multiply-adds per setting and arm. Entry i equals
     moments(apply_kerr(product, phi1[i], phi2[i], chi[i]), offset[i]).mean_m
     up to rounding, at O(d) work per setting instead of O(d^2). Horner
     carries an exact zero through zero top coefficients and reduces each
     setting on its own (no BLAS), so a setting's value does not depend on
-    the batch it came in or on the padding of its row.
+    the batch it came in or on the padding of its row. A call gathers
+    d x len(rows) complex weights at once, so its batch bounds its memory.
     """
     phi = np.array([phi1, phi2], dtype=float)
     chi, offset = (np.asarray(v, dtype=float) for v in (chi, offset))
-    rows = np.asarray(rows, dtype=np.intp)
-    # level-major, so each Horner step reads one contiguous row of the block
-    levels = np.ascontiguousarray(np.asarray(weights, dtype=complex).T)
-    means = np.empty(len(offset))
-    step = max(1, KERR_BLOCK_ENTRIES // (len(levels) + 4))
-    for lo in range(0, len(offset), step):
-        s = slice(lo, lo + step)
-        w = levels[:, rows[s]]
-        r = np.exp(1j * (phi[:, s] * chi[s]))
-        a = np.zeros_like(r)
-        for w_n in w[::-1]:
-            a *= r
-            a += w_n
-        a *= np.exp(1j * (phi[:, s] * (1.0 + 0.5 * chi[s])))
-        means[s] = 2.0 * (np.exp(1j * offset[s]) * np.conj(a[0]) * a[1]).imag
-    return means
+    # level-major, so each Horner step reads one contiguous row
+    w = np.ascontiguousarray(np.asarray(weights, dtype=complex).T)[:, rows]
+    r = np.exp(1j * (phi * chi))
+    a = np.zeros_like(r)
+    for w_n in w[::-1]:
+        a *= r
+        a += w_n
+    a *= np.exp(1j * (phi * (1.0 + 0.5 * chi)))
+    return 2.0 * (np.exp(1j * offset) * np.conj(a[0]) * a[1]).imag
 
 
 @dataclass(frozen=True)

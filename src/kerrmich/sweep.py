@@ -501,6 +501,9 @@ def sweep_blocks(
     total = math.prod(shape)
     if total > max_rows:
         raise ParameterError(f"sweep would emit {total} rows, cap is {max_rows}")
+    # an axis is built whole, so it is capped even when max_rows is raised
+    if max(shape, default=0) > MAX_ROWS:
+        raise ParameterError(f"a grid has {max(shape)} points, cap is {MAX_ROWS} per axis")
     axes = [np.array(g.values()) for g in grids]
 
     fields = dataclasses.asdict(base)

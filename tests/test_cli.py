@@ -198,6 +198,15 @@ class TestSweep:
             capsys, "sweep", "--regime", "giant-eit", "--max-rows", value
         ) == (1, "", "kerrmich: error: --max-rows must be >= 1\n")
 
+    def test_huge_axis_under_a_raised_row_cap_is_one_clean_error(self, capsys):
+        assert run_cli(
+            capsys,
+            "sweep",
+            "--regime", "giant-eit",
+            "--max-rows", str(10**20),
+            "--grid", f"tau=1e-12:1e-10:{10**17}",
+        ) == (1, "", f"kerrmich: error: a grid has {10**17} points, cap is 1000000 per axis\n")
+
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--regime", "giant-eit", "--grid", "sigma=0:0.1:9")
         code_a, out_a, _ = run_cli(capsys, *args)
@@ -752,3 +761,33 @@ def test_sweep_memory_does_not_grow_with_rows(tmp_path, fmt, rows):
     grids += ("--grid", f"sigma=0:1e-3:{rows // 2500}")
     one_row = _sweep_max_rss_mb(tmp_path, fmt)
     assert _sweep_max_rss_mb(tmp_path, fmt, *grids) - one_row < 25.0
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["verify", "--max-photons", "30", "--cases", "20000"], 1),
+     (["estimate", "--regime", "giant-eit"], 0)],
+)
+def test_closed_stdout_pipe_is_one_clean_error(argv, lines):
+    # the reader takes `lines` lines and closes the pipe (with 0, before the
+    # run starts); the run reports it on one stderr line, and the
+    # interpreter's last flush of the text stdout still holds prints nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmich.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout to a pipe is
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end)
+    if not lines:
+        reader.close()
+    with subprocess.Popen(
+        [sys.executable, "-m", "kerrmich.cli", *argv],
+        env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        os.close(write_end)
+        head = [reader.readline() for _ in range(lines)]
+        reader.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+    assert all(line.startswith("PASS [mean] ") for line in head)
+    assert len(err.splitlines()) == 1
+    assert err.startswith("kerrmich: error: ")
+    assert "Traceback" not in err

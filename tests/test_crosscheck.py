@@ -4,13 +4,15 @@ settings, and the report.
 `kerr_means` writes each arm's <a_j> as exp(i phi_j (1 + chi/2)) times the
 polynomial sum_n w_n r_j^n in r_j = exp(i phi_j chi), with level weights
 w_n = sqrt(n+1) conj(amps[n]) amps[n+1], and evaluates it by Horner's rule
-from the top level down. It must agree with the dense two-mode path,
-moments(apply_kerr(product_input(...))).mean_m, and with a 40-digit sum, to
-1e-14*(1 + N), whatever the batch size and wherever the block boundaries
-fall; and a setting's value must not change by a bit with the batch it
-comes in or with the zero padding of its weights to a longer row. `verify`
-builds each photon number's weights once per run and evaluates a whole
-window of settings in one kernel call. `_mean_settings` yields the fixed
+from the top level down, in one pass over a whole batch. It must agree
+with the dense two-mode path, moments(apply_kerr(product_input(...))).mean_m,
+and with a 40-digit sum, to 1e-14*(1 + N) up to 100 photons whatever the
+batch size, and at 1000 photons near the revival to a bound from Horner's
+rounding, of order d*eps*(1 + N); and a setting's value must not change by
+a bit with the batch it comes in or with the zero padding of its weights
+to a longer row. `verify` builds one table of weights per run, row n for n
+photons zero-padded to the longest row, and evaluates a whole window of
+settings in one kernel call. `_mean_settings` yields the fixed
 grid, then one window of columns per draw of MEAN_WINDOW random settings,
 so draw i depends on the seed and i alone; each stays in its range, passes
 the keep rule and carries its exact mean from its window's one
@@ -62,7 +64,6 @@ from kerrmich.crosscheck import (
 )
 from kerrmich.fock import (
     DEFAULT_TRUNCATION_BUDGET,
-    KERR_BLOCK_ENTRIES,
     apply_kerr,
     coherent_amplitudes,
     fock_dim,
@@ -103,17 +104,6 @@ def assert_matches_dense(n, dim_margin, phi1, phi2, chi, offset):
     assert np.all(np.abs(got - want) <= 1e-14 * (1 + n))
 
 
-@st.composite
-def block_and_batch(draw, dim):
-    """Entries per block, and a batch size of 1 or at or around one or two
-    block boundaries (at most 100); small blocks put boundaries inside
-    small batches. A setting takes dim - 1 weights and four more entries."""
-    entries = draw(st.sampled_from([1, 64, 300, 2**12, KERR_BLOCK_ENTRIES]))
-    step = max(1, entries // (dim + 3))
-    sizes = [k for k in (1, 2, step - 1, step, step + 1, 2 * step + 1) if 1 <= k <= 100]
-    return entries, draw(st.sampled_from(sizes))
-
-
 def settings_for(draw, k):
     def floats(lo, hi):
         return draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
@@ -122,12 +112,11 @@ def settings_for(draw, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(0, 30), dim_margin=st.integers(0, 12))
-def test_product_input_matches_per_case(data, n, dim_margin):
-    entries, k = data.draw(block_and_batch(fock_dim(n / 2.0) + dim_margin))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kerrmich.fock, "KERR_BLOCK_ENTRIES", entries)
-        assert_matches_dense(n, dim_margin, *settings_for(data.draw, k))
+@given(
+    data=st.data(), n=st.integers(0, 30), dim_margin=st.integers(0, 12), k=st.integers(1, 100)
+)
+def test_product_input_matches_per_case(data, n, dim_margin, k):
+    assert_matches_dense(n, dim_margin, *settings_for(data.draw, k))
 
 
 def mp_amplitudes(n, dim):
@@ -175,33 +164,69 @@ def mp_one_mode_mean(n, chi, phi1, phi2, offset, dim):
         return float(2 * mpmath.im(mpmath.expj(mpmath.mpf(offset)) * cross))
 
 
-@pytest.mark.parametrize("n", [1, 9, 25, 30, 100])
-def test_kernel_matches_40_digit_sum(n):
-    # (chi, phi1, phi2, offset): the largest Kerr phases verify draws, one
-    # arm left unshifted, and a default setting; the dense 40-digit sum up
-    # to verify's 30 photons, the one-mode sum beyond
-    cases = [(0.12, 2.5, 2.5, 1.0), (0.12, 2.5, 0.0, -1.0), (0.1, 1.1, 0.9, -0.4)]
+# (chi, phi1, phi2, offset): the largest Kerr phases verify draws, one arm
+# left unshifted, and a default setting
+VERIFY_SETTINGS = [(0.12, 2.5, 2.5, 1.0), (0.12, 2.5, 0.0, -1.0), (0.1, 1.1, 0.9, -0.4)]
+
+
+def near_revival(n, chi=0.1):
+    """Settings with both arms within 1/sqrt(N) of the revival at
+    phi = 2*pi/chi, and a small phi2 - phi1."""
+    phi, step = 2.0 * math.pi / chi, 1.0 / math.sqrt(n)
+    return [
+        (chi, phi + step, phi + step + 1e-3, 0.0),
+        (chi, phi - step, phi - step + 2e-3, 0.5),
+        (chi, phi, phi + 1e-3, -0.3),
+    ]
+
+
+def horner_bound(n, cases):
+    """A first-order bound on |error| / (1 + N) from the kernel's rounding,
+    with u = eps/2 and d levels. Each level is one complex multiply
+    (relative error <= 2*sqrt(2)*u; Higham, Accuracy and Stability of
+    Numerical Algorithms, Lemma 3.5) and one add (<= u). The rounding of
+    phi_j*chi and of exp, <= (|phi_j chi| + 2)*u, turns r_j^n by n times
+    that. With sum_n |w_n| <= sqrt(<n_j>) = sqrt(N/2) (Cauchy-Schwarz),
+    <a_j> is off by at most (2*sqrt(2) + 3 + |phi_j chi|)*d*u*sqrt(N/2), and
+    <M> = 2 Im(... conj(<a_1>) <a_2>) by 4*sqrt(N/2) times that. The outer
+    phases exp(i*phi_j*(1 + chi/2)) and exp(i*offset) and the last products
+    add at most (2*|phi_j|*(1 + chi/2) + 4)*eps*N."""
+    d = fock_dim(n / 2.0)
+    arms = [(chi, phi) for chi, *phis, _ in cases for phi in phis]
+    horner = (2.0 * math.sqrt(2.0) + 3.0 + max(abs(phi * chi) for chi, phi in arms)) * d
+    outer = 2.0 * max(abs(phi) * (1.0 + chi / 2.0) for chi, phi in arms) + 4.0
+    return (horner + outer) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "n, cases, bound",
+    [pytest.param(n, VERIFY_SETTINGS, 1e-14, id=str(n)) for n in (1, 9, 25, 30, 100)]
+    + [pytest.param(1000, near_revival(1000), horner_bound(1000, near_revival(1000)), id="1000")],
+)
+def test_kernel_matches_40_digit_sum(n, cases, bound):
+    # the dense 40-digit sum up to verify's 30 photons, the one-mode sum
+    # beyond; n = 1000 (d = 744) is the scale of a large-N oracle, where the
+    # rounding of r_j^n, which grows with d, passes 1e-14*(1 + N)
     amps = one_mode(n)
     chi, phi1, phi2, offset = zip(*cases)
     got = means(amps, phi1, phi2, chi, offset)
     reference = mp_mean if n <= 30 else mp_one_mode_mean
     for value, (c, p1, p2, o) in zip(got, cases):
-        assert abs(value - reference(n, c, p1, p2, o, len(amps))) <= 1e-14 * (1 + n)
+        assert abs(value - reference(n, c, p1, p2, o, len(amps))) <= bound * (1 + n)
 
 
 @pytest.mark.parametrize("n", [1, 16, 30])
 def test_kernel_value_does_not_depend_on_its_batch(n):
     # each row is reduced on its own, so a setting gets the same bits alone,
-    # inside a batch of 2048, and wherever the KERR_BLOCK_ENTRIES blocks
-    # split that batch (shifting it by one moves every boundary); Horner
+    # inside a batch of 2048 and in that batch shifted by one; Horner
     # carries an exact 0 through zero top weights, so its bits also stay
-    # the same when its row is zero-padded to n = 30's length in a window
-    # that mixes it with n = 30 settings (a pairwise np.sum over the padded
-    # row regroups the terms and moves the last bits for n = 11 to 28)
+    # the same when its row is zero-padded to the longest row of a
+    # 30-photon run, n = 30's, in a window that mixes it with n = 30
+    # settings (a pairwise np.sum over the padded row regroups the terms
+    # and moves the last bits for n = 11 to 28)
     amps = one_mode(n)
     rng = np.random.default_rng(n)
     columns = rng.uniform((0.0, 0.0, 0.0, -1.0), (2.5, 2.5, 0.12, 1.0), size=(2048, 4)).T
-    assert KERR_BLOCK_ENTRIES // (len(amps) + 3) < 2048
     batch = means(amps, *columns)
     alone = [means(amps, *columns[:, i : i + 1])[0] for i in range(2048)]
     assert np.array_equal(batch, alone)
@@ -228,18 +253,26 @@ def test_one_level_basis_has_no_mean():
 
 def test_mean_section_builds_each_photon_numbers_amplitudes_once(monkeypatch):
     # 75 fixed + 4200 random cases over N = 0..30 take at least four
-    # windows (the grid, then one per draw of MEAN_WINDOW), and every window
-    # holds most photon numbers; each is built once per run
-    calls = []
+    # windows (the grid, then one per draw of MEAN_WINDOW); the run builds
+    # one table row per photon number 0..30 before the first window, and
+    # each window makes one kernel call on that table
+    calls, tables = [], []
 
     def spy(beta, dim, budget=None):
         calls.append(beta)
         return coherent_amplitudes(beta, dim, budget)
 
+    def kernel(table, *args):
+        tables.append(table)
+        return kerr_means(table, *args)
+
     monkeypatch.setattr(kerrmich.crosscheck, "coherent_amplitudes", spy)
+    monkeypatch.setattr(kerrmich.crosscheck, "kerr_means", kernel)
     report = run_crosscheck(max_photons=30, seed=7, extra_cases=4200)
     assert sum(c.section == "mean" for c in report.cases) == 75 + 4200
-    assert len(calls) == len(set(calls)) <= 31
+    assert len(calls) == len(set(calls)) == 31
+    assert len(tables) == sum(b.section == "mean" for b in report.blocks) >= 4
+    assert all(table is tables[0] for table in tables)
 
 
 @pytest.mark.parametrize("dim_margin", [0, 7])

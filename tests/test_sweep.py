@@ -15,6 +15,7 @@ from kerrmich.core import (
 )
 from kerrmich.sweep import (
     CSV_COLUMNS,
+    MAX_ROWS,
     GridSpec,
     ParameterSet,
     evaluate,
@@ -131,14 +132,20 @@ class TestRunSweep:
 
     def test_row_cap_checked_before_axes_are_built(self, monkeypatch):
         # a 1e12-point axis would need terabytes: the cap must reject it
-        # from the point counts alone
+        # from the point counts alone; an axis is built whole, so a 1e17-point
+        # one is rejected the same way under a row cap raised above it
         def values(self):
             raise AssertionError("grid axis built before the row cap check")
 
         monkeypatch.setattr(GridSpec, "values", values)
-        blocks = sweep_blocks(GIANT_BASE, [GridSpec("tau", 1e-12, 1e-10, 10**12)])
-        with pytest.raises(ParameterError, match=r"sweep would emit 1000000000000 rows, cap is"):
-            next(blocks)
+        for points, max_rows, message in (
+            (10**12, MAX_ROWS, r"sweep would emit 1000000000000 rows, cap is"),
+            (10**17, 10**20, r"a grid has 100000000000000000 points, cap is 1000000 per axis"),
+        ):
+            grid = GridSpec("tau", 1e-12, 1e-10, points)
+            blocks = sweep_blocks(GIANT_BASE, [grid], max_rows=max_rows)
+            with pytest.raises(ParameterError, match=message):
+                next(blocks)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
