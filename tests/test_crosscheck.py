@@ -169,9 +169,10 @@ def mp_one_mode_mean(n, chi, phi1, phi2, offset, dim):
 VERIFY_SETTINGS = [(0.12, 2.5, 2.5, 1.0), (0.12, 2.5, 0.0, -1.0), (0.1, 1.1, 0.9, -0.4)]
 
 
-def near_revival(n, chi=0.1):
-    """Settings with both arms within 1/sqrt(N) of the revival at
-    phi = 2*pi/chi, and a small phi2 - phi1."""
+def near_revival(n):
+    """Settings at chi = 0.1 with both arms within 1/sqrt(N) of the revival
+    at phi = 2*pi/chi, and a small phi2 - phi1."""
+    chi = 0.1
     phi, step = 2.0 * math.pi / chi, 1.0 / math.sqrt(n)
     return [
         (chi, phi + step, phi + step + 1e-3, 0.0),
