@@ -19,10 +19,10 @@ what they raise, with an arithmetic failure reported as a
 `ParameterError`. So every row is bit for bit the row of the composed
 path, which the tests use as the reference.
 
-`SweepTable.write_csv_rows` and `write_json_rows` format each distinct
-float of a block once, all in one call of `floattext.float_texts`, which
-computes the shortest round-trip digits in NumPy and is byte for byte
-`repr`.
+`SweepTable.write_csv_rows` and `write_json_rows` share one byte writer,
+`_write_rows`, which formats each distinct value of a block once, the
+floats with `floattext.float_texts`: shortest round-trip digits computed
+in NumPy, byte for byte `repr`.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ class SweepTable(Sequence[SweepRow]):
         """One CSV line per row, each value as `repr` of its float."""
         afters = [","] * (len(CSV_COLUMNS) - 1) + ["\n"]
         columns = [self.columns[name] for name in CSV_COLUMNS]
-        _write_row_major(out, _texts(columns, [""] * len(afters), afters))
+        _write_rows(out, columns, [""] * len(afters), afters)
 
     def write_json_rows(self, out: TextIO) -> None:
         """The rows as `json.dumps(..., indent=2)` lays out the items of a
@@ -386,58 +386,95 @@ class SweepTable(Sequence[SweepRow]):
         befores[0] = "    {\n" + befores[0]
         afters = [",\n"] * (len(ROW_FIELDS) - 1) + ["\n    },\n"]
         columns = [self.columns[name] for name in ROW_FIELDS]
-        columns = _texts(columns, befores, afters, nonfinite="null")
-        if len(self):
-            columns[-1][-1] = columns[-1][-1].removesuffix(",\n")
-        _write_row_major(out, columns)
+        _write_rows(out, columns, befores, afters, nonfinite="null", drop_end=",\n")
 
 
-_FLAG_WORDS = np.array(["false", "true"], dtype=object)
+# The words of a flag, NUL-padded to one width.
+_FLAG_TEXTS = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
 
-
-def _texts(
-    columns: list[np.ndarray], befores: list[str], afters: list[str], nonfinite: str | None = None
-) -> list[np.ndarray]:
-    """before + text + after for every value of each column, as object
-    arrays of str: a float as `repr`, or as nonfinite if given and the
-    float is inf or NaN, and a flag as false or true. Each distinct value
-    of a column is formatted once, and the distinct floats of all columns
-    in one `float_texts` call. Values are told apart by their bits, so
-    -0.0 is not 0.0."""
-    from .floattext import float_texts  # only the writers load the formatter
-
-    distinct = [np.unique(col.view(f"u{col.itemsize}"), return_inverse=True) for col in columns]
-    floats = [bits for bits, _ in distinct if bits.dtype == np.uint64]
-    floats = np.concatenate(floats).view(np.float64)
-    texts = float_texts(floats)
-    if nonfinite is not None:
-        texts.view("S24")[~np.isfinite(floats)] = nonfinite
-    result, lo = [], 0
-    for before, after in zip(befores, afters):
-        bits, inverse = distinct.pop(0)  # so each column's inverse is freed once used
-        if bits.dtype == np.uint64:
-            # NumPy makes str of UCS-4 code points faster than of ASCII bytes
-            words = texts[lo : lo + len(bits)].astype(np.uint32).view("U24")[:, 0].astype(object)
-            lo += len(bits)
-        else:
-            words = _FLAG_WORDS[bits]
-        result.append((before + words + after)[inverse])
-    return result
-
-
-# Rows of text joined and written at once, a quarter of a block. Joining
-# and writing a whole block at once made glibc's malloc hand a few MB of
-# heap back to the system after each block and fault it in again for the
-# next: on a 2-core Linux VM, 16k page faults per 1e5 CSV rows against 3k
-# in pieces of 1024, and ~5% of the run time.
+# Rows of text gathered and written at once, a quarter of a block, so a
+# piece's buffers stay near 1 MB even for JSON rows. Writing whole blocks
+# at once made glibc's malloc hand a few MB of heap back to the system
+# after each block and fault it in again for the next (measured with an
+# earlier str-joining writer on a 2-core Linux VM: 16k page faults per 1e5
+# CSV rows against 3k in pieces of 1024, and ~5% of the run time).
 WRITE_ROWS = 1024
 
 
-def _write_row_major(out: TextIO, columns: list[np.ndarray]) -> None:
-    """Write the strings of equal-length columns row by row."""
-    for lo in range(0, len(columns[0]), WRITE_ROWS):
-        piece = np.stack([col[lo : lo + WRITE_ROWS] for col in columns], axis=1)
-        out.write("".join(piece.ravel().tolist()))
+def _write_rows(
+    out: TextIO,
+    columns: list[np.ndarray],
+    befores: list[str],
+    afters: list[str],
+    nonfinite: str | None = None,
+    drop_end: str = "",
+) -> None:
+    """Write before + text + after for every value of equal-length
+    columns, row by row, with drop_end cut from the end of the last row.
+
+    A float is written as `repr`, or as nonfinite if given and the float
+    is inf or NaN, and a flag as false or true. Values are told apart by
+    their bits, so -0.0 is not 0.0. A column of one value is formatted
+    once and joins the fixed text between the other columns. Each other
+    column becomes a table with one byte row per distinct value: the
+    fixed text before it, the text NUL-padded to one width, then its
+    after. The distinct floats of all columns are formatted in one
+    `float_texts` call. WRITE_ROWS rows at a time are gathered from the
+    tables into one buffer, which is written with its NULs deleted.
+    """
+    from .floattext import float_texts  # only the writers load the formatter
+
+    n = len(columns[0])
+    if not n:
+        return
+    distinct = []
+    for col in columns:
+        bits = col.view(f"u{col.itemsize}")
+        if (bits == bits[0]).all():
+            distinct.append((bits[:1], None))
+        else:
+            distinct.append(np.unique(bits, return_inverse=True))
+    floats = np.concatenate([bits for bits, _ in distinct if bits.dtype == np.uint64])
+    floats = floats.view(np.float64)
+    texts = float_texts(floats)
+    if nonfinite is not None:
+        texts.view("S24")[~np.isfinite(floats)] = nonfinite
+
+    tables, inverses, fixed, lo = [], [], b"", 0
+    for (bits, inverse), before, after in zip(distinct, befores, afters):
+        if bits.dtype == np.uint64:
+            words = texts[lo : lo + len(bits)]
+            lo += len(bits)
+        else:
+            words = _FLAG_TEXTS[bits]
+        head, tail = fixed + before.encode(), after.encode()
+        if inverse is None:
+            fixed = head + words[0].tobytes().rstrip(b"\0") + tail
+            continue
+        start, end = len(head), len(head) + words.shape[1]
+        table = np.empty((len(words), end + len(tail)), dtype=np.uint8)
+        table[:, :start] = np.frombuffer(head, dtype=np.uint8)
+        table[:, start:end] = words
+        table[:, end:] = np.frombuffer(tail, dtype=np.uint8)
+        tables.append(table.view(f"V{table.shape[1]}")[:, 0])
+        inverses.append(inverse)
+        fixed = b""
+
+    width = sum(table.itemsize for table in tables) + len(fixed)
+    buffer = np.empty((min(n, WRITE_ROWS), width), dtype=np.uint8)
+    buffer[:, width - len(fixed) :] = np.frombuffer(fixed, dtype=np.uint8)
+    slots, start = [], 0
+    for table in tables:
+        slots.append(buffer[:, start : start + table.itemsize].view(table.dtype)[:, 0])
+        start += table.itemsize
+    for lo in range(0, n, WRITE_ROWS):
+        piece = buffer[: n - lo]
+        for table, inverse, slot in zip(tables, inverses, slots):
+            # mode="clip" writes straight into out, where "raise" would
+            # buffer; every inverse index is in range
+            np.take(table, inverse[lo : lo + len(piece)], out=slot[: len(piece)], mode="clip")
+        text = piece.tobytes().translate(None, b"\0").decode("ascii")
+        out.write(text if lo + len(piece) < n else text.removesuffix(drop_end))
 
 
 class SweepStats:

@@ -77,6 +77,28 @@ class TestSignalMeanExact:
             assert abs(v) <= 1000.0
 
 
+    @pytest.mark.parametrize("n", [1e4, 1e6])
+    @pytest.mark.parametrize("scaled_detuning", [0.3, 1.0, 3.0])
+    def test_revival_envelope_is_exp_of_sin_squared(self, n, scaled_detuning):
+        # both arms detuned by delta from the revival at z = pi, around a
+        # small signal phase s: z_j = pi + delta -/+ s chi / 4
+        chi, offset = 1e3 / n, 0.5 * math.pi
+        s = 1e-3 / (chi * n)
+        delta = scaled_detuning / math.sqrt(n)
+
+        def mean(delta):
+            z1, z2 = (math.pi + delta - s * chi / 4, math.pi + delta + s * chi / 4)
+            return signal_mean_exact(n, chi, 2.0 * z1 / chi, 2.0 * z2 / chi, offset)
+
+        ratio = mean(delta) / mean(0.0)
+        assert ratio / math.exp(-2.0 * n * math.sin(delta) ** 2) == pytest.approx(1.0, abs=1e-8)
+        # exp(-2 N delta^2) falls short by exp((2/3) N delta^4) - 1, as
+        # sin^2 delta = delta^2 - delta^4/3 + ...: 5.4e-3 at N = 1e4 and
+        # sqrt(N) delta = 3
+        excess = ratio / math.exp(-2.0 * n * delta**2) - 1.0
+        assert excess == pytest.approx(2.0 / 3.0 * n * delta**4, rel=1e-2, abs=1e-8)
+
+
 class TestSignalMeanGaussian:
     def test_no_signal_no_mean(self):
         assert signal_mean(1e4, 1e-3, 1e7, 0.0) == 0.0
@@ -237,6 +259,42 @@ class TestResolution:
         lo = displacement_resolution(n, chi, 1.0)
         hi = displacement_resolution(n * (1.0 + factor), chi, 1.0)
         assert hi < lo
+
+
+def coherent_generator_variance(mu, c):
+    """Var(n + c n^2) for n Poisson of mean mu, in closed form."""
+    return mu + 2.0 * c * (2.0 * mu**2 + mu) + c**2 * (4.0 * mu**3 + 6.0 * mu**2 + mu)
+
+
+class TestQuantumBound:
+    """The paper's resolution against the quantum Cramer-Rao bound of a
+    coherent probe. A shift x moves the arm phases by -/+ k x / 2, so the
+    generator is G = (k/2)[(n2 + chi n2^2/2) - (n1 + chi n1^2/2)], and for
+    two coherent modes of mean N/2 each F_Q = 4 Var(G) = 2 k^2 V(N/2, chi/2)."""
+
+    @pytest.mark.parametrize("mu, c", [(12.5, 0.05), (3.0, 0.3)])
+    def test_variance_matches_poisson_sum(self, mu, c):
+        ns = range(int(mu + 40.0 * math.sqrt(mu) + 40.0))
+        weights = [math.exp(n * math.log(mu) - mu - math.lgamma(n + 1.0)) for n in ns]
+        values = [n + c * n * n for n in ns]
+        mean = math.fsum(w * v for w, v in zip(weights, values))
+        variance = math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, values))
+        assert coherent_generator_variance(mu, c) == pytest.approx(variance, rel=1e-12)
+
+    @pytest.mark.parametrize("preset", [GIANT, NATURAL], ids=["giant-eit", "natural"])
+    def test_presets_reach_the_bound_at_ideal_detection(self, preset):
+        d = preset.derived()
+        report = sensitivity_report(
+            d, GeometrySpec(operating_arm_length(d)), NoiseSpec(1.0, 0.0, 0.0)
+        )
+        fisher = 2.0 * d.wavenumber**2 * coherent_generator_variance(0.5 * d.photons, 0.5 * d.chi)
+        assert abs(report.delta_x * math.sqrt(fisher) - 1.0) <= 1e-12
+
+    def test_few_photons_fall_short_of_the_bound(self):
+        n, chi, k = 25.0, 0.1, 1.0
+        fisher = 2.0 * k**2 * coherent_generator_variance(0.5 * n, 0.5 * chi)
+        ratio = displacement_resolution(n, chi, k) * math.sqrt(fisher)
+        assert round(ratio, 4) == 1.0282
 
 
 class TestImprovement:

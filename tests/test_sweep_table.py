@@ -12,13 +12,17 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import kerrmich.sweep
 from kerrmich.sweep import (
     CSV_COLUMNS,
+    FLAG_FIELDS,
     GRID_PARAMETERS,
+    ROW_FIELDS,
+    WRITE_ROWS,
     GridSpec,
     ParameterSet,
     SweepStats,
@@ -274,4 +278,69 @@ def test_json_rows_are_the_json_module_layout():
     for write in (SweepTable.write_json_rows, SweepTable.write_csv_rows):
         out = io.StringIO()
         write(SweepTable.from_rows([]), out)
+        assert out.getvalue() == ""
+
+
+# Floats whose texts stress the writer: both zeros, the non-finite values,
+# subnormals and the widest texts, 24 bytes of repr.
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.225073858507201e-308,
+    -1.2345678901234567e-308, 1.7976931348623157e308, 1e16, 1e-05, 0.1, -1.0,
+]
+
+
+@st.composite
+def tables(draw):
+    """A SweepTable of 0, 1, 2, WRITE_ROWS or WRITE_ROWS + 1 rows, all of
+    whose columns may be constant. Otherwise each float column is constant,
+    or draws its rows from a few values, from both zeros, or from random
+    float64 bit patterns, and each flag column is constant or not."""
+    rows = draw(st.sampled_from([0, 1, 2, WRITE_ROWS, WRITE_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.integers(0, 3), min_size=len(ROW_FIELDS), max_size=len(ROW_FIELDS)))
+    if draw(st.booleans()):
+        kinds = [0] * len(ROW_FIELDS)
+    columns = {}
+    for name, kind in zip(ROW_FIELDS, kinds):
+        if name in FLAG_FIELDS:
+            pool = rng.permutation([False, True])
+        elif kind == 3:
+            columns[name] = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+            continue
+        elif kind == 2:
+            pool = np.array([0.0, -0.0])
+        else:
+            random_bits = rng.integers(0, 2**64, 4, dtype=np.uint64).view(np.float64)
+            pool = np.where(rng.random(4) < 0.5, rng.choice(SPECIAL_FLOATS, 4), random_bits)
+        if kind == 0:
+            pool = pool[:1]
+        columns[name] = pool[rng.integers(0, len(pool), rows)]
+    return SweepTable(columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_csv_rows_are_repr_joined(table):
+    out = io.StringIO()
+    table.write_csv_rows(out)
+    columns = [table.columns[name].tolist() for name in CSV_COLUMNS]
+    want = "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+    assert out.getvalue() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_json_rows_are_the_json_module_layout_for_any_table(table):
+    out = io.StringIO()
+    table.write_json_rows(out)
+    columns = [table.columns[name].tolist() for name in ROW_FIELDS]
+    items = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v
+         for k, v in zip(ROW_FIELDS, row)}
+        for row in zip(*columns)
+    ]
+    want = json.dumps({"rows": items}, indent=2, allow_nan=False)
+    if items:
+        assert '{\n  "rows": [\n' + out.getvalue() + "\n  ]\n}" == want
+    else:
         assert out.getvalue() == ""
