@@ -7,9 +7,14 @@ its own inputs, and grid endpoints are echoed exactly as given, so a sweep
 is reproducible byte for byte.
 
 `sweep_blocks` computes a grid as NumPy columns (`_kernel`), one block
-of CSV_CHUNK_ROWS rows at a time so that memory does not grow with the
-row count, and `evaluate` one design point as plain floats, both with
-the operations of `derive` and `sensitivity_report` in the same order.
+of at most CSV_CHUNK_ROWS rows at a time so that memory does not grow
+with the row count, and `evaluate` one design point as plain floats, both
+with the operations of `derive` and `sensitivity_report` in the same
+order. A block is a box of the grid in C order, and each of its columns
+is computed and stored at the shape of the grid axes it depends on. On
+a tau x power x sigma grid that is a constant once, chi once per tau, N
+once per (tau, power), and only delta_x, the improvement and the
+dominance margin once per row.
 Each computes only the points it can vouch for: those that pass every
 spec check with finite inputs, derived values and resolutions, where the
 composed path cannot raise; a validity margin may come out inf or NaN,
@@ -20,7 +25,7 @@ what they raise, with an arithmetic failure reported as a
 path, which the tests use as the reference.
 
 `SweepTable.write_csv_rows` and `write_json_rows` share one byte writer,
-`_write_rows`, which formats each distinct value of a block once, the
+`_write_rows`, which formats each stored value of a block once, the
 floats with `floattext.float_texts`: shortest round-trip digits computed
 in NumPy, byte for byte `repr`.
 """
@@ -28,6 +33,7 @@ in NumPy, byte for byte `repr`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
@@ -91,10 +97,13 @@ CSV_COLUMNS = (
 )
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
-# Rows per block: a sweep is evaluated, formatted and written this many
-# rows at a time. Blocks of 4096 rows were as fast as larger ones and keep
-# a block's columns and texts to a few MB.
-CSV_CHUNK_ROWS = 4096
+# Rows per block, at most: a sweep is evaluated, formatted and written one
+# box of the grid at a time (see `_boxes`). On a 50 x 50 x 40 grid, boxes
+# of 8000 rows ran a CSV sweep ~25% faster than boxes of 4000, which made
+# glibc's malloc fault in ~2.5x as many heap pages (medians of five runs
+# of bench/run.py on a 2-core Linux VM); a block's columns and texts stay
+# at a few MB.
+CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -321,14 +330,24 @@ def _make_row(values: Iterable) -> SweepRow:
 
 
 class SweepTable(Sequence[SweepRow]):
-    """The rows of a sweep, stored as one NumPy column per SweepRow field.
+    """The rows of a sweep, one column per SweepRow field.
 
-    A SweepRow is built only when a row is indexed; `write_csv_rows`,
-    `write_json_rows` and `validity_failures` read the columns directly.
+    The rows lie in C order over `shape`. A column is an array that
+    broadcasts to `shape`, so it holds one value per point of the grid
+    axes it depends on, or a pair (values, index) of 1-D arrays, where
+    row i holds values[index[i]]. A table of 1-D columns has the shape
+    (rows,). A SweepRow is built only when a row is indexed;
+    `write_csv_rows`, `write_json_rows` and `validity_failures` read the
+    columns as they are stored.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray]) -> None:
-        self.columns = columns
+    def __init__(
+        self,
+        columns: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
+        shape: tuple[int, ...] | None = None,
+    ) -> None:
+        self.stored = columns
+        self.shape = (len(columns["tau_s"]),) if shape is None else tuple(shape)
 
     @classmethod
     def from_rows(cls, rows: Iterable[SweepRow]) -> "SweepTable":
@@ -346,11 +365,24 @@ class SweepTable(Sequence[SweepRow]):
         """The rows of the tables, one after another."""
         tables = list(tables)
         return cls({
-            name: np.concatenate([t.columns[name] for t in tables]) for name in ROW_FIELDS
+            name: np.concatenate([t.column(name) for t in tables]) for name in ROW_FIELDS
         })
 
+    def column(self, name: str) -> np.ndarray:
+        """The values of one field, one per row."""
+        column = self.stored[name]
+        if isinstance(column, tuple):
+            values, index = column
+            return values[index]
+        return np.broadcast_to(column, self.shape).reshape(-1)
+
+    @functools.cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every field as a 1-D column."""
+        return {name: self.column(name) for name in ROW_FIELDS}
+
     def __len__(self) -> int:
-        return len(self.columns["tau_s"])
+        return math.prod(self.shape)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -365,13 +397,14 @@ class SweepTable(Sequence[SweepRow]):
 
     def validity_failures(self) -> dict[str, int]:
         """Number of rows failing each of the five validity conditions."""
-        return {name: len(self) - int(self.columns[name].sum()) for name in FLAG_FIELDS}
+        return {
+            name: len(self) - int(np.count_nonzero(self.column(name))) for name in FLAG_FIELDS
+        }
 
     def write_csv_rows(self, out: TextIO) -> None:
         """One CSV line per row, each value as `repr` of its float."""
         afters = [","] * (len(CSV_COLUMNS) - 1) + ["\n"]
-        columns = [self.columns[name] for name in CSV_COLUMNS]
-        _write_rows(out, columns, [""] * len(afters), afters)
+        _write_rows(out, self, CSV_COLUMNS, [""] * len(afters), afters)
 
     def write_json_rows(self, out: TextIO) -> None:
         """The rows as `json.dumps(..., indent=2)` lays out the items of a
@@ -385,8 +418,7 @@ class SweepTable(Sequence[SweepRow]):
         befores = [f'      "{name}": ' for name in ROW_FIELDS]
         befores[0] = "    {\n" + befores[0]
         afters = [",\n"] * (len(ROW_FIELDS) - 1) + ["\n    },\n"]
-        columns = [self.columns[name] for name in ROW_FIELDS]
-        _write_rows(out, columns, befores, afters, nonfinite="null", drop_end=",\n")
+        _write_rows(out, self, ROW_FIELDS, befores, afters, nonfinite="null", drop_end=",\n")
 
 
 # The words of a flag, NUL-padded to one width.
@@ -403,52 +435,59 @@ WRITE_ROWS = 1024
 
 def _write_rows(
     out: TextIO,
-    columns: list[np.ndarray],
+    table: SweepTable,
+    names: Sequence[str],
     befores: list[str],
     afters: list[str],
     nonfinite: str | None = None,
     drop_end: str = "",
 ) -> None:
-    """Write before + text + after for every value of equal-length
-    columns, row by row, with drop_end cut from the end of the last row.
+    """Write before + text + after for the value of every named column of
+    the table, row by row, with drop_end cut from the end of the last row.
 
     A float is written as `repr`, or as nonfinite if given and the float
     is inf or NaN, and a flag as false or true. Values are told apart by
-    their bits, so -0.0 is not 0.0. A column of one value is formatted
-    once and joins the fixed text between the other columns. Each other
-    column becomes a table with one byte row per distinct value: the
-    fixed text before it, the text NUL-padded to one width, then its
-    after. The distinct floats of all columns are formatted in one
+    their bits, so -0.0 is not 0.0. A column that holds one value is
+    formatted once and joins the fixed text between the other columns.
+    Each other column's stored values become a table with one byte row
+    per value: the fixed text before it, the text NUL-padded to one
+    width, then its after. The floats of all columns are formatted in one
     `float_texts` call. WRITE_ROWS rows at a time are gathered from the
-    tables into one buffer, which is written with its NULs deleted.
+    tables into one buffer, which is written with its NULs deleted: a
+    column with one value per row, in row order, is copied straight; any
+    other column is gathered by its row index, its own for a (values,
+    index) pair and the broadcast positions of its values otherwise.
     """
     from .floattext import float_texts  # only the writers load the formatter
 
-    n = len(columns[0])
+    n = len(table)
     if not n:
         return
-    distinct = []
-    for col in columns:
-        bits = col.view(f"u{col.itemsize}")
+    parts = []
+    for name in names:
+        column = table.stored[name]
+        values, index = column if isinstance(column, tuple) else (np.asarray(column), None)
+        bits = values.reshape(-1).view(f"u{values.itemsize}")
         if (bits == bits[0]).all():
-            distinct.append((bits[:1], None))
-        else:
-            distinct.append(np.unique(bits, return_inverse=True))
-    floats = np.concatenate([bits for bits, _ in distinct if bits.dtype == np.uint64])
+            bits, index = bits[:1], None
+        elif index is None and len(bits) < n:
+            index = _positions(values, table.shape)
+        parts.append((bits, index))
+    floats = np.concatenate([bits for bits, _ in parts if bits.dtype == np.uint64])
     floats = floats.view(np.float64)
     texts = float_texts(floats)
     if nonfinite is not None:
         texts.view("S24")[~np.isfinite(floats)] = nonfinite
 
-    tables, inverses, fixed, lo = [], [], b"", 0
-    for (bits, inverse), before, after in zip(distinct, befores, afters):
+    tables, indexes, fixed, lo = [], [], b"", 0
+    for (bits, index), before, after in zip(parts, befores, afters):
         if bits.dtype == np.uint64:
             words = texts[lo : lo + len(bits)]
             lo += len(bits)
         else:
             words = _FLAG_TEXTS[bits]
         head, tail = fixed + before.encode(), after.encode()
-        if inverse is None:
+        if len(bits) == 1:
             fixed = head + words[0].tobytes().rstrip(b"\0") + tail
             continue
         start, end = len(head), len(head) + words.shape[1]
@@ -457,7 +496,7 @@ def _write_rows(
         table[:, start:end] = words
         table[:, end:] = np.frombuffer(tail, dtype=np.uint8)
         tables.append(table.view(f"V{table.shape[1]}")[:, 0])
-        inverses.append(inverse)
+        indexes.append(index)
         fixed = b""
 
     width = sum(table.itemsize for table in tables) + len(fixed)
@@ -469,12 +508,21 @@ def _write_rows(
         start += table.itemsize
     for lo in range(0, n, WRITE_ROWS):
         piece = buffer[: n - lo]
-        for table, inverse, slot in zip(tables, inverses, slots):
-            # mode="clip" writes straight into out, where "raise" would
-            # buffer; every inverse index is in range
-            np.take(table, inverse[lo : lo + len(piece)], out=slot[: len(piece)], mode="clip")
+        for table, index, slot in zip(tables, indexes, slots):
+            if index is None:
+                slot[: len(piece)] = table[lo : lo + len(piece)]
+            else:
+                # mode="clip" writes straight into out, where "raise"
+                # would buffer; every index is in range
+                np.take(table, index[lo : lo + len(piece)], out=slot[: len(piece)], mode="clip")
         text = piece.tobytes().translate(None, b"\0").decode("ascii")
         out.write(text if lo + len(piece) < n else text.removesuffix(drop_end))
+
+
+def _positions(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """For each row of a box of the shape, in C order, the position of its
+    value among the values, which broadcast to the shape, laid out flat."""
+    return np.broadcast_to(np.arange(values.size).reshape(values.shape), shape).flatten()
 
 
 class SweepStats:
@@ -516,17 +564,21 @@ def sweep_blocks(
     max_rows: int = MAX_ROWS,
     stats: SweepStats | None = None,
 ) -> Iterator[SweepTable]:
-    """The rows of the sweep, CSV_CHUNK_ROWS at a time (the last block may
-    be shorter), so memory does not grow with the row count.
+    """The rows of the sweep as blocks of at most CSV_CHUNK_ROWS rows, so
+    memory does not grow with the row count.
 
     Row order is lexicographic in the grid indices with the first grid
-    varying slowest. No grids means a single row at the base point.
+    varying slowest. No grids means a single row at the base point. Each
+    block is a box of the grid (see `_boxes`), and its columns are
+    computed by `_kernel` on the shapes of the axes they depend on.
 
     Rows the column kernel cannot vouch for (see `_kernel`) are recomputed
     by `_evaluate_reference` in row order, so the first one that raises
     raises exactly what a row-by-row loop of `evaluate` would, once the
-    blocks before its own have been yielded. Each block is added to
-    stats, when given, before it is yielded.
+    blocks before its own have been yielded. Where such a row's value
+    differs in its bits from the kernel's, it is appended to the column's
+    own values, and a row index points every row at its value. Each block
+    is added to stats, when given, before it is yielded.
     """
     _check_threshold(threshold)
     if len(grids) > 3:
@@ -543,36 +595,76 @@ def sweep_blocks(
         raise ParameterError(f"a grid has {max(shape)} points, cap is {MAX_ROWS} per axis")
     axes = [np.array(g.values()) for g in grids]
 
-    fields = dataclasses.asdict(base)
-    for lo in range(0, total, CSV_CHUNK_ROWS):
-        hi = min(lo + CSV_CHUNK_ROWS, total)
-        index = np.unravel_index(np.arange(lo, hi), shape) if shape else ()
-        swept = {name: axis[i] for name, axis, i in zip(names, axes, index)}
-        inputs = {
-            name: swept[name] if name in swept else np.full(hi - lo, value, dtype=np.float64)
-            for name, value in fields.items()
-            if value is not None or name in swept
-        }
+    constants = {
+        name: np.float64(value)
+        for name, value in dataclasses.asdict(base).items()
+        if value is not None and name not in names
+    }
+    lo = 0
+    for box in _boxes(axes):
         start = time.perf_counter()
-        columns, clean = _kernel(inputs, threshold)
+        columns, clean = _kernel({**constants, **dict(zip(names, box))}, threshold)
         kernel_end = time.perf_counter()
         unclean = np.flatnonzero(~clean).tolist()
-        for i in unclean:
-            point = dataclasses.replace(base, **{name: float(swept[name][i]) for name in names})
-            row = _evaluate_reference(point, threshold)
-            for name, col in columns.items():
-                col[i] = getattr(row, name)
-        block = SweepTable(columns)
+        if unclean:
+            at = np.unravel_index(np.add(unclean, lo), shape) if shape else ()
+            swept = [axis[j].tolist() for axis, j in zip(axes, at)]
+            rows = [
+                _evaluate_reference(
+                    dataclasses.replace(base, **{name: v[k] for name, v in zip(names, swept)}),
+                    threshold,
+                )
+                for k in range(len(unclean))
+            ]
+            for name, values in columns.items():
+                values = np.asarray(values)
+                fallback = np.array([getattr(row, name) for row in rows], dtype=values.dtype)
+                kernel = np.broadcast_to(values, clean.shape).flat[unclean]
+                bits = f"u{values.itemsize}"
+                differ = np.flatnonzero(kernel.view(bits) != fallback.view(bits))
+                if not len(differ):
+                    continue
+                index = _positions(values, clean.shape)
+                index[np.take(unclean, differ)] = np.arange(values.size, values.size + len(differ))
+                columns[name] = (np.concatenate([values.reshape(-1), fallback[differ]]), index)
+        block = SweepTable(columns, clean.shape)
+        lo += len(block)
         if stats is not None:
             stats.add(block, len(unclean), kernel_end - start, time.perf_counter() - kernel_end)
         yield block
 
 
+def _boxes(axes: list[np.ndarray]) -> Iterator[list[np.ndarray]]:
+    """The grid of the axes in C order, as boxes of at most CSV_CHUNK_ROWS
+    rows: the values of each axis in a box, shaped to broadcast against
+    the others. A box fixes the leading axes, each to one value, takes a
+    range of the split axis, the first whose trailing axes fit in a block,
+    and takes every trailing axis whole. No axes make one box of one row.
+    """
+    if not axes:
+        yield []
+        return
+    shape = [len(axis) for axis in axes]
+    split = next(a for a in range(len(axes)) if math.prod(shape[a + 1 :]) <= CSV_CHUNK_ROWS)
+    step = CSV_CHUNK_ROWS // math.prod(shape[split + 1 :])
+    # axis j varies along dimension j - split of a box
+    shaped = [axis.reshape(-1, *[1] * (len(axes) - 1 - j)) for j, axis in enumerate(axes)]
+    for lead in np.ndindex(*shape[:split]):
+        fixed = [axis[i] for axis, i in zip(axes, lead)]
+        for start in range(0, shape[split], step):
+            yield [*fixed, shaped[split][start : start + step], *shaped[split + 1 :]]
+
+
 def _kernel(
     p: dict[str, np.ndarray], threshold: float
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """SweepRow columns for the ParameterSet columns p, and the mask of
+    """SweepRow columns for the ParameterSet values p, and the mask of
     clean rows.
+
+    The values in p broadcast against each other: a constant is 0-d and
+    each swept axis lies along its own dimension, so every column comes
+    out at the shape of the axes it depends on, and the mask at the shape
+    of them all.
 
     Each expression repeats the one in `derive`, `operating_arm_length`
     and `sensitivity_report` term for term: + - * / and sqrt are correctly
@@ -619,7 +711,7 @@ def _kernel(
         margins = (
             chi * n * k * np.abs(signal),
             np.where(nt == 0.0, 0.0, nt / n),
-            sigma.copy(),
+            sigma,
             np.abs(detuning) / math.pi,
             np.where(nl_noise == 0.0, 0.0, np.where(gain_sq == 0.0, math.inf, nl_noise / gain_sq)),
         )
@@ -632,7 +724,7 @@ def _kernel(
         )
         for col in (*p.values(), arm, omega, n, chi, k, turns,
                     delta_x, delta_x_linear, improvement):
-            clean &= np.isfinite(col)
+            clean = clean & np.isfinite(col)
 
     columns = (
         tau, area, power, n2, wl, eta, sigma, nt, arm, signal,

@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import kerrmich.floattext
 import kerrmich.sweep
 from kerrmich.sweep import (
     CSV_COLUMNS,
@@ -156,6 +157,9 @@ def test_squares_round_like_python_power(base, sigma, parameter):
         # square, which `analytic._ratio` makes inf
         (dict(wavelength=1e-7, n2=0.0, eta=1e-200, power=4e-132),
          GridSpec("sigma", 1e160, 1e170, 2, "log")),
+        # a dark input of power -0.0: the kernel's resolutions are NaN where
+        # the composed path's are inf, so the fallback's values replace them
+        (dict(power=-0.0), GridSpec("nt", 0.0, 10.0, 3)),
     ],
 )
 def test_edge_rows_match_evaluate(changes, grid):
@@ -234,7 +238,8 @@ def test_blocks_and_their_stats(monkeypatch):
     grids = [GridSpec("power", 0.0, 1e6, 3), GridSpec("sigma", 0.0, 0.02, 3)]
     stats = SweepStats()
     blocks = list(sweep_blocks(GIANT_BASE, grids, stats=stats))
-    assert [len(b) for b in blocks] == [4, 4, 1]
+    # a block is a box: one power at a time, since two would make 6 rows
+    assert [len(b) for b in blocks] == [3, 3, 3]
     table = run_sweep(GIANT_BASE, grids)
     assert SweepTable.concat(blocks) == table
     assert stats.rows == 9
@@ -242,6 +247,104 @@ def test_blocks_and_their_stats(monkeypatch):
     # the dark input is the one power the kernel leaves to the fallback
     assert stats.fallback_rows == 3
     assert stats.kernel_s >= 0.0 and stats.fallback_s >= 0.0
+
+
+@st.composite
+def boxed_sweeps(draw):
+    """Up to three grids over power (from 0, so some rows are dark and go
+    to the fallback), sigma and tau, and a block size of 1..64 rows. Half
+    the draws put the block size one below, at, or one above the length
+    of the trailing axes from some axis on, the last axis alone included.
+    """
+    names = draw(st.permutations(["power", "sigma", "tau"]))
+    shape = draw(st.lists(st.integers(2, 9), max_size=3))
+    trailing = [math.prod(shape[j:]) for j in range(len(shape))]
+    if trailing and draw(st.booleans()):
+        rows = draw(st.sampled_from(trailing)) + draw(st.integers(-1, 1))
+        rows = min(max(rows, 1), 64)
+    else:
+        rows = draw(st.integers(1, 64))
+    bounds = {"power": (0.0, 1e7), "sigma": (0.0, 1e-3), "tau": (1e-11, 1e-9)}
+    grids = [GridSpec(name, *bounds[name], points) for name, points in zip(names, shape)]
+    return grids, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_sweeps())
+# an axis longer than a block, then trailing axes of 15 rows just above,
+# at and just below the block size
+@example(([GridSpec("sigma", 0.0, 1e-3, 9)], 4))
+@example(([GridSpec("power", 0.0, 1e7, 3), GridSpec("sigma", 0.0, 1e-3, 3),
+           GridSpec("tau", 1e-11, 1e-9, 5)], 14))
+@example(([GridSpec("power", 0.0, 1e7, 3), GridSpec("sigma", 0.0, 1e-3, 3),
+           GridSpec("tau", 1e-11, 1e-9, 5)], 15))
+@example(([GridSpec("power", 0.0, 1e7, 3), GridSpec("sigma", 0.0, 1e-3, 3),
+           GridSpec("tau", 1e-11, 1e-9, 5)], 16))
+def test_blocks_are_boxes_of_the_grid(sweep):
+    grids, rows = sweep
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", rows)
+        blocks = list(sweep_blocks(GIANT_BASE, grids))
+    assert all(0 < len(block) <= rows for block in blocks)
+    # every row once, in row order
+    got = SweepTable.concat(blocks)
+    points = list(itertools.product(*(g.values() for g in grids)))
+    assert len(got) == len(points)
+    for g, column in zip(grids, zip(*points)):
+        swept = got.column(kerrmich.sweep.GRID_COLUMNS[g.parameter])
+        assert swept.tolist() == list(column)
+    want = reference(GIANT_BASE, grids, 1e-2)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert bits(g) == bits(w), i
+    out = io.StringIO()
+    for block in blocks:
+        block.write_csv_rows(out)
+    flat = io.StringIO()
+    SweepTable.from_rows(want).write_csv_rows(flat)
+    assert out.getvalue() == flat.getvalue()
+
+
+# The sweep axes each CSV column depends on, on giant-eit with the arm on
+# its operating point and no signal.
+CSV_AXES = {
+    "tau_s": "t", "area_m2": "", "power_w": "p", "n2_m2_per_w": "", "wavelength_m": "",
+    "eta": "", "sigma": "s", "nt": "", "n_photons": "tp", "chi": "t", "k_per_m": "",
+    "delta_x_m": "tps", "delta_x_linear_m": "tp", "improvement": "tps",
+    "margin_small_signal": "tp", "margin_thermal": "tp", "margin_dephasing": "s",
+    "margin_operating_point": "t", "margin_nl_dominant": "tps",
+}
+
+
+def test_fallback_rows_keep_dedupe(monkeypatch):
+    # power 0 on the middle axis: every block holds dark rows, which the
+    # kernel leaves to the fallback
+    grids = [GridSpec("tau", 1e-11, 1e-9, 50, "log"), GridSpec("power", 0.0, 1e7, 50),
+             GridSpec("sigma", 0.0, 1e-3, 40)]
+    formatted = []
+    float_texts = kerrmich.floattext.float_texts
+
+    def counting(values):
+        formatted.append(len(values))
+        return float_texts(values)
+
+    monkeypatch.setattr(kerrmich.floattext, "float_texts", counting)
+    assert list(CSV_AXES) == list(CSV_COLUMNS)
+    stats = SweepStats()
+    fallback_rows = 0
+    for block in sweep_blocks(GIANT_BASE, grids, stats=stats):
+        fallback = stats.fallback_rows - fallback_rows
+        fallback_rows = stats.fallback_rows
+        assert fallback > 0
+        extent = {
+            axis: len(np.unique(block.column(name)))
+            for axis, name in (("t", "tau_s"), ("p", "power_w"), ("s", "sigma"))
+        }
+        own = {name: math.prod(extent[axis] for axis in axes) for name, axes in CSV_AXES.items()}
+        block.write_csv_rows(io.StringIO())
+        assert formatted.pop() <= sum(count + fallback for count in own.values())
+        assert not formatted
+    assert stats.rows == 100_000
+    assert stats.fallback_rows == 2000
 
 
 def test_linear_medium_rows_need_no_fallback():
