@@ -33,7 +33,6 @@ in NumPy, byte for byte `repr`.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
@@ -102,7 +101,10 @@ CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 # of 8000 rows ran a CSV sweep ~25% faster than boxes of 4000, which made
 # glibc's malloc fault in ~2.5x as many heap pages (medians of five runs
 # of bench/run.py on a 2-core Linux VM); a block's columns and texts stay
-# at a few MB.
+# at a few MB. A box holds more than half a block: trailing axes of just
+# over half, as on a 100 x 50 x 82 grid, give boxes of 4100 rows, which
+# faulted ~2.6x as many pages but swept as fast as runs of 4096 rows cut
+# from the flat grid (1.23 s against 1.25 s, medians of 24 runs).
 CSV_CHUNK_ROWS = 8192
 
 
@@ -332,21 +334,15 @@ def _make_row(values: Iterable) -> SweepRow:
 class SweepTable(Sequence[SweepRow]):
     """The rows of a sweep, one column per SweepRow field.
 
-    The rows lie in C order over `shape`. A column is an array that
+    The rows lie in C order over `shape`. Each column is an array that
     broadcasts to `shape`, so it holds one value per point of the grid
-    axes it depends on, or a pair (values, index) of 1-D arrays, where
-    row i holds values[index[i]]. A table of 1-D columns has the shape
-    (rows,). A SweepRow is built only when a row is indexed;
-    `write_csv_rows`, `write_json_rows` and `validity_failures` read the
-    columns as they are stored.
+    axes it depends on. A table of 1-D columns has the shape (rows,). A
+    SweepRow is built only when a row is indexed; `write_csv_rows` and
+    `write_json_rows` read the columns as they are stored.
     """
 
-    def __init__(
-        self,
-        columns: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
-        shape: tuple[int, ...] | None = None,
-    ) -> None:
-        self.stored = columns
+    def __init__(self, columns: dict[str, np.ndarray], shape: tuple[int, ...] | None = None) -> None:
+        self.columns = columns
         self.shape = (len(columns["tau_s"]),) if shape is None else tuple(shape)
 
     @classmethod
@@ -370,16 +366,7 @@ class SweepTable(Sequence[SweepRow]):
 
     def column(self, name: str) -> np.ndarray:
         """The values of one field, one per row."""
-        column = self.stored[name]
-        if isinstance(column, tuple):
-            values, index = column
-            return values[index]
-        return np.broadcast_to(column, self.shape).reshape(-1)
-
-    @functools.cached_property
-    def columns(self) -> dict[str, np.ndarray]:
-        """Every field as a 1-D column."""
-        return {name: self.column(name) for name in ROW_FIELDS}
+        return np.broadcast_to(self.columns[name], self.shape).reshape(-1)
 
     def __len__(self) -> int:
         return math.prod(self.shape)
@@ -387,8 +374,10 @@ class SweepTable(Sequence[SweepRow]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]
-        return _make_row([self.columns[name][i].item() for name in ROW_FIELDS])
+        at = np.unravel_index(range(len(self))[index], self.shape)
+        return _make_row([
+            np.broadcast_to(self.columns[name], self.shape)[at].item() for name in ROW_FIELDS
+        ])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (SweepTable, list)):
@@ -454,9 +443,8 @@ def _write_rows(
     width, then its after. The floats of all columns are formatted in one
     `float_texts` call. WRITE_ROWS rows at a time are gathered from the
     tables into one buffer, which is written with its NULs deleted: a
-    column with one value per row, in row order, is copied straight; any
-    other column is gathered by its row index, its own for a (values,
-    index) pair and the broadcast positions of its values otherwise.
+    column with one value per row is copied straight, and any other is
+    gathered by the broadcast positions of its values.
     """
     from .floattext import float_texts  # only the writers load the formatter
 
@@ -465,14 +453,12 @@ def _write_rows(
         return
     parts = []
     for name in names:
-        column = table.stored[name]
-        values, index = column if isinstance(column, tuple) else (np.asarray(column), None)
+        values = np.asarray(table.columns[name])
         bits = values.reshape(-1).view(f"u{values.itemsize}")
         if (bits == bits[0]).all():
-            bits, index = bits[:1], None
-        elif index is None and len(bits) < n:
-            index = _positions(values, table.shape)
-        parts.append((bits, index))
+            parts.append((bits[:1], None))
+        else:
+            parts.append((bits, _positions(values, table.shape) if len(bits) < n else None))
     floats = np.concatenate([bits for bits, _ in parts if bits.dtype == np.uint64])
     floats = floats.view(np.float64)
     texts = float_texts(floats)
@@ -575,10 +561,10 @@ def sweep_blocks(
     Rows the column kernel cannot vouch for (see `_kernel`) are recomputed
     by `_evaluate_reference` in row order, so the first one that raises
     raises exactly what a row-by-row loop of `evaluate` would, once the
-    blocks before its own have been yielded. Where such a row's value
-    differs in its bits from the kernel's, it is appended to the column's
-    own values, and a row index points every row at its value. Each block
-    is added to stats, when given, before it is yielded.
+    blocks before its own have been yielded. A column in which such a
+    row's value differs in its bits from the kernel's is widened to the
+    block's full shape to hold it. Each block is added to stats, when
+    given, before it is yielded.
     """
     _check_threshold(threshold)
     if len(grids) > 3:
@@ -617,16 +603,13 @@ def sweep_blocks(
                 for k in range(len(unclean))
             ]
             for name, values in columns.items():
-                values = np.asarray(values)
+                values = np.broadcast_to(values, clean.shape)
                 fallback = np.array([getattr(row, name) for row in rows], dtype=values.dtype)
-                kernel = np.broadcast_to(values, clean.shape).flat[unclean]
                 bits = f"u{values.itemsize}"
-                differ = np.flatnonzero(kernel.view(bits) != fallback.view(bits))
-                if not len(differ):
-                    continue
-                index = _positions(values, clean.shape)
-                index[np.take(unclean, differ)] = np.arange(values.size, values.size + len(differ))
-                columns[name] = (np.concatenate([values.reshape(-1), fallback[differ]]), index)
+                differ = values.flat[unclean].view(bits) != fallback.view(bits)
+                if differ.any():
+                    columns[name] = values.copy()
+                    columns[name].flat[np.compress(differ, unclean)] = fallback[differ]
         block = SweepTable(columns, clean.shape)
         lo += len(block)
         if stats is not None:

@@ -426,7 +426,7 @@ def tables(draw):
 def test_csv_rows_are_repr_joined(table):
     out = io.StringIO()
     table.write_csv_rows(out)
-    columns = [table.columns[name].tolist() for name in CSV_COLUMNS]
+    columns = [table.column(name).tolist() for name in CSV_COLUMNS]
     want = "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
     assert out.getvalue() == want
 
@@ -436,7 +436,7 @@ def test_csv_rows_are_repr_joined(table):
 def test_json_rows_are_the_json_module_layout_for_any_table(table):
     out = io.StringIO()
     table.write_json_rows(out)
-    columns = [table.columns[name].tolist() for name in ROW_FIELDS]
+    columns = [table.column(name).tolist() for name in ROW_FIELDS]
     items = [
         {k: None if isinstance(v, float) and not math.isfinite(v) else v
          for k, v in zip(ROW_FIELDS, row)}
