@@ -10,11 +10,13 @@ is reproducible byte for byte.
 of at most CSV_CHUNK_ROWS rows at a time so that memory does not grow
 with the row count, and `evaluate` one design point as plain floats, both
 with the operations of `derive` and `sensitivity_report` in the same
-order. A block is a box of the grid in C order, and each of its columns
-is computed and stored at the shape of the grid axes it depends on. On
-a tau x power x sigma grid that is a constant once, chi once per tau, N
-once per (tau, power), and only delta_x, the improvement and the
-dominance margin once per row.
+order. A row is a `SweepRow`, a NamedTuple of the ROW_FIELDS: `evaluate`
+builds it as one tuple, and a block keeps its rows as columns. A block
+is a box of the grid in C order, and each of its columns is computed
+and stored at the shape of the grid axes it depends on. On a tau x
+power x sigma grid that is a constant once, chi once per tau, N once
+per (tau, power), and only delta_x, the improvement and the dominance
+margin once per row.
 Each computes only the points it can vouch for: those that pass every
 spec check with finite inputs, derived values and resolutions, where the
 composed path cannot raise; a validity margin may come out inf or NaN,
@@ -37,7 +39,7 @@ import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -179,9 +181,13 @@ class ParameterSet:
         )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """All inputs of one design point plus everything derived from them."""
+class SweepRow(NamedTuple):
+    """All inputs of one design point plus everything derived from them.
+
+    A NamedTuple: immutable, hashable and equal field by field, with
+    `row._asdict()` for a dict of its fields and `row._replace(...)` for
+    a copy with some of them changed.
+    """
 
     tau_s: float
     area_m2: float
@@ -212,7 +218,7 @@ class SweepRow:
 
 
 def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
-    """One design point through the closed-form engine.
+    """One design point through the closed-form engine, as one SweepRow.
 
     The scalar twin of `_kernel`: straight-line float arithmetic that
     repeats `derive`, `operating_arm_length` and `sensitivity_report` term
@@ -271,7 +277,8 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
         clean = False
     if not clean:
         return _evaluate_reference(params, threshold)
-    return _make_row((
+    # `SweepRow._make` less its classmethod call and length check
+    return tuple.__new__(SweepRow, (
         tau, area, power, n2, wl, eta, sigma, nt, arm, signal,
         n, chi, k, delta_x, delta_x_linear, improvement,
         margin_small_signal, margin_thermal, sigma,
@@ -304,7 +311,7 @@ def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepR
     except (ArithmeticError, ValueError) as exc:
         raise ParameterError(f"design cannot be evaluated: {type(exc).__name__}: {exc}") from exc
     checks = [getattr(report.validity, name) for name in FLAG_FIELDS]
-    return _make_row((
+    return SweepRow._make((
         p.tau, p.area, p.power, p.n2, p.wavelength, p.eta, p.sigma, p.nt, arm, p.signal_x,
         derived.photons, derived.chi, derived.wavenumber,
         report.delta_x, report.delta_x_linear, report.improvement,
@@ -312,7 +319,7 @@ def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepR
     ))
 
 
-ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
+ROW_FIELDS = SweepRow._fields
 MARGIN_FIELDS = tuple(name for name in ROW_FIELDS if name.startswith("margin_"))
 FLAG_FIELDS = tuple(f.name for f in dataclasses.fields(ValidityFlags))
 
@@ -322,22 +329,14 @@ def _check_threshold(threshold: float) -> None:
         raise ParameterError(f"threshold must be finite and > 0, got {threshold!r}")
 
 
-def _make_row(values: Iterable) -> SweepRow:
-    """A SweepRow of the field values in ROW_FIELDS order. Filling the
-    instance dict directly skips the frozen `__init__`, which sets every
-    field through `object.__setattr__`; the row is the same frozen value."""
-    row = object.__new__(SweepRow)
-    row.__dict__.update(zip(ROW_FIELDS, values))
-    return row
-
-
 class SweepTable(Sequence[SweepRow]):
     """The rows of a sweep, one column per SweepRow field.
 
     The rows lie in C order over `shape`. Each column is an array that
     broadcasts to `shape`, so it holds one value per point of the grid
     axes it depends on. A table of 1-D columns has the shape (rows,). A
-    SweepRow is built only when a row is indexed; `write_csv_rows` and
+    SweepRow, one tuple, is built only when a row is indexed; `from_rows`
+    transposes its rows to columns in one `zip`, and `write_csv_rows` and
     `write_json_rows` read the columns as they are stored.
     """
 
@@ -347,13 +346,10 @@ class SweepTable(Sequence[SweepRow]):
 
     @classmethod
     def from_rows(cls, rows: Iterable[SweepRow]) -> "SweepTable":
-        rows = list(rows)
+        columns = list(zip(*rows)) or [()] * len(ROW_FIELDS)
         return cls({
-            name: np.array(
-                [getattr(r, name) for r in rows],
-                dtype=bool if name in FLAG_FIELDS else np.float64,
-            )
-            for name in ROW_FIELDS
+            name: np.array(values, dtype=bool if name in FLAG_FIELDS else np.float64)
+            for name, values in zip(ROW_FIELDS, columns)
         })
 
     @classmethod
@@ -375,9 +371,9 @@ class SweepTable(Sequence[SweepRow]):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         at = np.unravel_index(range(len(self))[index], self.shape)
-        return _make_row([
+        return SweepRow._make(
             np.broadcast_to(self.columns[name], self.shape)[at].item() for name in ROW_FIELDS
-        ])
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (SweepTable, list)):
@@ -602,9 +598,9 @@ def sweep_blocks(
                 )
                 for k in range(len(unclean))
             ]
-            for name, values in columns.items():
-                values = np.broadcast_to(values, clean.shape)
-                fallback = np.array([getattr(row, name) for row in rows], dtype=values.dtype)
+            for name, fallback in zip(ROW_FIELDS, zip(*rows)):
+                values = np.broadcast_to(columns[name], clean.shape)
+                fallback = np.array(fallback, dtype=values.dtype)
                 bits = f"u{values.itemsize}"
                 differ = values.flat[unclean].view(bits) != fallback.view(bits)
                 if differ.any():

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrmich.sweep as sweep
-from kerrmich.sweep import ParameterSet, SweepRow, _evaluate_reference, evaluate
+from kerrmich.sweep import (
+    ROW_FIELDS,
+    ParameterSet,
+    SweepRow,
+    _evaluate_reference,
+    evaluate,
+    run_sweep,
+)
 from test_sweep_table import TYPICAL, bits, number
 
 GIANT_BASE = ParameterSet.from_preset("giant-eit")
@@ -182,12 +189,16 @@ def test_clean_preset_designs_never_fall_back(fallbacks):
     assert fallbacks == []
 
 
-def test_rows_stay_frozen_dataclasses():
+def test_rows_are_frozen_named_tuples():
     row = evaluate(GIANT_BASE)
     want = _evaluate_reference(GIANT_BASE)
     assert type(row) is SweepRow
     assert row == want and hash(row) == hash(want)
-    assert dataclasses.asdict(row) == dataclasses.asdict(want)
-    assert dataclasses.replace(row, eta=0.5) == dataclasses.replace(want, eta=0.5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert row._asdict() == want._asdict()
+    assert tuple(row._asdict()) == ROW_FIELDS
+    assert row._replace(eta=0.5) == want._replace(eta=0.5)
+    with pytest.raises(AttributeError):
         row.eta = 0.5
+    assert not hasattr(row, "__dict__")
+    table = run_sweep(GIANT_BASE)
+    assert type(table[0]) is SweepRow and table[0] == row

@@ -41,7 +41,7 @@ NATURAL_BASE = ParameterSet.from_preset("natural")
 def bits(row):
     """Type and repr of every field: repr tells every pair of floats apart
     by their bits, -0.0 from 0.0 included, and prints every NaN as nan."""
-    return [(type(v), repr(v)) for v in dataclasses.astuple(row)]
+    return [(type(v), repr(v)) for v in tuple(row)]
 
 
 def reference(base, grids, threshold):
@@ -215,6 +215,26 @@ class TestSweepTable:
         assert [line.split(",")[6] for line in lines] == ["0.0", "-0.0", "0.0"]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(designs(), max_size=6))
+def test_from_rows_makes_one_array_per_field(points):
+    rows = []
+    for base, _, threshold in points:
+        try:
+            rows.append(evaluate(base, threshold))
+        except (ArithmeticError, ValueError):
+            pass
+    table = SweepTable.from_rows(rows)
+    assert table.shape == (len(rows),)
+    for name in ROW_FIELDS:
+        want = np.array(
+            [getattr(row, name) for row in rows],
+            dtype=bool if name in FLAG_FIELDS else np.float64,
+        )
+        got = table.columns[name]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
 @pytest.mark.parametrize(
     "changes, grids",
@@ -371,8 +391,11 @@ def test_json_rows_are_the_json_module_layout():
     text = out.getvalue()
     # strict JSON: the infinite resolutions of the dark input are null
     items = [
-        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
-        for row in map(dataclasses.asdict, rows)
+        {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in row._asdict().items()
+        }
+        for row in rows
     ]
     want = json.dumps({"rows": items}, indent=2, allow_nan=False)
     assert want == '{\n  "rows": [\n' + text + "\n  ]\n}"
