@@ -19,8 +19,6 @@ from .analytic import (
     sensitivity_report,
     signal_mean,
     signal_mean_exact,
-    signal_mean_linear,
-    signal_slope,
     signal_variance,
     validity,
 )

@@ -2,10 +2,11 @@
 
 The probe is a coherent pulse of N photons split over the two arms of a
 Michelson interferometer filled with a Kerr medium, and the readout is the
-difference photocount M between the output ports. Three descriptions of
-<M> are provided, from exact to linearized, together with the variance of
-M at the balance point and the resolution this noise-to-signal ratio
-implies for an anti-symmetric arm-length change x.
+difference photocount M between the output ports. Two descriptions of
+<M> are provided, the exact one and its dephasing-averaged small-signal
+form, together with the variance of M at the balance point and the
+resolution this noise-to-signal ratio implies for an anti-symmetric
+arm-length change x.
 
 Everything here is a pure function of floats (`signal_mean_exact` also of
 arrays); none of it is restricted to photon numbers a simulator could
@@ -93,19 +94,6 @@ def signal_mean(
     gauss = math.exp(-0.125 * n_photons * (chi * k * x) ** 2)
     deph = math.exp(-0.5 * sigma * sigma)
     return eta * n_photons * gauss * deph * math.sin(k * x * (1.0 + 0.5 * chi * n_photons))
-
-
-def signal_mean_linear(
-    n_photons: float, chi: float, k: float, x: float, eta: float = 1.0
-) -> float:
-    """Linearized signal eta*N*k*x*(1 + chi*N/2); its x-derivative is the
-    denominator of the noise-to-signal resolution."""
-    return eta * n_photons * k * x * (1.0 + 0.5 * chi * n_photons)
-
-
-def signal_slope(n_photons: float, chi: float, k: float, eta: float = 1.0) -> float:
-    """d<M>/dx of the linearized signal at x = 0: eta*N*k*(1 + chi*N/2)."""
-    return eta * n_photons * k * (1.0 + 0.5 * chi * n_photons)
 
 
 def signal_variance(
@@ -294,8 +282,8 @@ def validity(
 class SensitivityReport:
     """Resolution of the interferometer and of its linear counterpart.
 
-    delta_x is computed by `displacement_resolution`, which equals
-    sqrt(signal_variance)/signal_slope algebraically;
+    delta_x is computed by `displacement_resolution`, which is algebraically
+    sqrt(signal_variance) over the slope d<M>/dx = eta*N*k*(1 + chi*N/2) at x = 0;
     improvement is the ratio delta_x/delta_x_linear, <= 1 whenever the
     linear scheme sees the same noise floor.
     """

@@ -3,7 +3,7 @@
 Output is machine-readable (JSON or the fixed-column CSV) with floats
 serialized at full round-trip precision. JSON is strict: inf and NaN are
 null, where the CSV keeps Python's inf and nan. Exit codes: 0 success,
-1 input error or closed output pipe, 2 verification failure.
+1 input error or unwritable output (a closed pipe too), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
-from .core import ParameterError, get_preset
+from .core import ParameterError, kerr_cm2
 from .crosscheck import MAX_CASES, MAX_DIM_MARGIN, run_crosscheck
 from .fock import TruncationError
 from .sweep import (
@@ -66,34 +66,33 @@ def parse_n2(text: str) -> float:
     if t.endswith("/w"):
         t = t[: -len("/w")]
     if t.endswith("cm2"):
-        scale, t = 1e-4, t[: -len("cm2")]
+        to_si, t = kerr_cm2, t[: -len("cm2")]
     elif t.endswith("m2"):
-        scale, t = 1.0, t[: -len("m2")]
+        to_si, t = float, t[: -len("m2")]
     else:
-        scale = 1e-4
+        to_si = kerr_cm2
     try:
         value = float(t)
     except ValueError:
         raise CliError(f"cannot parse Kerr coefficient {text!r}") from None
-    return value * scale
+    return to_si(value)
 
 
 def parse_grid(text: str) -> GridSpec:
-    """Grid flag of the form name=lo:hi:points[:spacing]."""
+    """Grid flag name=lo:hi:points[:spacing]; lo and hi read as name's flag does."""
     try:
         name, rest = text.split("=", 1)
         parts = rest.split(":")
         if len(parts) not in (3, 4):
             raise ValueError
-        lo, hi = float(parts[0]), float(parts[1])
+        parse = DESIGN_FLAGS[name][1] if name in DESIGN_FLAGS else float
+        lo, hi = parse(parts[0]), parse(parts[1])
         points = int(parts[2])
         spacing = parts[3] if len(parts) == 4 else "linear"
     except ValueError:
         raise CliError(
             f"malformed grid {text!r}; expected name=lo:hi:points[:linear|log]"
         ) from None
-    if name == "n2":
-        lo, hi = parse_n2(parts[0]), parse_n2(parts[1])
     return GridSpec(parameter=name, lo=lo, hi=hi, points=points, spacing=spacing)
 
 
@@ -425,19 +424,13 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _report_payload(report: RegimeReport) -> dict:
-    preset = get_preset(report.name)
+    inputs = dataclasses.asdict(ParameterSet.from_preset(report.name))
     return {
         "name": report.name,
         "inputs": {
-            "wavelength_m": preset.pulse.wavelength,
-            "tau_s": preset.pulse.duration,
-            "area_m2": preset.pulse.cross_section,
-            "power_w": preset.pulse.power,
-            "n2_m2_per_w": preset.medium.kerr_coefficient,
-            "n0": preset.medium.linear_index,
-            "eta": preset.noise.efficiency,
-            "sigma": preset.noise.phase_sigma,
-            "nt": preset.noise.thermal_photons,
+            GRID_COLUMNS.get(name, name): value
+            for name, value in inputs.items()
+            if name not in ("arm_length", "signal_x")
         },
         "derived": {
             "n_photons": report.row.n_photons,
@@ -488,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a reader that closed the pipe early is reported here, not at exit
         sys.stdout.flush()
         return code
-    except (CliError, ParameterError, TruncationError, BrokenPipeError) as exc:
+    except (CliError, ParameterError, TruncationError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -181,6 +181,27 @@ class TestSweep:
         assert code == 1
         assert "malformed grid" in err
 
+    @pytest.mark.parametrize("unit", ["cm2", "cm2/W", "cm^2/W"])
+    def test_grid_n2_takes_the_units_of_the_n2_flag(self, capsys, unit):
+        sweep = ("sweep", "--regime", "giant-eit", "--grid")
+        bare = run_cli(capsys, *sweep, "n2=1e-3:1e-2:5:log")
+        assert bare[0] == 0
+        assert run_cli(capsys, *sweep, f"n2=1e-3{unit}:1e-2{unit}:5:log") == bare
+
+    def test_grid_n2_in_si_echoes_its_endpoints_exactly(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--regime", "giant-eit", "--grid", "n2=1e-21m2:1e-20m2:3"
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")]
+        n2 = rows[0].index("n2_m2_per_w")
+        assert [rows[1][n2], rows[-1][n2]] == [repr(1e-21), repr(1e-20)]
+
+    def test_unparsable_grid_n2_is_one_clean_error(self, capsys):
+        assert run_cli(
+            capsys, "sweep", "--regime", "giant-eit", "--grid", "n2=abc:1:3"
+        ) == (1, "", "kerrmich: error: cannot parse Kerr coefficient 'abc'\n")
+
     def test_row_cap(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -761,6 +782,22 @@ def test_sweep_memory_does_not_grow_with_rows(tmp_path, fmt, rows):
     grids += ("--grid", f"sigma=0:1e-3:{rows // 2500}")
     one_row = _sweep_max_rss_mb(tmp_path, fmt)
     assert _sweep_max_rss_mb(tmp_path, fmt, *grids) - one_row < 25.0
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/x"])
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--regime", "giant-eit"], ["sweep", "--regime", "giant-eit"],
+     ["regimes"], ["verify", "--max-photons", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_one_clean_error(capsys, tmp_path, argv, target):
+    (tmp_path / "dir").mkdir()
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("kerrmich: error: [Errno ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 @pytest.mark.parametrize(
