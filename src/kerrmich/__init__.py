@@ -31,8 +31,8 @@ from .core import (
     MediumSpec,
     NoiseSpec,
     ParameterError,
+    ParameterSet,
     PulseSpec,
-    RegimePreset,
     derive,
     get_preset,
     kerr_cm2,
@@ -56,7 +56,6 @@ from .fock import (
 from .sweep import (
     CSV_COLUMNS,
     GridSpec,
-    ParameterSet,
     RegimeReport,
     SweepRow,
     SweepStats,

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
-from .core import ParameterError, kerr_cm2
+from .core import ParameterError, ParameterSet, get_preset, kerr_cm2
 from .crosscheck import MAX_CASES, MAX_DIM_MARGIN, run_crosscheck
 from .fock import TruncationError
 from .sweep import (
@@ -32,7 +32,6 @@ from .sweep import (
     MARGIN_FIELDS,
     MAX_ROWS,
     GridSpec,
-    ParameterSet,
     RegimeReport,
     SweepRow,
     SweepStats,
@@ -97,7 +96,7 @@ def parse_grid(text: str) -> GridSpec:
 
 
 # Each ParameterSet field's flag, type and help. The fields without a
-# default are required unless --regime supplies them.
+# default are required unless --regime or a --grid over them supplies them.
 DESIGN_FLAGS = {
     "wavelength": ("--wavelength", float, "vacuum wavelength (m)"),
     "tau": ("--tau", float, "pulse duration (s)"),
@@ -214,7 +213,7 @@ def _params_from_args(args: argparse.Namespace) -> ParameterSet:
         name: value for name in DESIGN_FLAGS if (value := getattr(args, name)) is not None
     }
     if args.regime:
-        return dataclasses.replace(ParameterSet.from_preset(args.regime), **overrides)
+        return dataclasses.replace(get_preset(args.regime), **overrides)
     missing = [DESIGN_FLAGS[name][0] for name in REQUIRED_FIELDS if name not in overrides]
     if missing:
         raise CliError(
@@ -256,7 +255,12 @@ def _emit_stream(
         return
     with output.open("w") as f:
         write(f)
-    _write_sidecar(output, manifest)
+    try:
+        _write_sidecar(output, manifest)
+    except OSError:
+        # a run that exits 1 leaves no data file behind
+        output.unlink()
+        raise
 
 
 def _emit_json(obj: dict, output: Path | None, manifest: dict | None) -> None:
@@ -312,8 +316,14 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if args.max_rows < 1:
         raise CliError("--max-rows must be >= 1")
-    params = _params_from_args(args)
     grids = [parse_grid(g) for g in args.grid]
+    for g in grids:
+        if getattr(args, g.parameter) is not None:
+            raise CliError(f"give {DESIGN_FLAGS[g.parameter][0]} or --grid {g.parameter}, not both")
+    if not args.regime:
+        # a swept field needs no flag: the base design takes the grid's lo
+        vars(args).update({g.parameter: g.lo for g in grids})
+    params = _params_from_args(args)
     if args.format != "json":
         for g in grids:
             column = GRID_COLUMNS[g.parameter]
@@ -424,7 +434,7 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def _report_payload(report: RegimeReport) -> dict:
-    inputs = dataclasses.asdict(ParameterSet.from_preset(report.name))
+    inputs = dataclasses.asdict(get_preset(report.name))
     return {
         "name": report.name,
         "inputs": {

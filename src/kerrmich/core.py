@@ -4,6 +4,9 @@ Everything is SI internally (meters, seconds, watts). The only unit
 convenience is `kerr_cm2`, which converts the cm^2/W values customary in
 the nonlinear-optics literature into m^2/W.
 
+A design is one flat `ParameterSet`, as is each built-in preset; its
+`pulse`, `medium` and `noise` build the checked specs `derive` takes.
+
 All types are frozen dataclasses and all functions are pure, so the module
 is safe to use from any number of threads or worker processes.
 """
@@ -172,43 +175,52 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class RegimePreset:
-    """A named, fully-specified operating regime."""
+class ParameterSet:
+    """A complete design, flat and in SI units.
 
-    name: str
-    pulse: PulseSpec
-    medium: MediumSpec
-    noise: NoiseSpec
+    arm_length None means "the shortest arm length on the operating point
+    for m = 1", falling back to 1 m when the medium is linear and the
+    operating condition holds for any length. `pulse`, `medium` and
+    `noise` build the checked specs from the fields, and raise
+    `ParameterError` for a field out of range.
+    """
 
-    def derived(self) -> KerrDerived:
-        return derive(self.pulse, self.medium)
+    wavelength: float
+    tau: float
+    area: float
+    power: float
+    n2: float
+    n0: float = 1.0
+    eta: float = 1.0
+    sigma: float = 0.0
+    nt: float = 0.0
+    arm_length: float | None = None
+    signal_x: float = 0.0
+
+    @property
+    def pulse(self) -> PulseSpec:
+        return PulseSpec(self.wavelength, self.tau, self.area, self.power)
+
+    @property
+    def medium(self) -> MediumSpec:
+        return MediumSpec(self.n0, self.n2)
+
+    @property
+    def noise(self) -> NoiseSpec:
+        return NoiseSpec(self.eta, self.sigma, self.nt)
 
 
-PRESETS: dict[str, RegimePreset] = {
+PRESETS: dict[str, ParameterSet] = {
     # Natural gas-phase nonlinearity driven hard: 1 ps, 1 PW pulses focused
     # to 1e-9 m^2, n2 = 1e-17 cm^2/W.
-    "natural": RegimePreset(
-        name="natural",
-        pulse=PulseSpec(
-            wavelength=500e-9, duration=1e-12, cross_section=1e-9, power=1e15
-        ),
-        medium=MediumSpec(linear_index=1.0, kerr_coefficient=kerr_cm2(1e-17)),
-        noise=NoiseSpec(efficiency=1.0, phase_sigma=0.0, thermal_photons=0.0),
-    ),
+    "natural": ParameterSet(wavelength=500e-9, tau=1e-12, area=1e-9, power=1e15, n2=kerr_cm2(1e-17)),
     # Giant nonlinearity from electromagnetically induced transparency:
     # 100 ps, 1 MW pulses over 1e-6 m^2, n2 = 1e-2 cm^2/W.
-    "giant-eit": RegimePreset(
-        name="giant-eit",
-        pulse=PulseSpec(
-            wavelength=500e-9, duration=1e-10, cross_section=1e-6, power=1e6
-        ),
-        medium=MediumSpec(linear_index=1.0, kerr_coefficient=kerr_cm2(1e-2)),
-        noise=NoiseSpec(efficiency=1.0, phase_sigma=0.0, thermal_photons=0.0),
-    ),
+    "giant-eit": ParameterSet(wavelength=500e-9, tau=1e-10, area=1e-6, power=1e6, n2=kerr_cm2(1e-2)),
 }
 
 
-def get_preset(name: str) -> RegimePreset:
+def get_preset(name: str) -> ParameterSet:
     try:
         return PRESETS[name]
     except KeyError:

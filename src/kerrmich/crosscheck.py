@@ -76,8 +76,9 @@ MC_SIGMA_BAND = 3.0
 # Random mean settings drawn at a time; the kept ones are evaluated in
 # one kernel call.
 MEAN_WINDOW = 2048
-# Largest basis enlargement a run accepts: every section builds arrays of
-# fock_dim + dim_margin levels (squared in the dense sections).
+# Largest basis enlargement a run accepts: the mean, identity, variance and
+# noise sections build arrays of fock_dim + dim_margin levels (squared in
+# the dense sections).
 MAX_DIM_MARGIN = 100
 # Most random mean cases a run accepts (the sweep's MAX_ROWS): the report
 # keeps one error per case.
@@ -288,10 +289,11 @@ def _mean_blocks(
     return blocks
 
 
-def _identity_block(max_photons: int, tolerance: float) -> CheckBlock:
+def _identity_block(max_photons: int, dim_margin: int, tolerance: float) -> CheckBlock:
     mus = tuple(mu for mu in (0.5, 2.0, 5.0, 10.0) if mu <= max(max_photons, 0))
     checks = [
-        (f"|beta|^2={mu} z={z:.4f}", coherent_identity_residual(math.sqrt(mu), float(z)))
+        (f"|beta|^2={mu} z={z:.4f}",
+         coherent_identity_residual(math.sqrt(mu), float(z), fock_dim(mu) + dim_margin))
         for mu in mus or (0.0,)
         for z in np.linspace(0.0, math.pi, 7)
     ]
@@ -404,7 +406,7 @@ def run_crosscheck(
 
     blocks = _mean_blocks(max_photons, extra_cases, rng, dim_margin, tolerance)
     lap("mean")
-    blocks.append(_identity_block(max_photons, tolerance))
+    blocks.append(_identity_block(max_photons, dim_margin, tolerance))
     lap("identity")
     blocks.append(_variance_block(max_photons, dim_margin, tolerance))
     lap("variance")

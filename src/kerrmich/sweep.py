@@ -1,10 +1,11 @@
 """Deterministic grid sweeps over the design space.
 
 A sweep is the Cartesian product of up to three one-parameter grids laid
-over a fully-specified base design. Rows come out in lexicographic order
-of the grid indices (first grid slowest), each row is a pure function of
-its own inputs, and grid endpoints are echoed exactly as given, so a sweep
-is reproducible byte for byte.
+over a fully-specified base design, a `core.ParameterSet` such as a
+built-in preset. Rows come out in lexicographic order of the grid
+indices (first grid slowest), each row is a pure function of its own
+inputs, and grid endpoints are echoed exactly as given, so a sweep is
+reproducible byte for byte.
 
 `sweep_blocks` computes a grid as NumPy columns (`_kernel`), one block
 of at most CSV_CHUNK_ROWS rows at a time so that memory does not grow
@@ -21,7 +22,8 @@ Each computes only the points it can vouch for: those that pass every
 spec check with finite inputs, derived values and resolutions, where the
 composed path cannot raise; a validity margin may come out inf or NaN,
 as it does there. Every other point goes through `_evaluate_reference`,
-which composes `derive` and `sensitivity_report` themselves and raises
+which composes `derive` and `sensitivity_report` themselves on the
+design's specs (`ParameterSet.pulse`, `.medium`, `.noise`) and raises
 what they raise, with an arithmetic failure reported as a
 `ParameterError`. So every row is bit for bit the row of the composed
 path, which the tests use as the reference.
@@ -48,10 +50,8 @@ from .core import (
     C_LIGHT,
     HBAR,
     GeometrySpec,
-    MediumSpec,
-    NoiseSpec,
     ParameterError,
-    PulseSpec,
+    ParameterSet,
     derive,
     get_preset,
     operating_arm_length,
@@ -142,43 +142,6 @@ class GridSpec:
         else:
             arr = np.linspace(self.lo, self.hi, self.points)
         return [float(v) for v in arr]
-
-
-@dataclass(frozen=True)
-class ParameterSet:
-    """A complete design, flat and in SI units.
-
-    arm_length None means "the shortest arm length on the operating point
-    for m = 1", falling back to 1 m when the medium is linear and the
-    operating condition holds for any length.
-    """
-
-    wavelength: float
-    tau: float
-    area: float
-    power: float
-    n2: float
-    n0: float = 1.0
-    eta: float = 1.0
-    sigma: float = 0.0
-    nt: float = 0.0
-    arm_length: float | None = None
-    signal_x: float = 0.0
-
-    @classmethod
-    def from_preset(cls, name: str) -> "ParameterSet":
-        p = get_preset(name)
-        return cls(
-            wavelength=p.pulse.wavelength,
-            tau=p.pulse.duration,
-            area=p.pulse.cross_section,
-            power=p.pulse.power,
-            n2=p.medium.kerr_coefficient,
-            n0=p.medium.linear_index,
-            eta=p.noise.efficiency,
-            sigma=p.noise.phase_sigma,
-            nt=p.noise.thermal_photons,
-        )
 
 
 class SweepRow(NamedTuple):
@@ -300,12 +263,12 @@ def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepR
     _check_threshold(threshold)
     p = params
     try:
-        derived = derive(PulseSpec(p.wavelength, p.tau, p.area, p.power), MediumSpec(p.n0, p.n2))
+        derived = derive(p.pulse, p.medium)
         arm = p.arm_length
         if arm is None:
             arm = operating_arm_length(derived) if derived.chi > 0.0 else 1.0
         geometry = GeometrySpec(arm_length=arm, signal=p.signal_x)
-        report = sensitivity_report(derived, geometry, NoiseSpec(p.eta, p.sigma, p.nt), threshold)
+        report = sensitivity_report(derived, geometry, p.noise, threshold)
     except ParameterError:
         raise
     except (ArithmeticError, ValueError) as exc:
@@ -737,7 +700,7 @@ PRACTICAL_ARM_LIMIT = 1e6  # m
 
 def regime_report(name: str) -> RegimeReport:
     """Evaluate a built-in regime at its first operating point."""
-    row = evaluate(ParameterSet.from_preset(name))
+    row = evaluate(get_preset(name))
     arm, n, chi, k = row.arm_length_m, row.n_photons, row.chi, row.k_per_m
     gain = chi * n
     x_max = 1.0 / (gain * k) if gain > 0.0 else math.inf

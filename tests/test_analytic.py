@@ -30,7 +30,7 @@ from kerrmich.fock import gauss_hermite_phase
 
 GIANT = get_preset("giant-eit")
 NATURAL = get_preset("natural")
-GIANT_ARM = operating_arm_length(GIANT.derived())
+GIANT_ARM = operating_arm_length(derive(GIANT.pulse, GIANT.medium))
 
 
 def order_band(value, decade, factor=5.0):
@@ -217,14 +217,14 @@ class TestResolution:
         assert displacement_resolution_linear(4.0, 1.0, eta=1.0, thermal=3.0) == 1.0
 
     def test_giant_preset_order(self):
-        d = GIANT.derived()
+        d = derive(GIANT.pulse, GIANT.medium)
         assert order_band(
             displacement_resolution(d.photons, d.chi, d.wavenumber), 1e-20
         )
         assert order_band(displacement_resolution_linear(d.photons, d.wavenumber), 1e-14)
 
     def test_natural_preset_order(self):
-        d = NATURAL.derived()
+        d = derive(NATURAL.pulse, NATURAL.medium)
         assert order_band(
             displacement_resolution(d.photons, d.chi, d.wavenumber), 1e-21
         )
@@ -282,7 +282,7 @@ class TestQuantumBound:
 
     @pytest.mark.parametrize("preset", [GIANT, NATURAL], ids=["giant-eit", "natural"])
     def test_presets_reach_the_bound_at_ideal_detection(self, preset):
-        d = preset.derived()
+        d = derive(preset.pulse, preset.medium)
         report = sensitivity_report(
             d, GeometrySpec(operating_arm_length(d)), NoiseSpec(1.0, 0.0, 0.0)
         )
@@ -301,7 +301,7 @@ class TestImprovement:
         assert improvement_ratio(1e9, 0.0) == 1.0
 
     def test_preset_orders(self):
-        giant, natural = GIANT.derived(), NATURAL.derived()
+        giant, natural = derive(GIANT.pulse, GIANT.medium), derive(NATURAL.pulse, NATURAL.medium)
         assert order_band(improvement_ratio(giant.photons, giant.chi), 1e-6)
         assert order_band(improvement_ratio(natural.photons, natural.chi), 1e-3)
 
@@ -341,7 +341,7 @@ class TestScalingFigure:
 
     def test_regime_comparison(self):
         g, n = GIANT, NATURAL
-        dg, dn = g.derived(), n.derived()
+        dg, dn = derive(g.pulse, g.medium), derive(n.pulse, n.medium)
         ratio = scaling_figure(
             g.pulse.duration, g.pulse.cross_section, g.pulse.wavelength, dg.photons
         ) / scaling_figure(
@@ -368,7 +368,7 @@ class TestValidity:
         assert all(c.margin == 0.0 for c in checks(flags))
 
     def test_giant_small_signal_margin(self):
-        d = GIANT.derived()
+        d = derive(GIANT.pulse, GIANT.medium)
         geometry = GeometrySpec(GIANT_ARM, signal=1e-15)
         flags = validity(d, geometry, GIANT.noise)
         # chi*N*k*x = 1e6 * 1.2566e7 * 1e-15, just above the default 1e-2
@@ -378,12 +378,12 @@ class TestValidity:
         assert relaxed.small_signal.ok
 
     def test_giant_deep_inside_window(self):
-        d = GIANT.derived()
+        d = derive(GIANT.pulse, GIANT.medium)
         geometry = GeometrySpec(GIANT_ARM, signal=1e-16)
         assert validity(d, geometry, GIANT.noise).small_signal.ok
 
     def test_giant_heavy_dephasing_breaks_dominance(self):
-        d = GIANT.derived()
+        d = derive(GIANT.pulse, GIANT.medium)
         geometry = GeometrySpec(GIANT_ARM, signal=0.0)
         noise = NoiseSpec(1.0, 0.5, 0.0)
         flags = validity(d, geometry, noise)
@@ -403,7 +403,7 @@ class TestValidity:
         assert not flags.nonlinearity_dominant.ok
 
     def test_as_dict_schema(self):
-        d = GIANT.derived()
+        d = derive(GIANT.pulse, GIANT.medium)
         flags = validity(d, GeometrySpec(1.0), GIANT.noise)
         assert [f.name for f in dataclasses.fields(flags)] == [
             "small_signal",
@@ -429,7 +429,7 @@ class TestMeanForms:
 
 class TestSensitivityReport:
     def test_assembles_consistently(self):
-        d = GIANT.derived()
+        d = derive(GIANT.pulse, GIANT.medium)
         geometry = GeometrySpec(GIANT_ARM, 0.0)
         rep = sensitivity_report(d, geometry, GIANT.noise)
         noise = GIANT.noise

@@ -801,6 +801,50 @@ def test_unwritable_output_is_one_clean_error(capsys, tmp_path, argv, target):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--regime", "giant-eit", "--format", "csv"], ["sweep", "--regime", "giant-eit"],
+     ["verify", "--max-photons", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_sidecar_leaves_no_data_file(capsys, tmp_path, argv):
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "x.csv"))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("kerrmich: error: [Errno ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["x.csv.manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--regime", "giant-eit", "--tau", "5e-10", "--grid", "tau=1e-11:1e-9:3"],
+     ["--wavelength", "500e-9", "--tau", "1e-10", "--area", "1e-6", "--power", "1e6",
+      "--n2", "1e-2", "--grid", "n2=1e-3:1e-2:3"]],
+    ids=["tau-with-regime", "n2-without"],
+)
+def test_flag_and_grid_over_one_field_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    flag = argv[argv.index("--grid") + 1].split("=")[0]
+    assert (code, out) == (1, "")
+    assert err == f"kerrmich: error: give --{flag} or --grid {flag}, not both\n"
+
+
+def test_swept_field_needs_no_flag(capsys, tmp_path):
+    # the golden file is the --regime giant-eit sweep; without a preset the
+    # base design takes the grid's lo
+    flags = ("--wavelength", "500e-9", "--area", "1e-6", "--power", "1e6", "--n2", "1e-2")
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        capsys, "sweep", *flags, "--grid", "tau=1e-13:1e-10:7:log", "--output", str(out)
+    )
+    assert (code, err) == (0, "")
+    golden = Path(__file__).parent / "data" / "golden" / "giant_tau_log.csv"
+    assert out.read_bytes() == golden.read_bytes()
+    manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    assert manifest["parameters"]["tau"] == 1e-13
+
+
+@pytest.mark.parametrize(
     "argv, lines",
     [(["verify", "--max-photons", "30", "--cases", "20000"], 1),
      (["estimate", "--regime", "giant-eit"], 0)],

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kerrmich.sweep
 from kerrmich.core import (
     C_LIGHT,
     HBAR,
@@ -12,6 +14,7 @@ from kerrmich.core import (
     MediumSpec,
     NoiseSpec,
     ParameterError,
+    ParameterSet,
     PulseSpec,
     derive,
     get_preset,
@@ -268,10 +271,30 @@ class TestPresets:
         with pytest.raises(ParameterError, match="unknown regime"):
             get_preset("huge")
 
+    @pytest.mark.parametrize("name", ["natural", "giant-eit"])
+    def test_preset_is_the_flat_design(self, name):
+        assert type(get_preset(name)) is ParameterSet
+        assert kerrmich.sweep.ParameterSet is ParameterSet
+
+    @pytest.mark.parametrize(
+        "field, value, spec, name",
+        [("tau", -1.0, "pulse", "duration"), ("n0", 0.0, "medium", "linear_index"),
+         ("eta", 2.0, "noise", "efficiency")],
+    )
+    def test_bad_field_raises_from_its_spec(self, field, value, spec, name):
+        design = dataclasses.replace(get_preset("giant-eit"), **{field: value})
+        with pytest.raises(ParameterError, match=name):
+            getattr(design, spec)
+        for other in {"pulse", "medium", "noise"} - {spec}:
+            getattr(design, other)
+
     def test_arm_length_hints(self):
-        giant = operating_arm_length(get_preset("giant-eit").derived())
+        giant = operating_arm_length(
+            derive(get_preset("giant-eit").pulse, get_preset("giant-eit").medium)
+        )
         assert giant == pytest.approx(125.85, rel=1e-3)
-        assert order_band(operating_arm_length(get_preset("natural").derived()), 1e12)
+        natural = derive(get_preset("natural").pulse, get_preset("natural").medium)
+        assert order_band(operating_arm_length(natural), 1e12)
 
 
 def test_kerr_cm2_is_exactly_1e_minus_4():

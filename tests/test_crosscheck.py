@@ -66,6 +66,7 @@ from kerrmich.fock import (
     DEFAULT_TRUNCATION_BUDGET,
     apply_kerr,
     coherent_amplitudes,
+    coherent_identity_residual,
     fock_dim,
     kerr_means,
     level_weights,
@@ -289,6 +290,17 @@ def test_check_lines_match_golden(capsys, dim_margin):
     want = (GOLDEN / f"verify_seed7_margin{dim_margin}.txt").read_text()
     assert out == want
     assert len(out.splitlines()) == 202 + 300 + 1
+
+
+def test_dim_margin_reaches_the_identity_residuals():
+    report = run_crosscheck(max_photons=10, dim_margin=7)
+    (block,) = [b for b in report.blocks if b.section == "identity"]
+    want = [
+        coherent_identity_residual(math.sqrt(mu), float(z), fock_dim(mu) + 7)
+        for mu in (0.5, 2.0, 5.0, 10.0)
+        for z in np.linspace(0.0, math.pi, 7)
+    ]
+    assert block.errors.tolist() == want
 
 
 def test_mean_lines_stable_across_a_window_boundary():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kerrmich.sweep as sweep
+from kerrmich.core import get_preset
 from kerrmich.sweep import (
     ROW_FIELDS,
     ParameterSet,
@@ -24,8 +25,8 @@ from kerrmich.sweep import (
 )
 from test_sweep_table import TYPICAL, bits, number
 
-GIANT_BASE = ParameterSet.from_preset("giant-eit")
-NATURAL_BASE = ParameterSet.from_preset("natural")
+GIANT_BASE = get_preset("giant-eit")
+NATURAL_BASE = get_preset("natural")
 FIELDS = [f.name for f in dataclasses.fields(ParameterSet)]
 
 

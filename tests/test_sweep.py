@@ -11,6 +11,7 @@ from kerrmich.core import (
     NoiseSpec,
     ParameterError,
     PulseSpec,
+    derive,
     get_preset,
 )
 from kerrmich.sweep import (
@@ -29,8 +30,8 @@ def order_band(value, decade, factor=5.0):
     return decade / factor <= value <= decade * factor
 
 
-GIANT_BASE = ParameterSet.from_preset("giant-eit")
-NATURAL_BASE = ParameterSet.from_preset("natural")
+GIANT_BASE = get_preset("giant-eit")
+NATURAL_BASE = get_preset("natural")
 
 
 class TestGridSpec:
@@ -211,7 +212,7 @@ class TestRunSweep:
     def test_dominance_flag_flips_at_the_margin_crossing(self):
         # margin (eta N sigma^2)/(chi N)^2 crosses the threshold at
         # sigma = sqrt(threshold) * chi * sqrt(N / eta)
-        derived = get_preset("giant-eit").derived()
+        derived = derive(get_preset("giant-eit").pulse, get_preset("giant-eit").medium)
         threshold = 1e-2
         sigma_star = math.sqrt(threshold) * derived.chi * math.sqrt(derived.photons)
         grid = GridSpec("sigma", 0.0, 0.02, 41)
@@ -256,12 +257,12 @@ class TestRegimeReport:
 
 
 class TestParameterSet:
-    def test_from_preset_round_trips_fields(self):
-        p = get_preset("giant-eit")
-        base = ParameterSet.from_preset("giant-eit")
-        assert PulseSpec(base.wavelength, base.tau, base.area, base.power) == p.pulse
-        assert MediumSpec(base.n0, base.n2) == p.medium
-        assert NoiseSpec(base.eta, base.sigma, base.nt) == p.noise
+    def test_specs_round_trip_fields(self):
+        other = ParameterSet(800e-9, 2e-12, 3e-9, 5e12, 2e-20, n0=1.4, eta=0.9, sigma=1e-3, nt=0.5)
+        for base in (get_preset("giant-eit"), other):
+            assert PulseSpec(base.wavelength, base.tau, base.area, base.power) == base.pulse
+            assert MediumSpec(base.n0, base.n2) == base.medium
+            assert NoiseSpec(base.eta, base.sigma, base.nt) == base.noise
 
     def test_arm_length_defaults_to_operating_point(self):
         row = evaluate(GIANT_BASE)

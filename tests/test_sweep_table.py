@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import kerrmich.floattext
 import kerrmich.sweep
+from kerrmich.core import get_preset
 from kerrmich.sweep import (
     CSV_COLUMNS,
     FLAG_FIELDS,
@@ -25,7 +26,6 @@ from kerrmich.sweep import (
     ROW_FIELDS,
     WRITE_ROWS,
     GridSpec,
-    ParameterSet,
     SweepStats,
     SweepTable,
     _evaluate_reference,
@@ -34,8 +34,8 @@ from kerrmich.sweep import (
     sweep_blocks,
 )
 
-GIANT_BASE = ParameterSet.from_preset("giant-eit")
-NATURAL_BASE = ParameterSet.from_preset("natural")
+GIANT_BASE = get_preset("giant-eit")
+NATURAL_BASE = get_preset("natural")
 
 
 def bits(row):
