@@ -72,7 +72,7 @@ def signal_mean_exact(
 
 def _mapped(fn, x: np.ndarray) -> np.ndarray:
     """fn, a `math` function, at each value of x."""
-    return np.array(list(map(fn, np.ravel(x).tolist())), dtype=float).reshape(np.shape(x))
+    return np.fromiter(map(fn, np.ravel(x).tolist()), dtype=float, count=x.size).reshape(np.shape(x))
 
 
 def signal_mean(

@@ -26,6 +26,7 @@ from one seed-keyed generator; results depend on the seed only.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -220,11 +221,14 @@ class MomentSet:
     trunc_loss: float
 
 
-def moments(state: TwoModeState, offset: float = 0.0) -> MomentSet:
+def moments(state: TwoModeState, offset: float | np.ndarray = 0.0) -> MomentSet:
     """First and second moments of M by direct coefficient contraction.
 
     M^2 expands to 2*N1*N2 + N1 + N2 - e^{2i*offset} a1^dag^2 a2^2 - h.c.,
-    so only number moments and the two ladder contractions are needed.
+    so only number moments and the two ladder contractions are needed. An
+    array of offsets shares one contraction: offset, mean_m and mean_m2 are
+    then read-only arrays of its shape, entry i with the bits of the call at
+    offset[i]. `noisy_moments` takes the MomentSet of one float offset.
     """
     c = state.coeffs
     d1, d2 = c.shape
@@ -250,18 +254,18 @@ def moments(state: TwoModeState, offset: float = 0.0) -> MomentSet:
         f2 = np.sqrt(m[1 : d2 - 1] * (m[1 : d2 - 1] + 1.0))
         pair = complex(np.sum(np.conj(c[2:, :-2]) * np.outer(f1, f2) * c[:-2, 2:]))
 
-    offset = float(offset)
     second = 2.0 * mean_n1n2 + mean_n1 + mean_n2
+
+    def at(offset: float) -> tuple[float, float, float]:
+        rot, rot2 = cmath.exp(1j * offset), cmath.exp(2j * offset)
+        return offset, 2.0 * (rot * cross).imag, second - 2.0 * (rot2 * pair).real
+
+    offsets = np.asarray(offset, dtype=float)
+    table = np.array(list(map(at, offsets.ravel().tolist()))).reshape(*offsets.shape, 3)
+    table.flags.writeable = False
+    offset, mean_m, mean_m2 = np.moveaxis(table, -1, 0) if offsets.ndim else table.tolist()
     return MomentSet(
-        mean_n1=mean_n1,
-        mean_n2=mean_n2,
-        mean_n1n2=mean_n1n2,
-        cross=cross,
-        pair=pair,
-        offset=offset,
-        mean_m=2.0 * (cmath.exp(1j * offset) * cross).imag,
-        mean_m2=second - 2.0 * (cmath.exp(2j * offset) * pair).real,
-        trunc_loss=state.trunc_loss,
+        mean_n1, mean_n2, mean_n1n2, cross, pair, offset, mean_m, mean_m2, state.trunc_loss
     )
 
 
@@ -337,8 +341,8 @@ def monte_carlo_phase(
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     phi = sigma * rng.standard_normal(samples)
     values = np.asarray(mean_fn(phi), dtype=float)
@@ -357,7 +361,17 @@ def gauss_hermite_phase(
     """Gaussian average of mean_fn over phi ~ Normal(0, sigma^2) by
     Gauss-Hermite quadrature; the deterministic cross-check for the Monte
     Carlo path and for closed-form dephasing factors."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    nodes, weights = _hermgauss(order)
     phi = math.sqrt(2.0) * sigma * nodes
     values = np.asarray(mean_fn(phi), dtype=float)
     return float(np.sum(weights * values) / math.sqrt(math.pi))
+
+
+@functools.cache
+def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of one order, built once, read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

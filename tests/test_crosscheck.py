@@ -27,8 +27,8 @@ one per other section; its lines, its `cases` view of one `CheckCase` (a
 NamedTuple) per check, its counts and its worst errors must agree with one
 another and with the report as it was printed from one `CheckCase` at a
 time, and `CheckBlock.passed` is the one verdict rule. Each variance state
-is built and evolved once and read at every offset, and `--cases` is
-capped at MAX_CASES.
+is built and evolved once and read at every offset from one contraction,
+and `--cases` is capped at MAX_CASES.
 """
 
 import collections
@@ -434,6 +434,18 @@ def test_signal_mean_exact_broadcasts_floats_against_arrays(ns, chi, phi1, phi2,
     assert bits([zero_d]) == bits(got[:1])
 
 
+@pytest.mark.parametrize("shape", [(0,), (), (3, 4)])
+def test_signal_mean_exact_keeps_the_shape_of_empty_0d_and_2d_arrays(shape):
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    ns = rng.integers(0, 30, size=shape)
+    columns = rng.uniform((0.0, 0.0, 0.0, -1.0), (0.12, 2.5, 2.5, 1.0), size=(*shape, 4))
+    columns = np.moveaxis(columns, -1, 0)
+    got = signal_mean_exact(ns, *columns)
+    assert np.shape(got) == shape
+    want = scalar_means(np.ravel(ns).tolist(), *(c.ravel() for c in columns))
+    assert bits(np.ravel(got)) == bits(want)
+
+
 @pytest.mark.parametrize("max_photons, first_n, size", [(0, 0, 15), (30, 1, 75)])
 def test_fixed_mean_window_carries_exact_means_bit_for_bit(max_photons, first_n, size):
     # the grid is the first window, in report order; no random draw follows
@@ -475,7 +487,7 @@ def test_extra_cases_above_the_cap_rejected_before_any_draw(monkeypatch):
 
 def test_each_dense_state_is_built_and_evolved_once(monkeypatch):
     # variance: 5 photon numbers x 2 chis, each evolved state read at 8
-    # offsets; noise: one state
+    # offsets in one contraction; noise: one state
     calls = collections.Counter()
     for name in ("product_input", "apply_kerr", "moments"):
         def spy(*args, _real=getattr(kerrmich.crosscheck, name), _name=name, **kwargs):
@@ -484,7 +496,7 @@ def test_each_dense_state_is_built_and_evolved_once(monkeypatch):
 
         monkeypatch.setattr(kerrmich.crosscheck, name, spy)
     assert run_crosscheck(max_photons=30).ok
-    assert calls == {"product_input": 5 + 1, "apply_kerr": 10 + 1, "moments": 80 + 1}
+    assert calls == {"product_input": 5 + 1, "apply_kerr": 10 + 1, "moments": 10 + 1}
 
 
 def test_negative_extra_cases_rejected():

@@ -1,13 +1,17 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import kerrmich.fock
 from kerrmich.analytic import balanced_second_moment, signal_mean_exact, signal_variance
 from kerrmich.core import NoiseSpec
+from kerrmich.crosscheck import run_crosscheck
 from kerrmich.fock import (
+    MomentSet,
     TruncationError,
     TwoModeState,
     apply_kerr,
@@ -186,6 +190,59 @@ class TestMoments:
         assert abs(tight.mean_m2 - loose.mean_m2) < 1e-10 * max(1.0, loose.mean_m2)
 
 
+def field_bits(value) -> bytes:
+    """The bits of a float or complex field, -0.0 told apart from 0.0."""
+    z = complex(value)
+    return struct.pack("<2d", z.real, z.imag)
+
+
+def all_bits(values) -> list[bytes]:
+    return [field_bits(v) for v in np.ravel(values).tolist()]
+
+
+OFFSET_FIELDS = ("offset", "mean_m", "mean_m2")
+
+
+class TestMomentsAtManyOffsets:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.0, 10.0),
+        st.floats(-math.pi, math.pi),
+        st.none() | st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 1.0)),
+        st.lists(
+            st.sampled_from([0.0, -0.0, math.pi, -math.pi, 1e6])
+            | st.floats(-1e6, 1e6, allow_nan=False),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_entry_i_is_the_call_at_offset_i_bit_for_bit(self, photons, phase, kerr, offsets):
+        state = product_input(math.sqrt(photons) * cmath.exp(1j * phase))
+        if kerr is not None:
+            state = apply_kerr(state, *kerr)
+        many = moments(state, np.array(offsets))
+        for i, offset in enumerate(offsets):
+            one = moments(state, offset)
+            for name in MomentSet.__dataclass_fields__:
+                got = getattr(many, name)
+                got = got[i] if name in OFFSET_FIELDS else got
+                assert field_bits(got) == field_bits(getattr(one, name)), (name, offset)
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 4)])
+    def test_array_offsets_keep_their_shape_and_are_read_only(self, shape):
+        state = apply_kerr(product_input(2.0), 0.3, 0.5, 0.05)
+        offsets = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+        ms = moments(state, offsets)
+        for name in OFFSET_FIELDS:
+            column = getattr(ms, name)
+            assert column.shape == shape and not column.flags.writeable
+        assert all_bits(ms.offset) == all_bits(offsets)
+        # a float or 0-d offset gives floats, as before
+        zero_d = moments(state, np.array(0.4))
+        assert all(type(getattr(zero_d, name)) is float for name in OFFSET_FIELDS)
+        assert zero_d == moments(state, 0.4)
+
+
 class TestNoisyMoments:
     def _balanced(self, n: float, offset: float = 0.0):
         phi0 = 2.0 * math.pi / 0.1
@@ -290,6 +347,42 @@ class TestPhaseAveraging:
             monte_carlo_phase(np.sin, 0.1, 1, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_phase(np.sin, -0.1, 10, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.1])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            gauss_hermite_phase(np.cos, sigma)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            monte_carlo_phase(np.cos, sigma, 10, seed=0)
+
+    def test_quadrature_rule_is_built_once_per_order(self, monkeypatch):
+        built = []
+        real = np.polynomial.hermite.hermgauss
+
+        def spy(order):
+            built.append(order)
+            return real(order)
+
+        kerrmich.fock._hermgauss.cache_clear()
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", spy)
+        for _ in range(2):
+            assert run_crosscheck(max_photons=30).ok
+        assert built == [64]
+
+    def test_cached_rule_is_read_only(self):
+        for array in kerrmich.fock._hermgauss(64):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("order", [1, 2, 64, 100])
+    def test_quadrature_keeps_the_bits_of_the_uncached_rule(self, order):
+        def integrand(phi):
+            return np.sin(phi + 0.6) * np.exp(-0.1 * phi * phi)
+
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        values = integrand(math.sqrt(2.0) * 0.3 * nodes)
+        want = float(np.sum(weights * values) / math.sqrt(math.pi))
+        assert field_bits(gauss_hermite_phase(integrand, 0.3, order)) == field_bits(want)
 
     def test_quadrature_matches_charfunction(self):
         for sigma in (0.1, 0.5):
