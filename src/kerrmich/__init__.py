@@ -58,7 +58,6 @@ from .sweep import (
     GridSpec,
     RegimeReport,
     SweepRow,
-    SweepStats,
     SweepTable,
     evaluate,
     regime_report,

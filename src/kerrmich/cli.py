@@ -16,13 +16,14 @@ import os
 import shlex
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .core import ParameterError, ParameterSet, get_preset, kerr_cm2
-from .crosscheck import MAX_CASES, MAX_DIM_MARGIN, run_crosscheck
+from .crosscheck import MAX_CASES, MAX_DIM_MARGIN, MAX_PHOTONS, run_crosscheck
 from .fock import TruncationError
 from .sweep import (
     CSV_COLUMNS,
@@ -34,7 +35,6 @@ from .sweep import (
     GridSpec,
     RegimeReport,
     SweepRow,
-    SweepStats,
     SweepTable,
     evaluate,
     regime_report,
@@ -173,7 +173,7 @@ def build_parser() -> _Parser:
         "--max-photons",
         type=int,
         default=25,
-        help="largest photon number simulated (default 25, cap 30)",
+        help=f"largest photon number simulated (default 25, cap {MAX_PHOTONS})",
     )
     ver.add_argument(
         "--dim-margin",
@@ -264,13 +264,11 @@ def _emit_stream(
 
 
 def _emit_json(obj: dict, output: Path | None, manifest: dict | None) -> None:
-    if output is None:
-        sys.stdout.write(_json_text(obj) + "\n")
-        return
-    embedded = dict(obj)
-    if manifest is not None:
-        embedded["manifest"] = manifest
-    output.write_text(_json_text(embedded) + "\n")
+    """A file embeds the manifest in the object instead of a sidecar."""
+    if output is not None and manifest is not None:
+        obj = {**obj, "manifest": manifest}
+    text = _json_text(obj) + "\n"
+    _emit_stream(lambda f: f.write(text), output, None)
 
 
 def _estimate_payload(row: SweepRow, validity: dict) -> dict:
@@ -333,8 +331,8 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
                     f"not carry; use --format json, whose rows include it"
                 )
 
-    def blocks(stats: SweepStats | None = None):
-        return sweep_blocks(params, grids, args.threshold, args.max_rows, stats)
+    def blocks():
+        return sweep_blocks(params, grids, args.threshold, args.max_rows)
 
     # A first pass that formats nothing: a row that raises does so here,
     # before anything is written, so a failing sweep leaves no output.
@@ -349,10 +347,10 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     as_json = args.format == "json"
 
     def write(out: TextIO) -> None:
-        stats = SweepStats()
-        format_write_s = 0.0
+        # sums over the blocks, keyed in the order of a block's own keys
+        rows, failures, stages, format_write_s = 0, Counter(), Counter(check_s=check_s), 0.0
         out.write(_json_frame(frame)[0] + "\n" if as_json else CSV_HEADER)
-        for i, block in enumerate(blocks(stats)):
+        for i, block in enumerate(blocks()):
             start = time.perf_counter()
             if as_json:
                 out.write(",\n" if i else "")
@@ -360,15 +358,12 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
             else:
                 block.write_csv_rows(out)
             format_write_s += time.perf_counter() - start
-        manifest["rows"] = stats.rows
-        manifest["validity_failures"] = stats.validity_failures
-        manifest["stages"] = {
-            "check_s": check_s,
-            "kernel_s": stats.kernel_s,
-            "fallback_s": stats.fallback_s,
-            "fallback_rows": stats.fallback_rows,
-            "format_write_s": format_write_s,
-        }
+            rows += len(block)
+            failures.update(block.validity_failures())
+            stages.update(block.stages)
+        manifest["rows"] = rows
+        manifest["validity_failures"] = dict(failures)
+        manifest["stages"] = {**stages, "format_write_s": format_write_s}
         if as_json:
             if args.output is not None:
                 frame["manifest"] = manifest
@@ -385,9 +380,9 @@ def _json_frame(payload: dict) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    if args.max_photons > 30:
+    if args.max_photons > MAX_PHOTONS:
         raise CliError(
-            f"--max-photons {args.max_photons} exceeds the desk-scale cap of 30"
+            f"--max-photons {args.max_photons} exceeds the desk-scale cap of {MAX_PHOTONS}"
         )
     if args.max_photons < 0:
         raise CliError("--max-photons must be >= 0")

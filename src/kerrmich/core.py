@@ -148,7 +148,14 @@ def operating_arm_length(derived: KerrDerived, m: int = 1) -> float:
         raise ParameterError(f"operating order m must be >= 1, got {m}")
     if derived.chi <= 0.0:
         raise ParameterError("operating arm length undefined for chi = 0")
-    return 2.0 * math.pi * m / (derived.wavenumber * derived.chi)
+    kchi = derived.wavenumber * derived.chi
+    arm = 2.0 * math.pi * m / kchi if kchi > 0.0 else math.inf
+    if not 0.0 < arm < math.inf:
+        raise ParameterError(
+            f"operating arm 2*pi*m/(k*chi) must be positive and finite, got {arm!r} "
+            f"(k*chi = {kchi!r})"
+        )
+    return arm
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,9 @@ MC_SIGMA_BAND = 3.0
 # Random mean settings drawn at a time; the kept ones are evaluated in
 # one kernel call.
 MEAN_WINDOW = 2048
+# Largest photon number a run accepts: the mean section's tables grow with
+# the square of it.
+MAX_PHOTONS = 30
 # Largest basis enlargement a run accepts: the mean, identity, variance and
 # noise sections build arrays of fock_dim + dim_margin levels (squared in
 # the dense sections).
@@ -383,6 +386,8 @@ def run_crosscheck(
     """Run the whole suite; tolerance applies to every non-Monte-Carlo case."""
     if max_photons < 0:
         raise ValueError(f"max_photons must be >= 0, got {max_photons}")
+    if max_photons > MAX_PHOTONS:
+        raise ValueError(f"max_photons {max_photons} exceeds the cap of {MAX_PHOTONS}")
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance!r}")
     if dim_margin < 0:

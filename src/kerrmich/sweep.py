@@ -74,30 +74,6 @@ GRID_PARAMETERS = tuple(GRID_COLUMNS)
 
 MAX_ROWS = 1_000_000
 
-# Column order is a compatibility contract with the CLI CSV output.
-CSV_COLUMNS = (
-    "tau_s",
-    "area_m2",
-    "power_w",
-    "n2_m2_per_w",
-    "wavelength_m",
-    "eta",
-    "sigma",
-    "nt",
-    "n_photons",
-    "chi",
-    "k_per_m",
-    "delta_x_m",
-    "delta_x_linear_m",
-    "improvement",
-    "margin_small_signal",
-    "margin_thermal",
-    "margin_dephasing",
-    "margin_operating_point",
-    "margin_nl_dominant",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
-
 # Rows per block, at most: a sweep is evaluated, formatted and written one
 # box of the grid at a time (see `_boxes`). On a 50 x 50 x 40 grid, boxes
 # of 8000 rows ran a CSV sweep ~25% faster than boxes of 4000, which made
@@ -285,6 +261,12 @@ def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepR
 ROW_FIELDS = SweepRow._fields
 MARGIN_FIELDS = tuple(name for name in ROW_FIELDS if name.startswith("margin_"))
 FLAG_FIELDS = tuple(f.name for f in dataclasses.fields(ValidityFlags))
+# Column order is a compatibility contract with the CLI CSV output: the
+# row fields less the flags and the geometry echoes.
+CSV_COLUMNS = tuple(
+    name for name in ROW_FIELDS if name not in (*FLAG_FIELDS, "arm_length_m", "signal_x_m")
+)
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 def _check_threshold(threshold: float) -> None:
@@ -300,12 +282,16 @@ class SweepTable(Sequence[SweepRow]):
     axes it depends on. A table of 1-D columns has the shape (rows,). A
     SweepRow, one tuple, is built only when a row is indexed; `from_rows`
     transposes its rows to columns in one `zip`, and `write_csv_rows` and
-    `write_json_rows` read the columns as they are stored.
+    `write_json_rows` read the columns as they are stored. A block of
+    `sweep_blocks` carries the `stages` that computed it; any other table
+    has none.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray], shape: tuple[int, ...] | None = None) -> None:
+    def __init__(self, columns: dict[str, np.ndarray], shape: tuple[int, ...] | None = None,
+                 stages: dict[str, float] | None = None) -> None:
         self.columns = columns
         self.shape = (len(columns["tau_s"]),) if shape is None else tuple(shape)
+        self.stages = {} if stages is None else stages
 
     @classmethod
     def from_rows(cls, rows: Iterable[SweepRow]) -> "SweepTable":
@@ -470,27 +456,6 @@ def _positions(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(np.arange(values.size).reshape(values.shape), shape).flatten()
 
 
-class SweepStats:
-    """Sums over the blocks of one pass of `sweep_blocks`: rows, rows
-    failing each validity condition, rows recomputed by the fallback, and
-    seconds spent in the column kernel and in the fallback."""
-
-    def __init__(self) -> None:
-        self.rows = 0
-        self.validity_failures = dict.fromkeys(FLAG_FIELDS, 0)
-        self.fallback_rows = 0
-        self.kernel_s = 0.0
-        self.fallback_s = 0.0
-
-    def add(self, block: SweepTable, fallback_rows: int, kernel_s: float, fallback_s: float) -> None:
-        self.rows += len(block)
-        for name, count in block.validity_failures().items():
-            self.validity_failures[name] += count
-        self.fallback_rows += fallback_rows
-        self.kernel_s += kernel_s
-        self.fallback_s += fallback_s
-
-
 def run_sweep(
     base: ParameterSet,
     grids: Sequence[GridSpec] = (),
@@ -507,7 +472,6 @@ def sweep_blocks(
     grids: Sequence[GridSpec] = (),
     threshold: float = 1e-2,
     max_rows: int = MAX_ROWS,
-    stats: SweepStats | None = None,
 ) -> Iterator[SweepTable]:
     """The rows of the sweep as blocks of at most CSV_CHUNK_ROWS rows, so
     memory does not grow with the row count.
@@ -522,8 +486,8 @@ def sweep_blocks(
     raises exactly what a row-by-row loop of `evaluate` would, once the
     blocks before its own have been yielded. A column in which such a
     row's value differs in its bits from the kernel's is widened to the
-    block's full shape to hold it. Each block is added to stats, when
-    given, before it is yielded.
+    block's full shape to hold it. Each block's `stages` hold the seconds
+    its kernel and its fallback took and its fallback row count.
     """
     _check_threshold(threshold)
     if len(grids) > 3:
@@ -569,10 +533,10 @@ def sweep_blocks(
                 if differ.any():
                     columns[name] = values.copy()
                     columns[name].flat[np.compress(differ, unclean)] = fallback[differ]
-        block = SweepTable(columns, clean.shape)
+        stages = {"kernel_s": kernel_end - start, "fallback_s": time.perf_counter() - kernel_end,
+                  "fallback_rows": len(unclean)}
+        block = SweepTable(columns, clean.shape, stages)
         lo += len(block)
-        if stats is not None:
-            stats.add(block, len(unclean), kernel_end - start, time.perf_counter() - kernel_end)
         yield block
 
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 import kerrmich
 import kerrmich.crosscheck
 import kerrmich.fock
+import kerrmich.sweep
 from kerrmich.cli import DESIGN_FLAGS, CliError, main, parse_grid, parse_n2
-from kerrmich.crosscheck import MAX_CASES, MAX_DIM_MARGIN
-from kerrmich.core import HBAR, C_LIGHT
-from kerrmich.sweep import CSV_HEADER
+from kerrmich.crosscheck import MAX_CASES, MAX_DIM_MARGIN, MAX_PHOTONS
+from kerrmich.core import HBAR, C_LIGHT, get_preset
+from kerrmich.sweep import CSV_HEADER, FLAG_FIELDS, GridSpec, sweep_blocks
 
 
 def order_band(value, decade, factor=5.0):
@@ -287,9 +288,10 @@ class TestVerify:
         assert code == 0
 
     def test_photon_cap(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--max-photons", "31")
-        assert code == 1
-        assert "cap" in err
+        value = MAX_PHOTONS + 1
+        assert run_cli(capsys, "verify", "--max-photons", str(value)) == (
+            1, "", f"kerrmich: error: --max-photons {value} exceeds the desk-scale cap of {MAX_PHOTONS}\n"
+        )
 
     def test_deterministic_for_seed(self, capsys):
         args = ("verify", "--max-photons", "9", "--seed", "42", "--cases", "3")
@@ -523,6 +525,27 @@ def test_verify_cases_above_the_cap_is_one_clean_error(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("estimate", "--regime", "giant-eit", "--n2", "1e308m2"),
+     ("sweep", "--regime", "giant-eit", "--grid", "n2=1e300m2:1e308m2:3")],
+)
+def test_unformable_operating_arm_is_named(capsys, args):
+    # k*chi overflows, so the operating arm 2*pi/(k*chi) rounds to 0
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err == (
+        "kerrmich: error: operating arm 2*pi*m/(k*chi) must be positive and finite, "
+        "got 0.0 (k*chi = inf)\n"
+    )
+
+
+def test_explicit_zero_arm_blames_the_flag(capsys):
+    assert run_cli(capsys, "estimate", "--regime", "giant-eit", "--arm-length", "0") == (
+        1, "", "kerrmich: error: arm_length must be positive and finite, got 0.0\n"
+    )
+
+
 def test_verify_rejects_negative_seed(capsys):
     # numpy's default_rng raises on a negative seed; the CLI stops first
     assert run_cli(capsys, "verify", "--max-photons", "2", "--seed", "-1") == (
@@ -753,6 +776,34 @@ def test_sweep_manifest_records_stage_timings(capsys, tmp_path, fmt):
     assert list(stages) == ["check_s", "kernel_s", "fallback_s", "fallback_rows", "format_write_s"]
     assert stages["fallback_rows"] == 1
     assert all(v >= 0.0 for v in stages.values())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_manifest_sums_its_blocks(capsys, tmp_path, monkeypatch, fmt):
+    # blocks of 5 rows over a dark edge: power = 0 leaves one block's rows
+    # to the fallback, and sigma >= 0.01 fails the dephasing condition
+    monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 5)
+    target = tmp_path / f"rows.{fmt}"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", "--grid", "power=0:1e6:3",
+        "--grid", "sigma=0:0.02:5", "--format", fmt, "--output", str(target),
+    )
+    assert code == 0
+    if fmt == "csv":
+        manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    else:
+        manifest = json.loads(target.read_text())["manifest"]
+    grids = [GridSpec("power", 0.0, 1e6, 3), GridSpec("sigma", 0.0, 0.02, 5)]
+    blocks = list(sweep_blocks(get_preset("giant-eit"), grids))
+    assert len(blocks) == 3
+    assert manifest["rows"] == sum(len(b) for b in blocks) == 15
+    assert manifest["validity_failures"] == {
+        name: sum(b.validity_failures()[name] for b in blocks) for name in FLAG_FIELDS
+    }
+    assert manifest["validity_failures"]["weak_dephasing"] == 9
+    stages = manifest["stages"]
+    assert list(stages) == ["check_s", "kernel_s", "fallback_s", "fallback_rows", "format_write_s"]
+    assert stages["fallback_rows"] == sum(b.stages["fallback_rows"] for b in blocks) == 5
 
 
 def _sweep_max_rss_mb(tmp_path, fmt, *grids):

@@ -211,6 +211,17 @@ class TestKerrPhases:
         with pytest.raises(ParameterError):
             operating_arm_length(d)
 
+    @pytest.mark.parametrize(
+        "chi, wavenumber, got",
+        [(1e300, 1e10, "0.0"), (1e-160, 1e-160, "inf"), (1e-300, 1e-300, "inf")],
+    )
+    def test_operating_arm_length_must_be_positive_and_finite(self, chi, wavenumber, got):
+        # k*chi overflows, so 2*pi/(k*chi) rounds to 0; or it is too small
+        # for the quotient, or underflows to a zero divisor
+        d = KerrDerived(photons=1.0, intensity=1.0, chi=chi, wavenumber=wavenumber)
+        with pytest.raises(ParameterError, match=rf"^operating arm 2\*pi\*m/\(k\*chi\) .*got {got} "):
+            operating_arm_length(d)
+
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -51,6 +51,7 @@ from kerrmich.analytic import signal_mean_exact
 from kerrmich.crosscheck import (
     MAX_CASES,
     MAX_DIM_MARGIN,
+    MAX_PHOTONS,
     MC_SIGMA_BAND,
     MEAN_WINDOW,
     SECTION_UNITS,
@@ -473,6 +474,16 @@ def test_dim_margin_above_the_cap_rejected_before_any_basis_is_built(
 
 def test_dim_margin_at_the_cap_runs():
     assert run_crosscheck(max_photons=1, dim_margin=MAX_DIM_MARGIN).ok
+
+
+def test_max_photons_above_the_cap_rejected_before_any_table_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(kerrmich.crosscheck, "_mean_blocks", refuse)
+    value = MAX_PHOTONS + 1
+    with pytest.raises(ValueError, match=f"max_photons {value} exceeds the cap of {MAX_PHOTONS}"):
+        run_crosscheck(max_photons=value)
 
 
 def test_extra_cases_above_the_cap_rejected_before_any_draw(monkeypatch):

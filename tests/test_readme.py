@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kerrmich.cli import main
+from kerrmich.sweep import CSV_COLUMNS
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -34,6 +35,11 @@ def test_command_block_is_found():
 def test_command_line_example_runs(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_csv_column_order_is_the_one_in_the_code():
+    listed = re.search(r"with a fixed column order \(`(.*?)`\)", README, re.S).group(1)
+    assert listed.replace(",", " ").split() == list(CSV_COLUMNS)
 
 
 def test_library_sketch_runs():

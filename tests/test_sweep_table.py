@@ -26,7 +26,6 @@ from kerrmich.sweep import (
     ROW_FIELDS,
     WRITE_ROWS,
     GridSpec,
-    SweepStats,
     SweepTable,
     _evaluate_reference,
     evaluate,
@@ -256,17 +255,39 @@ def test_block_boundaries_do_not_change_rows(monkeypatch, rows_per_block, change
 def test_blocks_and_their_stats(monkeypatch):
     monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 4)
     grids = [GridSpec("power", 0.0, 1e6, 3), GridSpec("sigma", 0.0, 0.02, 3)]
-    stats = SweepStats()
-    blocks = list(sweep_blocks(GIANT_BASE, grids, stats=stats))
+    blocks = list(sweep_blocks(GIANT_BASE, grids))
     # a block is a box: one power at a time, since two would make 6 rows
     assert [len(b) for b in blocks] == [3, 3, 3]
     table = run_sweep(GIANT_BASE, grids)
     assert SweepTable.concat(blocks) == table
-    assert stats.rows == 9
-    assert stats.validity_failures == table.validity_failures()
+    assert sum(len(b) for b in blocks) == 9
+    failures = [b.validity_failures() for b in blocks]
+    assert {name: sum(f[name] for f in failures) for name in FLAG_FIELDS} == (
+        table.validity_failures()
+    )
     # the dark input is the one power the kernel leaves to the fallback
-    assert stats.fallback_rows == 3
-    assert stats.kernel_s >= 0.0 and stats.fallback_s >= 0.0
+    assert [b.stages["fallback_rows"] for b in blocks] == [3, 0, 0]
+    for b in blocks:
+        assert list(b.stages) == ["kernel_s", "fallback_s", "fallback_rows"]
+        assert b.stages["kernel_s"] >= 0.0 and b.stages["fallback_s"] >= 0.0
+    # a table that no kernel computed has no stages
+    assert table.stages == {} and SweepTable.from_rows(table).stages == {}
+
+
+def test_interleaved_sweeps_share_nothing():
+    # two passes over one dark-edge grid, a block of each in turn
+    grids = [GridSpec("tau", 1e-11, 1e-9, 5, "log"), GridSpec("power", 0.0, 1e7, 4),
+             GridSpec("sigma", 0.0, 1e-3, 3000)]
+    pairs = list(zip(sweep_blocks(GIANT_BASE, grids), sweep_blocks(GIANT_BASE, grids),
+                     strict=True))
+    assert len(pairs) > 1
+    for first, second in pairs:
+        assert first.stages["fallback_rows"] == second.stages["fallback_rows"]
+        assert first.shape == second.shape
+        for name in ROW_FIELDS:
+            a, b = np.asarray(first.columns[name]), np.asarray(second.columns[name])
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert sum(first.stages["fallback_rows"] for first, _ in pairs) == 5 * 3000
 
 
 @st.composite
@@ -349,11 +370,11 @@ def test_fallback_rows_keep_dedupe(monkeypatch):
 
     monkeypatch.setattr(kerrmich.floattext, "float_texts", counting)
     assert list(CSV_AXES) == list(CSV_COLUMNS)
-    stats = SweepStats()
-    fallback_rows = 0
-    for block in sweep_blocks(GIANT_BASE, grids, stats=stats):
-        fallback = stats.fallback_rows - fallback_rows
-        fallback_rows = stats.fallback_rows
+    rows = fallback_rows = 0
+    for block in sweep_blocks(GIANT_BASE, grids):
+        fallback = block.stages["fallback_rows"]
+        rows += len(block)
+        fallback_rows += fallback
         assert fallback > 0
         extent = {
             axis: len(np.unique(block.column(name)))
@@ -363,8 +384,8 @@ def test_fallback_rows_keep_dedupe(monkeypatch):
         block.write_csv_rows(io.StringIO())
         assert formatted.pop() <= sum(count + fallback for count in own.values())
         assert not formatted
-    assert stats.rows == 100_000
-    assert stats.fallback_rows == 2000
+    assert rows == 100_000
+    assert fallback_rows == 2000
 
 
 def test_linear_medium_rows_need_no_fallback():
@@ -372,10 +393,10 @@ def test_linear_medium_rows_need_no_fallback():
     # dominance margin, which is the composed path's own value
     base = dataclasses.replace(GIANT_BASE, n2=0.0)
     grids = [GridSpec("sigma", 0.0, 0.1, 5), GridSpec("nt", 0.0, 10.0, 4)]
-    stats = SweepStats()
-    table = SweepTable.concat(sweep_blocks(base, grids, stats=stats))
-    assert stats.rows == 20
-    assert stats.fallback_rows == 0
+    blocks = list(sweep_blocks(base, grids))
+    table = SweepTable.concat(blocks)
+    assert len(table) == 20
+    assert sum(block.stages["fallback_rows"] for block in blocks) == 0
     points = itertools.product(*(g.values() for g in grids))
     for row, (sigma, nt) in zip(table, points, strict=True):
         want = _evaluate_reference(dataclasses.replace(base, sigma=sigma, nt=nt))
