@@ -56,7 +56,6 @@ from .fock import (
 from .sweep import (
     CSV_COLUMNS,
     GridSpec,
-    RegimeReport,
     SweepRow,
     SweepTable,
     evaluate,

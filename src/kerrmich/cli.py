@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
-from .core import ParameterError, ParameterSet, get_preset, kerr_cm2
+from .core import PRESETS, ParameterError, ParameterSet, get_preset, kerr_cm2
 from .crosscheck import MAX_CASES, MAX_DIM_MARGIN, MAX_PHOTONS, run_crosscheck
 from .fock import TruncationError
 from .sweep import (
@@ -33,7 +33,6 @@ from .sweep import (
     MARGIN_FIELDS,
     MAX_ROWS,
     GridSpec,
-    RegimeReport,
     SweepRow,
     SweepTable,
     evaluate,
@@ -240,12 +239,6 @@ def _json_text(obj) -> str:
     return json.dumps(finite, indent=2, allow_nan=False)
 
 
-def _write_sidecar(output: Path, manifest: dict | None) -> None:
-    if manifest is not None:
-        sidecar = output.with_name(output.name + ".manifest.json")
-        sidecar.write_text(_json_text(manifest) + "\n")
-
-
 def _emit_stream(
     write: Callable[[TextIO], None], output: Path | None, manifest: dict | None
 ) -> None:
@@ -253,13 +246,22 @@ def _emit_stream(
     if output is None:
         write(sys.stdout)
         return
-    with output.open("w") as f:
-        write(f)
+    opened = []
     try:
-        _write_sidecar(output, manifest)
+        with output.open("w") as f:
+            opened.append(output)
+            write(f)
+        if manifest is not None:
+            sidecar = output.with_name(output.name + ".manifest.json")
+            with sidecar.open("w") as f:
+                opened.append(sidecar)
+                f.write(_json_text(manifest) + "\n")
     except OSError:
-        # a run that exits 1 leaves no data file behind
-        output.unlink()
+        # a run that exits 1 leaves no file behind; only a regular file is
+        # removed, never a device, a pipe or the file behind a symlink
+        for path in opened:
+            if path.is_file() and not path.is_symlink():
+                path.unlink()
         raise
 
 
@@ -428,43 +430,9 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0 if report.ok else 2
 
 
-def _report_payload(report: RegimeReport) -> dict:
-    inputs = dataclasses.asdict(get_preset(report.name))
-    return {
-        "name": report.name,
-        "inputs": {
-            GRID_COLUMNS.get(name, name): value
-            for name, value in inputs.items()
-            if name not in ("arm_length", "signal_x")
-        },
-        "derived": {
-            "n_photons": report.row.n_photons,
-            "chi": report.row.chi,
-            "k": report.row.k_per_m,
-        },
-        "report": {
-            "arm_length_m": report.row.arm_length_m,
-            "x_min_m": report.row.delta_x_m,
-            "x_max_m": report.x_max_m,
-            "sigma_max": report.sigma_max,
-            "nt_max": report.nt_max,
-            "delta_x_m": report.row.delta_x_m,
-            "delta_x_linear_m": report.row.delta_x_linear_m,
-            "improvement": report.row.improvement,
-            "notes": list(report.notes),
-        },
-    }
-
-
 def cmd_regimes(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    payload = {
-        "regimes": [
-            _report_payload(regime_report(name))
-            for name in ("natural", "giant-eit")
-        ]
-    }
-    manifest = _manifest(argv, {})
-    _emit_json(payload, args.output, manifest)
+    payload = {"regimes": [regime_report(name) for name in PRESETS]}
+    _emit_json(payload, args.output, _manifest(argv, {}))
     return 0
 
 

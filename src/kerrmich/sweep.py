@@ -640,36 +640,23 @@ def _kernel(
     return dict(zip(ROW_FIELDS, columns)), clean
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Operating-point solution and working window for a named regime.
-
-    row.delta_x_m..x_max_m is the detectable-signal window (resolution up
-    to the small-signal bound 1/(chi N k)); sigma_max and nt_max are the
-    dephasing and thermal levels at which the added noise would reach the
-    square of the nonlinear gain, eroding its advantage.
-    """
-
-    name: str
-    row: SweepRow
-    x_max_m: float
-    sigma_max: float
-    nt_max: float
-    notes: tuple[str, ...]
-
-
 # Beyond this the required interferometer stops being buildable on Earth.
 PRACTICAL_ARM_LIMIT = 1e6  # m
 
 
-def regime_report(name: str) -> RegimeReport:
-    """Evaluate a built-in regime at its first operating point."""
-    row = evaluate(get_preset(name))
+def regime_report(name: str) -> dict:
+    """The `regimes` entry of a built-in regime at its first operating
+    point, as a fresh dict: its inputs, derived values and report.
+
+    x_min_m..x_max_m is the detectable-signal window (resolution up to the
+    small-signal bound 1/(chi N k)); sigma_max and nt_max are the
+    dephasing and thermal levels at which the added noise would reach the
+    square of the nonlinear gain, eroding its advantage.
+    """
+    params = get_preset(name)
+    row = evaluate(params)
     arm, n, chi, k = row.arm_length_m, row.n_photons, row.chi, row.k_per_m
     gain = chi * n
-    x_max = 1.0 / (gain * k) if gain > 0.0 else math.inf
-    sigma_max = chi * math.sqrt(n / row.eta)
-    nt_max = gain * gain
 
     notes: list[str] = []
     if arm > PRACTICAL_ARM_LIMIT:
@@ -678,11 +665,23 @@ def regime_report(name: str) -> RegimeReport:
             "fixed-length Kerr phase to zero (m = 0) with a compensating "
             "medium of opposite sign would be needed instead"
         )
-    return RegimeReport(
-        name=name,
-        row=row,
-        x_max_m=x_max,
-        sigma_max=sigma_max,
-        nt_max=nt_max,
-        notes=tuple(notes),
-    )
+    return {
+        "name": name,
+        "inputs": {
+            GRID_COLUMNS.get(field, field): value
+            for field, value in dataclasses.asdict(params).items()
+            if field not in ("arm_length", "signal_x")
+        },
+        "derived": {"n_photons": n, "chi": chi, "k": k},
+        "report": {
+            "arm_length_m": arm,
+            "x_min_m": row.delta_x_m,
+            "x_max_m": 1.0 / (gain * k) if gain > 0.0 else math.inf,
+            "sigma_max": chi * math.sqrt(n / row.eta),
+            "nt_max": gain * gain,
+            "delta_x_m": row.delta_x_m,
+            "delta_x_linear_m": row.delta_x_linear_m,
+            "improvement": row.improvement,
+            "notes": notes,
+        },
+    }

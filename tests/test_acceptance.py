@@ -109,24 +109,24 @@ def test_criterion_5_regime_reproduction():
         assert decade / 5.0 <= value <= decade * 5.0, f"{value} not within 5x of {decade}"
 
     natural = regime_report("natural")
-    band(natural.row.n_photons, 1e21)
-    band(natural.row.chi, 1e-18)
-    band(natural.row.delta_x_m, 1e-21)
-    band(natural.row.delta_x_linear_m, 1e-21 / 1e-3)
-    band(natural.row.improvement, 1e-3)
-    band(natural.row.arm_length_m, 1e12)
-    band(natural.sigma_max, 1e-8)
-    band(natural.nt_max, 1e6)
+    band(natural["derived"]["n_photons"], 1e21)
+    band(natural["derived"]["chi"], 1e-18)
+    band(natural["report"]["delta_x_m"], 1e-21)
+    band(natural["report"]["delta_x_linear_m"], 1e-21 / 1e-3)
+    band(natural["report"]["improvement"], 1e-3)
+    band(natural["report"]["arm_length_m"], 1e12)
+    band(natural["report"]["sigma_max"], 1e-8)
+    band(natural["report"]["nt_max"], 1e6)
 
     giant = regime_report("giant-eit")
-    band(giant.row.n_photons, 1e14)
-    band(giant.row.chi, 1e-8)
-    band(giant.row.delta_x_m, 1e-20)
-    band(giant.row.delta_x_linear_m, 1e-20 / 1e-6)
-    band(giant.row.improvement, 1e-6)
-    band(giant.row.arm_length_m, 100.0)
-    band(giant.sigma_max, 1e-1)
-    band(giant.nt_max, 1e12)
+    band(giant["derived"]["n_photons"], 1e14)
+    band(giant["derived"]["chi"], 1e-8)
+    band(giant["report"]["delta_x_m"], 1e-20)
+    band(giant["report"]["delta_x_linear_m"], 1e-20 / 1e-6)
+    band(giant["report"]["improvement"], 1e-6)
+    band(giant["report"]["arm_length_m"], 100.0)
+    band(giant["report"]["sigma_max"], 1e-1)
+    band(giant["report"]["nt_max"], 1e12)
     _report(5, "both built-in regimes within a factor of 5")
 
 

@@ -1,5 +1,8 @@
 import contextlib
+import dataclasses
+import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -15,9 +18,11 @@ import kerrmich.crosscheck
 import kerrmich.fock
 import kerrmich.sweep
 from kerrmich.cli import DESIGN_FLAGS, CliError, main, parse_grid, parse_n2
-from kerrmich.crosscheck import MAX_CASES, MAX_DIM_MARGIN, MAX_PHOTONS
-from kerrmich.core import HBAR, C_LIGHT, get_preset
-from kerrmich.sweep import CSV_HEADER, FLAG_FIELDS, GridSpec, sweep_blocks
+from kerrmich.crosscheck import MAX_CASES, MAX_DIM_MARGIN, MAX_PHOTONS, CrossCheckReport
+from kerrmich.core import HBAR, C_LIGHT, PRESETS, get_preset
+from kerrmich.sweep import (
+    CSV_HEADER, FLAG_FIELDS, GridSpec, SweepTable, regime_report, sweep_blocks,
+)
 
 
 def order_band(value, decade, factor=5.0):
@@ -337,6 +342,20 @@ class TestRegimes:
         assert order_band(natural["report"]["sigma_max"], 1e-8)
         assert order_band(natural["report"]["nt_max"], 1e6)
         assert len(natural["report"]["notes"]) == 1
+
+
+def test_regimes_prints_the_library_entries(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "regimes")
+    assert code == 0
+    got = json.loads(out, parse_constant=_reject_constant)["regimes"]
+    want = [regime_report(name) for name in PRESETS]
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # keys in the same order too
+    monkeypatch.setitem(PRESETS, "third", dataclasses.replace(PRESETS["giant-eit"], tau=2e-10))
+    _, out, _ = run_cli(capsys, "regimes")
+    got = json.loads(out, parse_constant=_reject_constant)["regimes"]
+    assert [entry["name"] for entry in got] == ["natural", "giant-eit", "third"]
+    assert got[2] == regime_report("third")
 
 
 class TestOutputFiles:
@@ -864,6 +883,85 @@ def test_unwritable_sidecar_leaves_no_data_file(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("kerrmich: error: [Errno ")
     assert [p.name for p in tmp_path.rglob("*")] == ["x.csv.manifest.json"]
+
+
+def test_output_to_the_working_directory_is_one_clean_error(capsys, tmp_path, monkeypatch):
+    # "." has no file name to put a sidecar name beside
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--max-photons", "0", "--output", ".")
+    assert (code, out) == (1, "")
+    assert err.startswith("kerrmich: error: [Errno ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+NO_SPACE = "kerrmich: error: [Errno 28] No space left on device\n"
+
+
+def _no_space():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_sweep_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch, fmt):
+    # the second of three blocks fails after the first reached the file
+    name = f"write_{fmt}_rows"
+    write, calls, written = getattr(SweepTable, name), itertools.count(1), []
+
+    def failing(self, out):
+        if next(calls) == 2:
+            written.append(out.tell())
+            raise _no_space()
+        return write(self, out)
+
+    monkeypatch.setattr(SweepTable, name, failing)
+    code, out, err = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", "--grid", "sigma=0:0.1:20000",
+        "--format", fmt, "--output", str(tmp_path / f"part.{fmt}"),
+    )
+    assert (code, out, err) == (1, "", NO_SPACE)
+    assert written[0] > 1_000_000
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_verify_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    lines = CrossCheckReport.lines
+
+    def failing(self):
+        yield from itertools.islice(lines(self), 3)
+        raise _no_space()
+
+    monkeypatch.setattr(CrossCheckReport, "lines", failing)
+    code, out, err = run_cli(
+        capsys, "verify", "--max-photons", "4", "--output", str(tmp_path / "v.txt")
+    )
+    assert (code, out, err) == (1, "", NO_SPACE)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--regime", "giant-eit", "--format", "csv"], ["sweep", "--regime", "giant-eit"],
+     ["verify", "--max-photons", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_failed_sidecar_write_leaves_neither_file(capsys, tmp_path, monkeypatch, argv):
+    # the sidecar is created and half written, then the disk is full
+    path_open = Path.open
+
+    def open_(self, *args, **kwargs):
+        f = path_open(self, *args, **kwargs)
+        if self.name.endswith(".manifest.json"):
+            def write(text):
+                type(f).write(f, text[: len(text) // 2])
+                raise _no_space()
+
+            f.write = write
+        return f
+
+    monkeypatch.setattr(Path, "open", open_)
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "x.csv"))
+    assert (code, out, err) == (1, "", NO_SPACE)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

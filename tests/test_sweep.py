@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kerrmich.core import (
     C_LIGHT,
@@ -12,6 +13,7 @@ from kerrmich.core import (
     ParameterError,
     PulseSpec,
     derive,
+    PRESETS,
     get_preset,
 )
 from kerrmich.sweep import (
@@ -229,31 +231,66 @@ class TestRunSweep:
 
 class TestRegimeReport:
     def test_giant_regime(self):
-        rep = regime_report("giant-eit")
-        assert order_band(rep.row.arm_length_m, 100.0)
-        assert order_band(rep.row.delta_x_m, 1e-20)
-        assert order_band(rep.x_max_m, 1e-13)
-        assert order_band(rep.sigma_max, 1e-1)
-        assert order_band(rep.nt_max, 1e12)
-        assert rep.notes == ()
-        assert rep.row.on_operating_point
+        rep = regime_report("giant-eit")["report"]
+        assert order_band(rep["arm_length_m"], 100.0)
+        assert order_band(rep["delta_x_m"], 1e-20)
+        assert order_band(rep["x_max_m"], 1e-13)
+        assert order_band(rep["sigma_max"], 1e-1)
+        assert order_band(rep["nt_max"], 1e12)
+        assert rep["notes"] == []
+        assert evaluate(get_preset("giant-eit")).on_operating_point
 
     def test_natural_regime(self):
-        rep = regime_report("natural")
-        assert order_band(rep.row.arm_length_m, 1e12)
-        assert order_band(rep.sigma_max, 1e-8)
-        assert order_band(rep.nt_max, 1e6)
-        assert order_band(rep.x_max_m, 1e-10)
-        assert len(rep.notes) == 1
-        assert "compensating" in rep.notes[0]
+        rep = regime_report("natural")["report"]
+        assert order_band(rep["arm_length_m"], 1e12)
+        assert order_band(rep["sigma_max"], 1e-8)
+        assert order_band(rep["nt_max"], 1e6)
+        assert order_band(rep["x_max_m"], 1e-10)
+        assert len(rep["notes"]) == 1
+        assert "compensating" in rep["notes"][0]
 
     def test_unknown_regime(self):
         with pytest.raises(ParameterError, match="unknown regime"):
             regime_report("mystery")
 
     def test_window_is_wide_open_for_giant(self):
-        rep = regime_report("giant-eit")
-        assert rep.x_max_m / rep.row.delta_x_m > 1e5
+        rep = regime_report("giant-eit")["report"]
+        assert rep["x_max_m"] / rep["delta_x_m"] > 1e5
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestGainIsTheIndexChange:
+    # chi N = n2 I / n0 with I = P/A, so at sigma = nt = 0 the resolution
+    # gain over the linear scheme is 1 + dn/(2 n0), with dn = n2 I the
+    # Kerr index change
+    TOLERANCE = 8 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_regimes_entry(self, name):
+        entry = regime_report(name)
+        inputs = entry["inputs"]
+        assert inputs["sigma"] == inputs["nt"] == 0.0
+        dn = inputs["n2_m2_per_w"] * inputs["power_w"] / inputs["area_m2"]
+        expected = 1.0 / (1.0 + dn / (2.0 * inputs["n0"]))
+        assert abs(entry["report"]["improvement"] / expected - 1.0) <= self.TOLERANCE
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        wavelength=_log_uniform(1e-7, 1e-5),
+        tau=_log_uniform(1e-15, 1e-6),
+        area=_log_uniform(1e-12, 1e-2),
+        power=_log_uniform(1e-3, 1e16),
+        n2=_log_uniform(1e-26, 1e-4),
+        n0=st.floats(1.0, 4.0),
+        eta=st.floats(0.01, 1.0),
+    )
+    def test_random_designs(self, wavelength, tau, area, power, n2, n0, eta):
+        row = evaluate(ParameterSet(wavelength, tau, area, power, n2, n0=n0, eta=eta))
+        expected = 1.0 / (1.0 + n2 * (power / area) / (2.0 * n0))
+        assert abs(row.improvement / expected - 1.0) <= self.TOLERANCE
 
 
 class TestParameterSet:
