@@ -121,7 +121,7 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_design_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--regime", help="start from a built-in preset (natural, giant-eit)")
+    p.add_argument("--regime", help=f"start from a built-in preset ({', '.join(PRESETS)})")
     for name, (flag, kind, text) in DESIGN_FLAGS.items():
         metavar = flag[2:].replace("-", "_").upper()
         p.add_argument(flag, dest=name, type=kind, metavar=metavar, help=text)
@@ -216,7 +216,7 @@ def _params_from_args(args: argparse.Namespace) -> ParameterSet:
     missing = [DESIGN_FLAGS[name][0] for name in REQUIRED_FIELDS if name not in overrides]
     if missing:
         raise CliError(
-            f"missing {', '.join(missing)} (or use --regime natural|giant-eit)"
+            f"missing {', '.join(missing)} (or use --regime {'|'.join(PRESETS)})"
         )
     return ParameterSet(**overrides)
 
@@ -257,10 +257,14 @@ def _emit_stream(
                 opened.append(sidecar)
                 f.write(_json_text(manifest) + "\n")
     except OSError:
-        # a run that exits 1 leaves no file behind; only a regular file is
-        # removed, never a device, a pipe or the file behind a symlink
+        # a run that exits 1 leaves no partial output: a regular file is
+        # removed, one reached through a symlink is emptied, and a link, a
+        # device or a pipe is left alone
         for path in opened:
-            if path.is_file() and not path.is_symlink():
+            if path.is_symlink():
+                if path.is_file():
+                    os.truncate(path, 0)
+            elif path.is_file():
                 path.unlink()
         raise
 

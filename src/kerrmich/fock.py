@@ -11,7 +11,8 @@ setting, each over the phase increments g_j(n+1) - g_j(n) between adjacent
 levels. The increment is linear in n, so each sum is a polynomial in
 r_j = exp(i*phi_j*chi), evaluated by Horner's rule in one pass over a
 whole batch of settings. No approximation enters anywhere except the
-declared basis truncation, which makes this module the ground truth the
+basis truncation, whose Poisson tail every amplitude build checks against
+DEFAULT_TRUNCATION_BUDGET; that makes this module the ground truth the
 closed-form engine is checked against.
 
 Sign convention: the difference photocount is M = i(a2^dag a1 - a1^dag a2),
@@ -39,14 +40,14 @@ DEFAULT_TRUNCATION_BUDGET = 1e-10
 
 
 class TruncationError(RuntimeError):
-    """The requested basis is too small for the amplitude and budget."""
+    """The requested basis leaves out more than DEFAULT_TRUNCATION_BUDGET."""
 
 
 def fock_dim(mean_photons: float) -> int:
     """Default basis size for a mode with the given mean photon number.
 
-    ceil(mu + 10*sqrt(mu) + 20) keeps the Poisson tail far below the
-    default truncation budget of 1e-10.
+    ceil(mu + 10*sqrt(mu) + 20) keeps the Poisson tail far below
+    DEFAULT_TRUNCATION_BUDGET.
     """
     mu = float(mean_photons)
     if mu < 0.0 or not math.isfinite(mu):
@@ -54,15 +55,13 @@ def fock_dim(mean_photons: float) -> int:
     return math.ceil(mu + 10.0 * math.sqrt(mu) + 20.0)
 
 
-def coherent_amplitudes(
-    beta: complex, dim: int, budget: float | None = None
-) -> tuple[np.ndarray, float]:
+def coherent_amplitudes(beta: complex, dim: int) -> np.ndarray:
     """Truncated number-basis amplitudes of a coherent state.
 
     Entry n is exp(-|beta|^2/2) * beta^n / sqrt(n!), assembled in the log
-    domain so no factorial is ever formed. Returns (amplitudes, tail mass),
-    the tail being the Poisson probability left outside the basis; a
-    TruncationError is raised if the tail exceeds the budget, when given.
+    domain so no factorial is ever formed. A TruncationError is raised if
+    the Poisson probability left outside the basis exceeds
+    DEFAULT_TRUNCATION_BUDGET.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -71,18 +70,18 @@ def coherent_amplitudes(
     if mu == 0.0:
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
-        return amps, 0.0
+        return amps
     n = np.arange(dim)
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(dim)])
     log_mag = -0.5 * mu + n * math.log(abs(b)) - 0.5 * log_fact
     amps = np.exp(log_mag) * np.exp(1j * n * cmath.phase(b))
-    tail = max(1.0 - float(np.sum(np.abs(amps) ** 2)), 0.0)
-    if budget is not None and tail > budget:
+    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
+    if tail > DEFAULT_TRUNCATION_BUDGET:
         raise TruncationError(
-            f"tail mass {tail:.3e} exceeds budget {budget:.3e} "
+            f"tail mass {tail:.3e} exceeds budget {DEFAULT_TRUNCATION_BUDGET:.3e} "
             f"for |beta|^2 = {mu:.6g} at dim {dim}"
         )
-    return amps, tail
+    return amps
 
 
 @dataclass(frozen=True)
@@ -102,31 +101,17 @@ class TwoModeState:
     def dims(self) -> tuple[int, int]:
         return self.coeffs.shape
 
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    @property
-    def trunc_loss(self) -> float:
-        """Probability mass lost to the truncation (>= 0)."""
-        return max(1.0 - self.norm_sq, 0.0)
-
-
-def product_input(
-    alpha: complex,
-    dim: int | None = None,
-    budget: float | None = DEFAULT_TRUNCATION_BUDGET,
-) -> TwoModeState:
+def product_input(alpha: complex, dim: int | None = None) -> TwoModeState:
     """Input state |alpha/sqrt(2)>_1 |alpha/sqrt(2)>_2 of the internal modes.
 
-    dim is the per-mode basis size (default from `fock_dim`). If the
-    per-mode Poisson tail exceeds `budget`, a TruncationError is raised;
-    pass budget=None to skip the check.
+    dim is the per-mode basis size (default from `fock_dim`); each mode is
+    built by `coherent_amplitudes`, so its truncation is checked.
     """
     beta = complex(alpha) / math.sqrt(2.0)
     if dim is None:
         dim = fock_dim(abs(beta) ** 2)
-    amps, _ = coherent_amplitudes(beta, dim, budget=budget)
+    amps = coherent_amplitudes(beta, dim)
     return TwoModeState(np.outer(amps, amps))
 
 
@@ -202,7 +187,6 @@ class MomentSet:
     offset           deterministic common phase applied to a1^dag a2
     mean_m           <M> at that offset
     mean_m2          <M^2> at that offset
-    trunc_loss       norm deficit of the state the moments came from
 
     A MomentSet returned by `noisy_moments` carries the detected-channel
     values instead: there mean_m and mean_m2 follow the replacement rules
@@ -218,7 +202,6 @@ class MomentSet:
     offset: float
     mean_m: float
     mean_m2: float
-    trunc_loss: float
 
 
 def moments(state: TwoModeState, offset: float | np.ndarray = 0.0) -> MomentSet:
@@ -264,9 +247,7 @@ def moments(state: TwoModeState, offset: float | np.ndarray = 0.0) -> MomentSet:
     table = np.array(list(map(at, offsets.ravel().tolist()))).reshape(*offsets.shape, 3)
     table.flags.writeable = False
     offset, mean_m, mean_m2 = np.moveaxis(table, -1, 0) if offsets.ndim else table.tolist()
-    return MomentSet(
-        mean_n1, mean_n2, mean_n1n2, cross, pair, offset, mean_m, mean_m2, state.trunc_loss
-    )
+    return MomentSet(mean_n1, mean_n2, mean_n1n2, cross, pair, offset, mean_m, mean_m2)
 
 
 def noisy_moments(m: MomentSet, noise: NoiseSpec) -> MomentSet:
@@ -302,7 +283,6 @@ def noisy_moments(m: MomentSet, noise: NoiseSpec) -> MomentSet:
         offset=m.offset,
         mean_m=mean_m,
         mean_m2=mean_m2,
-        trunc_loss=m.trunc_loss,
     )
 
 
@@ -318,7 +298,7 @@ def coherent_identity_residual(
     mu = abs(b) ** 2
     if dim is None:
         dim = fock_dim(mu)
-    amps, _ = coherent_amplitudes(b, dim, budget=DEFAULT_TRUNCATION_BUDGET)
+    amps = coherent_amplitudes(b, dim)
     n = np.arange(dim - 1, dtype=float)
     direct = complex(
         np.sum(np.conj(amps[:-1]) * np.exp(2j * z * n) * np.sqrt(n + 1.0) * amps[1:])
@@ -353,25 +333,21 @@ def monte_carlo_phase(
     return estimate, stderr
 
 
-def gauss_hermite_phase(
-    mean_fn: Callable[[np.ndarray], np.ndarray],
-    sigma: float,
-    order: int = 64,
-) -> float:
+def gauss_hermite_phase(mean_fn: Callable[[np.ndarray], np.ndarray], sigma: float) -> float:
     """Gaussian average of mean_fn over phi ~ Normal(0, sigma^2) by
-    Gauss-Hermite quadrature; the deterministic cross-check for the Monte
-    Carlo path and for closed-form dephasing factors."""
+    Gauss-Hermite quadrature of order 64; the deterministic cross-check for
+    the Monte Carlo path and for closed-form dephasing factors."""
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    nodes, weights = _hermgauss(order)
+    nodes, weights = _hermgauss()
     phi = math.sqrt(2.0) * sigma * nodes
     values = np.asarray(mean_fn(phi), dtype=float)
     return float(np.sum(weights * values) / math.sqrt(math.pi))
 
 
 @functools.cache
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights of one order, built once, read-only."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+def _hermgauss() -> tuple[np.ndarray, np.ndarray]:
+    """The order-64 Gauss-Hermite nodes and weights, built once, read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

@@ -358,6 +358,24 @@ def test_regimes_prints_the_library_entries(capsys, monkeypatch):
     assert got[2] == regime_report("third")
 
 
+def test_regime_help_and_missing_flag_error_name_every_preset(capsys, monkeypatch):
+    def texts():
+        with pytest.raises(SystemExit):
+            main(["estimate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        code, _, err = run_cli(capsys, "estimate", "--tau", "1e-12")
+        assert code == 1
+        return help_text, err
+
+    help_text, err = texts()
+    assert "start from a built-in preset (natural, giant-eit)" in help_text
+    assert err.endswith("(or use --regime natural|giant-eit)\n")
+    monkeypatch.setitem(PRESETS, "third", dataclasses.replace(PRESETS["giant-eit"], tau=2e-10))
+    help_text, err = texts()
+    assert "start from a built-in preset (natural, giant-eit, third)" in help_text
+    assert err.endswith("(or use --regime natural|giant-eit|third)\n")
+
+
 class TestOutputFiles:
     def test_json_output_embeds_manifest(self, capsys, tmp_path):
         target = tmp_path / "estimate.json"
@@ -921,6 +939,33 @@ def test_failed_sweep_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch
     assert (code, out, err) == (1, "", NO_SPACE)
     assert written[0] > 1_000_000
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_sweep_write_through_a_symlink_empties_its_target(
+    capsys, tmp_path, monkeypatch
+):
+    # the link stays, and the regular file behind it keeps none of the
+    # first block, which reached it before the second block failed
+    write, calls, written = SweepTable.write_csv_rows, itertools.count(1), []
+
+    def failing(self, out):
+        if next(calls) == 2:
+            written.append(out.tell())
+            raise _no_space()
+        return write(self, out)
+
+    monkeypatch.setattr(SweepTable, "write_csv_rows", failing)
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    code, out, err = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", "--grid", "sigma=0:0.1:20000",
+        "--output", str(link),
+    )
+    assert (code, out, err) == (1, "", NO_SPACE)
+    assert written[0] > 1_000_000
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+    assert link.is_symlink() and real.read_bytes() == b""
 
 
 def test_failed_verify_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):

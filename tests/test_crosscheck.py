@@ -64,7 +64,6 @@ from kerrmich.crosscheck import (
     run_crosscheck,
 )
 from kerrmich.fock import (
-    DEFAULT_TRUNCATION_BUDGET,
     apply_kerr,
     coherent_amplitudes,
     coherent_identity_residual,
@@ -81,10 +80,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 def one_mode(n, dim_margin=0):
     """One arm's amplitudes at n photons in all, as `verify` builds them."""
     beta = math.sqrt(float(n)) / math.sqrt(2.0)
-    amps, _ = coherent_amplitudes(
-        beta, fock_dim(n / 2.0) + dim_margin, budget=DEFAULT_TRUNCATION_BUDGET
-    )
-    return amps
+    return coherent_amplitudes(beta, fock_dim(n / 2.0) + dim_margin)
 
 
 def means(amps, phi1, phi2, chi, offset):
@@ -249,7 +245,7 @@ def test_empty_batch():
 
 def test_one_level_basis_has_no_mean():
     # d = 1 leaves no ladder term, as in the dense contraction
-    amps, _ = coherent_amplitudes(0.0, 1)
+    amps = coherent_amplitudes(0.0, 1)
     got = means(amps, [0.3, 1.0], [0.4, 2.0], [0.1, 0.0], [0.0, 0.5])
     assert got.tolist() == [0.0, 0.0]
 
@@ -261,9 +257,9 @@ def test_mean_section_builds_each_photon_numbers_amplitudes_once(monkeypatch):
     # each window makes one kernel call on that table
     calls, tables = [], []
 
-    def spy(beta, dim, budget=None):
+    def spy(beta, dim):
         calls.append(beta)
-        return coherent_amplitudes(beta, dim, budget)
+        return coherent_amplitudes(beta, dim)
 
     def kernel(table, *args):
         tables.append(table)
@@ -545,7 +541,7 @@ def test_summary_reports_worst_error_per_section():
         CheckCase("gaussian-mc", "d", 3.5, MC_SIGMA_BAND),
         CheckCase("noise", "e", 0.0, 1e-9),
     )
-    lines = list(CrossCheckReport(blocks_of(cases), tolerance=1e-9, seed=1).lines())
+    lines = list(CrossCheckReport(blocks_of(cases)).lines())
     assert len(lines) == len(cases) + 1
     assert lines[3] == "FAIL [gaussian-mc] d: error 3.500e+00 (limit 3.000e+00)"
     assert lines[-1] == (
@@ -581,7 +577,7 @@ def test_summary_worst_error_is_nan_if_any_error_is(order):
         CheckCase("mean", "b", math.nan, 1e-9),
         CheckCase("noise", "c", 2e-16, 1e-9),
     )[::order]
-    report = CrossCheckReport(blocks_of(cases), tolerance=1e-9, seed=1)
+    report = CrossCheckReport(blocks_of(cases))
     assert math.isnan(report.max_error("mean"))
     assert math.isnan(report.max_error())
     assert report.max_error("noise") == 2e-16
@@ -693,7 +689,7 @@ def hand_built_report():
         CheckBlock("noise", 1e-9, "%s", (["N=16 eta=0.5 sigma=0.0 nt=0.0"],),
                    np.array([math.inf])),
     )
-    return CrossCheckReport(blocks, tolerance=1e-9, seed=1)
+    return CrossCheckReport(blocks)
 
 
 def same_error(a, b):
