@@ -425,12 +425,15 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     )
     manifest["checks"] = report.checks
     manifest["failed"] = report.failed
-    manifest["stages"] = {f"{section}_s": s for section, s in report.stages.items()}
-    _emit_stream(
-        lambda f: f.writelines(line + "\n" for line in report.lines()),
-        args.output,
-        manifest,
-    )
+    manifest["stages"] = stages = {f"{section}_s": s for section, s in report.stages.items()}
+
+    def write(out: TextIO) -> None:
+        start = time.perf_counter()
+        for text in report.texts():
+            out.write(text)
+        stages["format_write_s"] = time.perf_counter() - start
+
+    _emit_stream(write, args.output, manifest)
     return 0 if report.ok else 2
 
 

@@ -20,11 +20,12 @@ an array of errors); the mean section gives one per window, the fixed
 grid and each window of MEAN_WINDOW random draws. Each window gets its
 exact <M> from one `signal_mean_exact` call and its oracle values from
 one `kerr_means` call on the one weight table the run builds first (row
-n for n photons, zero-padded to the longest row). A report line, label
-included, is made by one `%` from a block's columns; verdicts
-(`CheckBlock.passed`, the one rule), the failure count and each section's
-worst error are array operations. One `CheckCase` per check is built only
-when `CrossCheckReport.cases` is read.
+n for n photons, zero-padded to the longest row). A block's report lines
+are one byte table (`CheckBlock.text`): each column is formatted once by
+`rowtext.conversion_texts`, byte for byte as one `%` per line would
+format it; verdicts (`CheckBlock.passed`, the one rule), the failure
+count and each section's worst error are array operations. One
+`CheckCase` per check is built only when `CrossCheckReport.cases` is read.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ class CheckCase(NamedTuple):
     limit: float
 
 
+# A check's status text as four bytes in one uint32, by its verdict.
+_STATUS = np.frombuffer(b"FAILPASS", dtype=np.uint32)
+
+
 class CheckBlock(NamedTuple):
     """Checks of one section under one limit, as columns: check i is
     labelled `label_format % (column[i] for each of label_columns)` and has
@@ -127,14 +132,31 @@ class CheckBlock(NamedTuple):
         """Each check's verdict; a NaN error fails."""
         return self.errors <= self.limit
 
-    def lines(self) -> list[str]:
-        """One report line per check, each made by one `%`."""
-        line = (
-            f"%s [{self.section}] {self.label_format}: error %.3e "
-            f"(limit {self.limit:.3e})"
-        )
-        status = np.where(self.passed(), "PASS", "FAIL").tolist()
-        return list(map(line.__mod__, zip(status, *self.columns(), self.errors.tolist())))
+    def text(self) -> str:
+        """The block's report lines, each ending in a newline: for each
+        check, `line % (status, *label values, error)` with line
+        "%s [section] <label_format>: error %.3e (limit <limit>)". Each
+        column is formatted once (`rowtext.conversion_texts`) and the
+        lines are laid out as one byte table. No label holds a NUL."""
+        from .rowtext import conversion_texts, join_texts, split_format
+
+        line = f"%s [{self.section}] {self.label_format}: error %.3e (limit {self.limit:.3e})\n"
+        fixed, conversions = split_format(line)
+        columns = self.label_columns
+        if len(conversions) != len(columns) + 2:
+            raise TypeError(
+                f"label format {self.label_format!r} takes {len(conversions) - 2} "
+                f"columns, not {len(columns)}"
+            )
+        rows = min([len(self.errors), *map(len, columns)])
+        if not rows:
+            return ""
+        tables = [
+            _STATUS[self.passed()[:rows].view(np.uint8)].view(np.uint8).reshape(rows, 4),
+            *map(conversion_texts, conversions[1:-1], [c[:rows] for c in columns]),
+            conversion_texts(conversions[-1], self.errors[:rows]),
+        ]
+        return join_texts(fixed, tables)
 
     def cases(self) -> list[CheckCase]:
         return [
@@ -192,18 +214,24 @@ class CrossCheckReport:
         worst = self._worst.values()
         return functools.reduce(_worse, worst) if worst else 0.0
 
-    def lines(self) -> Iterator[str]:
-        """One line per check, then the summary: verdict, counts, and each
-        section's worst error in that section's unit, as `max_error` gives
-        it."""
+    def texts(self) -> Iterator[str]:
+        """The report as text, one chunk per block (`CheckBlock.text`),
+        then the summary line: verdict, counts, and each section's worst
+        error in that section's unit, as `max_error` gives it."""
         for block in self.blocks:
-            yield from block.lines()
+            yield block.text()
         worst = ", ".join(
             f"{section} {error:.3e} {SECTION_UNITS[section]}"
             for section, error in self._worst.items()
         )
         status = "PASS" if self.ok else "FAIL"
-        yield f"{status} {self.checks} checks, {self.failed} failed, worst error: {worst}"
+        yield f"{status} {self.checks} checks, {self.failed} failed, worst error: {worst}\n"
+
+    def lines(self) -> Iterator[str]:
+        """The lines of `texts`, without their newlines (a label holding a
+        newline is split there)."""
+        for text in self.texts():
+            yield from text.split("\n")[:-1]
 
 
 def relative_error(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:

@@ -969,13 +969,14 @@ def test_failed_sweep_write_through_a_symlink_empties_its_target(
 
 
 def test_failed_verify_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
-    lines = CrossCheckReport.lines
+    texts = CrossCheckReport.texts
 
     def failing(self):
-        yield from itertools.islice(lines(self), 3)
+        # the disk fills after three blocks of check lines
+        yield from itertools.islice(texts(self), 3)
         raise _no_space()
 
-    monkeypatch.setattr(CrossCheckReport, "lines", failing)
+    monkeypatch.setattr(CrossCheckReport, "texts", failing)
     code, out, err = run_cli(
         capsys, "verify", "--max-photons", "4", "--output", str(tmp_path / "v.txt")
     )

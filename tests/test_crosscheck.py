@@ -26,7 +26,9 @@ The report holds its checks as blocks of columns, one per mean window and
 one per other section; its lines, its `cases` view of one `CheckCase` (a
 NamedTuple) per check, its counts and its worst errors must agree with one
 another and with the report as it was printed from one `CheckCase` at a
-time, and `CheckBlock.passed` is the one verdict rule. Each variance state
+time, and `CheckBlock.passed` is the one verdict rule. Each block's text
+(one byte table) must be what one `%` per line makes of its columns, and
+`verify`'s output the report printed case by case. Each variance state
 is built and evolved once and read at every offset from one contraction,
 and `--cases` is capped at MAX_CASES.
 """
@@ -650,7 +652,10 @@ def test_manifest_counts_checks_and_times_each_section(capsys, tmp_path):
     assert manifest["failed"] == failed > 0
     assert lines[-1].startswith(f"FAIL {manifest['checks']} checks, {failed} failed,")
     stages = manifest["stages"]
-    assert list(stages) == ["mean_s", "identity_s", "variance_s", "gaussian_s", "noise_s"]
+    # the sections' seconds, then those of formatting and writing the report
+    assert list(stages) == [
+        "mean_s", "identity_s", "variance_s", "gaussian_s", "noise_s", "format_write_s"
+    ]
     assert all(isinstance(t, float) and t >= 0.0 for t in stages.values())
 
 
@@ -661,6 +666,33 @@ def render(case):
         f"{status} [{case.section}] {case.label}: error {case.error:.3e} "
         f"(limit {case.limit:.3e})"
     )
+
+
+def rendered_summary(cases):
+    """The summary line as folded from the cases one at a time."""
+    worst = {}
+    for c in cases:
+        worst[c.section] = _worse(worst.get(c.section, c.error), c.error)
+    failed = sum(not c.error <= c.limit for c in cases)
+    summary = ", ".join(f"{s} {e:.3e} {SECTION_UNITS[s]}" for s, e in worst.items())
+    status = "FAIL" if failed else "PASS"
+    return f"{status} {len(cases)} checks, {failed} failed, worst error: {summary}"
+
+
+def rendered_text(report):
+    """The report as it was printed from one `CheckCase` at a time."""
+    return "".join(render(c) + "\n" for c in report.cases) + rendered_summary(report.cases) + "\n"
+
+
+def percent_text(block):
+    """A block's lines as one `%` per line makes them, from its columns as
+    Python values."""
+    line = (
+        f"%s [{block.section}] {block.label_format}: error %.3e "
+        f"(limit {block.limit:.3e})\n"
+    )
+    status = np.where(block.passed(), "PASS", "FAIL").tolist()
+    return "".join(map(line.__mod__, zip(status, *block.columns(), block.errors.tolist())))
 
 
 def hand_built_report():
@@ -711,16 +743,9 @@ def test_lines_and_cases_view_agree(build):
     lines = list(report.lines())
     assert [render(c) for c in report.cases] == lines[:-1]
     # the summary and the counts, as folded from the cases one at a time
-    worst = {}
-    for c in report.cases:
-        worst[c.section] = _worse(worst.get(c.section, c.error), c.error)
     failures = tuple(c for c in report.cases if not c.error <= c.limit)
-    summary = ", ".join(f"{s} {e:.3e} {SECTION_UNITS[s]}" for s, e in worst.items())
-    status = "FAIL" if failures else "PASS"
-    assert lines[-1] == (
-        f"{status} {len(report.cases)} checks, {len(failures)} failed, "
-        f"worst error: {summary}"
-    )
+    assert lines[-1] == rendered_summary(report.cases)
+    assert "".join(report.texts()) == rendered_text(report)
     # NaN != NaN, so compare the failures by their lines
     assert [line for line in lines[:-1] if line.startswith("FAIL")] == list(
         map(render, failures)
@@ -757,3 +782,93 @@ def test_hand_built_report_verdicts():
         "FAIL 9 checks, 5 failed, worst error: mean nan rel, identity 1.000e-09 abs, "
         "gaussian-mc 3.500e+00 z (limit 3), noise inf rel"
     )
+
+
+# (argv, run_crosscheck keywords): the default run; 2e4 random cases at the
+# cap; tolerance 0, which fails mean checks; a seed whose Monte Carlo check
+# fails on correct code; an enlarged basis; no photons
+VERIFY_RUNS = [
+    ([], {}),
+    (["--max-photons", "30", "--cases", "20000", "--seed", "1"],
+     dict(max_photons=30, extra_cases=20000, seed=1)),
+    (["--tolerance", "0", "--cases", "1000"], dict(tolerance=0.0, extra_cases=1000)),
+    (["--seed", "1828106889", "--max-photons", "4", "--cases", "3"],
+     dict(seed=1828106889, max_photons=4, extra_cases=3)),
+    (["--dim-margin", "7"], dict(dim_margin=7)),
+    (["--max-photons", "0"], dict(max_photons=0)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, kwargs", VERIFY_RUNS, ids=["default", "cases", "fail", "mc-fail", "margin", "zero"]
+)
+def test_verify_output_is_the_report_printed_case_by_case(capsys, tmp_path, argv, kwargs):
+    report = run_crosscheck(**kwargs)
+    want = rendered_text(report)
+    assert main(["verify", *argv]) == (0 if report.ok else 2)
+    assert capsys.readouterr()[0] == want
+    target = tmp_path / "verify.txt"
+    main(["verify", *argv, "--output", str(target)])
+    assert target.read_bytes() == want.encode()
+    # each block's text is what one `%` per line gives it
+    assert [b.text() for b in report.blocks] == list(map(percent_text, report.blocks))
+
+
+def test_fail_runs_print_fail_lines():
+    for argv, kwargs in VERIFY_RUNS[2:4]:
+        text = "".join(run_crosscheck(**kwargs).texts())
+        assert "\nFAIL [" in text and text.splitlines()[-1].startswith("FAIL ")
+
+
+def test_block_text_of_unusual_errors_and_labels():
+    errors = np.array([
+        math.nan, math.inf, -math.inf, -1.5e-10, -0.0, 0.0, 5e-324, 1e300, 1e-300,
+        9.9995, 1.0625, 2.0**-30, -2.0, 12345.678,
+    ])
+    n = len(errors)
+    blocks = [
+        CheckBlock("mean", 1e-9, "random[%d] N=%d chi=%.4f",
+                   (range(10**6 - 3, 10**6 - 3 + n), np.arange(-7, n - 7) * 10**17,
+                    errors), errors),
+        # float columns as lists and arrays, %s of ints, bools, None,
+        # labels beyond ASCII and a literal %
+        CheckBlock("noise", 0.5, "%s|%s|%s|%d|%s|%.2f%%|%5.1e",
+                   ([float(i) / 3 for i in range(n)], np.linspace(-1, 1, n).astype(np.float32),
+                    list(range(n)), np.arange(n, dtype=np.uint64), ["ä", True, None] * 4 + [1, 2],
+                    errors, errors), errors),
+        CheckBlock("identity", 0.0, "%s", (["lone"],), np.array([-1e-9])),
+    ]
+    for block in blocks:
+        assert block.text() == percent_text(block)
+    assert "FAIL [mean] random[999997] N=-700000000000000000 chi=nan: error nan" in blocks[0].text()
+    assert blocks[2].text() == "PASS [identity] lone: error -1.000e-09 (limit 0.000e+00)\n"
+
+
+def test_empty_block_writes_nothing():
+    block = CheckBlock("mean", 1e-9, "random[%d] N=%d chi=%.4f",
+                       (range(3, 3), np.zeros(0, dtype=int), np.zeros(0)), np.zeros(0))
+    assert block.text() == "" == percent_text(block)
+    # columns of unequal length make as many lines as the shortest, as zip does
+    short = block._replace(label_columns=(range(2), np.arange(5), np.ones(3)),
+                           errors=np.zeros(4))
+    assert short.text() == percent_text(short) and short.text().count("\n") == 2
+
+
+@pytest.mark.parametrize(
+    "label_format, columns",
+    [("%s %s", (["a"],)), ("%s", (["a"], ["b"])), ("%s %", (["a"],)), ("%(key)s", (["a"],))],
+    ids=["too-few-columns", "too-many-columns", "bad-conversion", "mapping-key"],
+)
+def test_block_text_rejects_what_percent_rejects(label_format, columns):
+    block = CheckBlock("mean", 1e-9, label_format, columns, np.zeros(1))
+    with pytest.raises((TypeError, ValueError)):
+        percent_text(block)
+    with pytest.raises((TypeError, ValueError)):
+        block.text()
+
+
+def test_block_text_rejects_a_nul():
+    with pytest.raises(ValueError, match="NUL"):
+        CheckBlock("mean", 1e-9, "%s", (["a\0b"],), np.zeros(1)).text()
+    with pytest.raises(ValueError, match="NUL"):
+        CheckBlock("mean\0", 1e-9, "%s", (["a"],), np.zeros(1)).text()
