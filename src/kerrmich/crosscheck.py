@@ -156,7 +156,9 @@ class CheckBlock(NamedTuple):
             *map(conversion_texts, conversions[1:-1], [c[:rows] for c in columns]),
             conversion_texts(conversions[-1], self.errors[:rows]),
         ]
-        return join_texts(fixed, tables)
+        # NULs are few here (padding of the integers), and `replace` skips
+        # from one to the next where `translate` visits every byte
+        return join_texts(fixed, tables).tobytes().replace(b"\0", b"").decode()
 
     def cases(self) -> list[CheckCase]:
         return [
@@ -226,12 +228,6 @@ class CrossCheckReport:
         )
         status = "PASS" if self.ok else "FAIL"
         yield f"{status} {self.checks} checks, {self.failed} failed, worst error: {worst}\n"
-
-    def lines(self) -> Iterator[str]:
-        """The lines of `texts`, without their newlines (a label holding a
-        newline is split there)."""
-        for text in self.texts():
-            yield from text.split("\n")[:-1]
 
 
 def relative_error(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:

@@ -4,8 +4,10 @@
 `conversion_texts` formats a whole column for one conversion (digits from
 tables of 4-digit groups for integers, scaled digits for %.Ne and %.Nf
 wherever they are provably `%`'s, and `%` itself for every other value),
-and `join_texts` lays the columns out between the fixed texts and deletes
-the NUL padding. The tables are built on first use.
+and `join_texts` lays the columns out between the fixed texts as one
+NUL-padded byte table: the one row layout, of `verify`'s check lines and
+of sweep CSV and JSON rows, whose callers delete the NULs. The tables
+are built on first use.
 """
 
 import functools
@@ -52,16 +54,15 @@ def split_format(line_format: str) -> tuple[list[bytes], list[str]]:
     return texts, conversions
 
 
-def join_texts(fixed: list[bytes], tables: list[np.ndarray]) -> str:
-    """fixed[0] + tables[0][i] + fixed[1] + ... + fixed[-1] for each row i
-    of the NUL-padded text tables, joined, with the NULs deleted."""
+def join_texts(fixed: list[bytes], tables: list[np.ndarray]) -> np.ndarray:
+    """fixed[0] + tables[0][i] + fixed[1] + ... + fixed[-1] as row i of a
+    NUL-padded [rows, width] uint8 table, for each row i of the NUL-padded
+    text tables. The caller deletes the NULs, in the way that suits how
+    many there are."""
     pieces = [fixed[0]]
     for table, text in zip(tables, fixed[1:]):
         pieces += [table, text]
-    # NULs are few here (padding of the integers), and `replace` skips
-    # from one to the next where `translate` visits every byte
-    table = _side_by_side(len(tables[0]), pieces)
-    return table.tobytes().replace(b"\0", b"").decode()
+    return _side_by_side(len(tables[0]), pieces)
 
 
 def conversion_texts(conversion: str, column) -> np.ndarray:

@@ -29,9 +29,9 @@ what they raise, with an arithmetic failure reported as a
 path, which the tests use as the reference.
 
 `SweepTable.write_csv_rows` and `write_json_rows` share one byte writer,
-`_write_rows`, which formats each stored value of a block once, the
-floats with `floattext.float_texts`: shortest round-trip digits computed
-in NumPy, byte for byte `repr`.
+`_write_rows`: each stored value of a block is formatted once, floats by
+`floattext.float_texts` (byte for byte `repr`), and the rows are laid
+out by `rowtext.join_texts`, as `verify`'s report lines are.
 """
 
 from __future__ import annotations
@@ -337,8 +337,7 @@ class SweepTable(Sequence[SweepRow]):
 
     def write_csv_rows(self, out: TextIO) -> None:
         """One CSV line per row, each value as `repr` of its float."""
-        afters = [","] * (len(CSV_COLUMNS) - 1) + ["\n"]
-        _write_rows(out, self, CSV_COLUMNS, [""] * len(afters), afters)
+        _write_rows(out, self, CSV_COLUMNS, _CSV_TEXTS)
 
     def write_json_rows(self, out: TextIO) -> None:
         """The rows as `json.dumps(..., indent=2)` lays out the items of a
@@ -349,16 +348,17 @@ class SweepTable(Sequence[SweepRow]):
         are true and false: strict JSON. A table with no rows writes
         nothing.
         """
-        befores = [f'      "{name}": ' for name in ROW_FIELDS]
-        befores[0] = "    {\n" + befores[0]
-        afters = [",\n"] * (len(ROW_FIELDS) - 1) + ["\n    },\n"]
-        _write_rows(out, self, ROW_FIELDS, befores, afters, nonfinite="null", drop_end=",\n")
+        _write_rows(out, self, ROW_FIELDS, _JSON_TEXTS, nonfinite="null", drop_end=",\n")
 
 
+# The fixed texts of a CSV row and of a JSON row (see `_write_rows`).
+_CSV_TEXTS = [b"", *[b","] * (len(CSV_COLUMNS) - 1), b"\n"]
+_JSON_KEYS = [b'      "%s": ' % name.encode() for name in ROW_FIELDS]
+_JSON_TEXTS = [b"    {\n" + _JSON_KEYS[0], *(b",\n" + key for key in _JSON_KEYS[1:]), b"\n    },\n"]
 # The words of a flag, NUL-padded to one width.
 _FLAG_TEXTS = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
 
-# Rows of text gathered and written at once, a quarter of a block, so a
+# Rows of text laid out and written at once, a quarter of a block, so a
 # piece's buffers stay near 1 MB even for JSON rows. Writing whole blocks
 # at once made glibc's malloc hand a few MB of heap back to the system
 # after each block and fault it in again for the next (measured with an
@@ -371,27 +371,27 @@ def _write_rows(
     out: TextIO,
     table: SweepTable,
     names: Sequence[str],
-    befores: list[str],
-    afters: list[str],
+    fixed: list[bytes],
     nonfinite: str | None = None,
     drop_end: str = "",
 ) -> None:
-    """Write before + text + after for the value of every named column of
-    the table, row by row, with drop_end cut from the end of the last row.
+    """Write the named columns of the table row by row between the fixed
+    texts, fixed[0] before the first column and fixed[i + 1] after column
+    i, with drop_end cut from the end of the last row.
 
     A float is written as `repr`, or as nonfinite if given and the float
     is inf or NaN, and a flag as false or true. Values are told apart by
     their bits, so -0.0 is not 0.0. A column that holds one value is
-    formatted once and joins the fixed text between the other columns.
-    Each other column's stored values become a table with one byte row
-    per value: the fixed text before it, the text NUL-padded to one
-    width, then its after. The floats of all columns are formatted in one
-    `float_texts` call. WRITE_ROWS rows at a time are gathered from the
-    tables into one buffer, which is written with its NULs deleted: a
-    column with one value per row is copied straight, and any other is
-    gathered by the broadcast positions of its values.
+    formatted once and folds into the fixed texts; the floats of the
+    others are formatted in one `float_texts` call. `rowtext.join_texts`
+    lays out WRITE_ROWS rows at a time, slicing a column with one value
+    per row and gathering any other by the broadcast positions of its
+    values. A float text is 24 bytes wide, so NULs are dense (~15% of a
+    CSV row's bytes, ~6% of a JSON row's), and `translate` deletes them
+    in one pass over the bytes.
     """
     from .floattext import float_texts  # only the writers load the formatter
+    from .rowtext import join_texts
 
     n = len(table)
     if not n:
@@ -410,44 +410,27 @@ def _write_rows(
     if nonfinite is not None:
         texts.view("S24")[~np.isfinite(floats)] = nonfinite
 
-    tables, indexes, fixed, lo = [], [], b"", 0
-    for (bits, index), before, after in zip(parts, befores, afters):
+    row_fixed, columns, lo = [fixed[0]], [], 0
+    for (bits, index), after in zip(parts, fixed[1:]):
         if bits.dtype == np.uint64:
             words = texts[lo : lo + len(bits)]
             lo += len(bits)
         else:
             words = _FLAG_TEXTS[bits]
-        head, tail = fixed + before.encode(), after.encode()
         if len(bits) == 1:
-            fixed = head + words[0].tobytes().rstrip(b"\0") + tail
-            continue
-        start, end = len(head), len(head) + words.shape[1]
-        table = np.empty((len(words), end + len(tail)), dtype=np.uint8)
-        table[:, :start] = np.frombuffer(head, dtype=np.uint8)
-        table[:, start:end] = words
-        table[:, end:] = np.frombuffer(tail, dtype=np.uint8)
-        tables.append(table.view(f"V{table.shape[1]}")[:, 0])
-        indexes.append(index)
-        fixed = b""
-
-    width = sum(table.itemsize for table in tables) + len(fixed)
-    buffer = np.empty((min(n, WRITE_ROWS), width), dtype=np.uint8)
-    buffer[:, width - len(fixed) :] = np.frombuffer(fixed, dtype=np.uint8)
-    slots, start = [], 0
-    for table in tables:
-        slots.append(buffer[:, start : start + table.itemsize].view(table.dtype)[:, 0])
-        start += table.itemsize
+            row_fixed[-1] += words[0].tobytes().rstrip(b"\0") + after
+        else:
+            columns.append((words, index))
+            row_fixed.append(after)
     for lo in range(0, n, WRITE_ROWS):
-        piece = buffer[: n - lo]
-        for table, index, slot in zip(tables, indexes, slots):
-            if index is None:
-                slot[: len(piece)] = table[lo : lo + len(piece)]
-            else:
-                # mode="clip" writes straight into out, where "raise"
-                # would buffer; every index is in range
-                np.take(table, index[lo : lo + len(piece)], out=slot[: len(piece)], mode="clip")
-        text = piece.tobytes().translate(None, b"\0").decode("ascii")
-        out.write(text if lo + len(piece) < n else text.removesuffix(drop_end))
+        hi = min(n, lo + WRITE_ROWS)
+        tables = [
+            words[lo:hi] if index is None else words[index[lo:hi]] for words, index in columns
+        ]
+        # with every column folded, each row is the one fixed text
+        text = join_texts(row_fixed, tables).tobytes() if tables else row_fixed[0] * (hi - lo)
+        text = text.translate(None, b"\0").decode("ascii")
+        out.write(text if hi < n else text.removesuffix(drop_end))
 
 
 def _positions(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

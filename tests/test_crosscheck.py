@@ -79,6 +79,12 @@ from kerrmich.fock import (
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
+def report_lines(report):
+    """The lines of the report's text, without their newlines (a label
+    holding a newline is split there)."""
+    return "".join(report.texts()).split("\n")[:-1]
+
+
 def one_mode(n, dim_margin=0):
     """One arm's amplitudes at n photons in all, as `verify` builds them."""
     beta = math.sqrt(float(n)) / math.sqrt(2.0)
@@ -305,7 +311,7 @@ def test_dim_margin_reaches_the_identity_residuals():
 def test_mean_lines_stable_across_a_window_boundary():
     # 2100 random mean cases take at least two draws of MEAN_WINDOW; the
     # golden file's 300 fit in one
-    lines = list(run_crosscheck(max_photons=30, seed=7, extra_cases=2100).lines())
+    lines = report_lines(run_crosscheck(max_photons=30, seed=7, extra_cases=2100))
     mean = [line for line in lines if " [mean] " in line]
     assert len(mean) == 75 + 2100
     golden = (GOLDEN / "verify_seed7_margin0.txt").read_text().splitlines()
@@ -543,7 +549,7 @@ def test_summary_reports_worst_error_per_section():
         CheckCase("gaussian-mc", "d", 3.5, MC_SIGMA_BAND),
         CheckCase("noise", "e", 0.0, 1e-9),
     )
-    lines = list(CrossCheckReport(blocks_of(cases)).lines())
+    lines = report_lines(CrossCheckReport(blocks_of(cases)))
     assert len(lines) == len(cases) + 1
     assert lines[3] == "FAIL [gaussian-mc] d: error 3.500e+00 (limit 3.000e+00)"
     assert lines[-1] == (
@@ -584,7 +590,7 @@ def test_summary_worst_error_is_nan_if_any_error_is(order):
     assert math.isnan(report.max_error())
     assert report.max_error("noise") == 2e-16
     assert report.max_error("variance") == 0.0
-    lines = list(report.lines())
+    lines = report_lines(report)
     assert "FAIL [mean] b: error nan (limit 1.000e-09)" in lines
     assert lines[-1].startswith("FAIL 3 checks, 2 failed, worst error: ")
     assert "mean nan rel" in lines[-1]
@@ -604,7 +610,7 @@ def test_check_case_fields_and_verdict():
 
 def test_report_holds_one_check_case_per_check():
     report = run_crosscheck(max_photons=4, seed=3, extra_cases=2500)
-    lines = list(report.lines())
+    lines = report_lines(report)
     assert type(report.cases) is tuple
     # mean 30 + 2500 (two draws), identity 14, variance 32, quadrature 3,
     # noise 12, Monte Carlo 4
@@ -740,7 +746,7 @@ def same_error(a, b):
 def test_lines_and_cases_view_agree(build):
     report = build()
     assert sum(b.section == "mean" for b in report.blocks) == 3
-    lines = list(report.lines())
+    lines = report_lines(report)
     assert [render(c) for c in report.cases] == lines[:-1]
     # the summary and the counts, as folded from the cases one at a time
     failures = tuple(c for c in report.cases if not c.error <= c.limit)
@@ -778,7 +784,7 @@ def test_hand_built_report_verdicts():
     assert report.max_error("noise") == math.inf
     assert report.max_error("identity") == 1e-9
     assert report.max_error("variance") == 0.0
-    assert list(report.lines())[-1] == (
+    assert report_lines(report)[-1] == (
         "FAIL 9 checks, 5 failed, worst error: mean nan rel, identity 1.000e-09 abs, "
         "gaussian-mc 3.500e+00 z (limit 3), noise inf rel"
     )

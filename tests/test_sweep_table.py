@@ -438,21 +438,33 @@ SPECIAL_FLOATS = [
 
 @st.composite
 def tables(draw):
-    """A SweepTable of 0, 1, 2, WRITE_ROWS or WRITE_ROWS + 1 rows, all of
-    whose columns may be constant. Otherwise each float column is constant,
-    or draws its rows from a few values, from both zeros, or from random
-    float64 bit patterns, and each flag column is constant or not."""
-    rows = draw(st.sampled_from([0, 1, 2, WRITE_ROWS, WRITE_ROWS + 1]))
+    """A SweepTable of 0, 1, 2, WRITE_ROWS or WRITE_ROWS + 1 rows of 1-D
+    columns, or a box of 2 or 3 axes and more than WRITE_ROWS rows whose
+    columns broadcast to its shape, each stored at the shape of the axes it
+    depends on, as `_kernel` stores them. All columns may be constant.
+    Otherwise each float column is constant, or draws its values from a
+    few values, from both zeros, or from random float64 bit patterns, and
+    each flag column is constant or not."""
+    if draw(st.booleans()):
+        shape = [draw(st.sampled_from([0, 1, 2, WRITE_ROWS, WRITE_ROWS + 1]))]
+    else:
+        shape = draw(st.lists(st.integers(2, 12), min_size=2, max_size=3))
+        shape[-1] = max(shape[-1], WRITE_ROWS // math.prod(shape[:-1]) + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.integers(0, 3), min_size=len(ROW_FIELDS), max_size=len(ROW_FIELDS)))
     if draw(st.booleans()):
         kinds = [0] * len(ROW_FIELDS)
     columns = {}
     for name, kind in zip(ROW_FIELDS, kinds):
+        at = shape
+        if len(shape) > 1:  # a box column depends on each axis or not
+            at = [n if depends else 1 for n, depends in zip(shape, rng.random(len(shape)) < 0.5)]
+            at = list(itertools.dropwhile(lambda n: n == 1, at))
+        size = math.prod(at)
         if name in FLAG_FIELDS:
             pool = rng.permutation([False, True])
         elif kind == 3:
-            columns[name] = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+            columns[name] = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64).reshape(at)
             continue
         elif kind == 2:
             pool = np.array([0.0, -0.0])
@@ -461,8 +473,8 @@ def tables(draw):
             pool = np.where(rng.random(4) < 0.5, rng.choice(SPECIAL_FLOATS, 4), random_bits)
         if kind == 0:
             pool = pool[:1]
-        columns[name] = pool[rng.integers(0, len(pool), rows)]
-    return SweepTable(columns)
+        columns[name] = pool[rng.integers(0, len(pool), size)].reshape(at)
+    return SweepTable(columns, shape)
 
 
 @settings(max_examples=100, deadline=None)
