@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import shlex
 import sys
@@ -23,7 +22,7 @@ from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .core import PRESETS, ParameterError, ParameterSet, get_preset, kerr_cm2
-from .crosscheck import MAX_CASES, MAX_DIM_MARGIN, MAX_PHOTONS, run_crosscheck
+from .crosscheck import MAX_CASES, MAX_PHOTONS, run_crosscheck
 from .fock import TruncationError
 from .sweep import (
     CSV_COLUMNS,
@@ -175,15 +174,6 @@ def build_parser() -> _Parser:
         help=f"largest photon number simulated (default 25, cap {MAX_PHOTONS})",
     )
     ver.add_argument(
-        "--dim-margin",
-        type=int,
-        default=0,
-        help=(
-            "extra Fock dimensions on top of the default truncation rule "
-            f"(default 0, cap {MAX_DIM_MARGIN})"
-        ),
-    )
-    ver.add_argument(
         "--tolerance",
         type=float,
         default=1e-9,
@@ -318,8 +308,6 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    if args.max_rows < 1:
-        raise CliError("--max-rows must be >= 1")
     grids = [parse_grid(g) for g in args.grid]
     for g in grids:
         if getattr(args, g.parameter) is not None:
@@ -386,32 +374,11 @@ def _json_frame(payload: dict) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    if args.max_photons > MAX_PHOTONS:
-        raise CliError(
-            f"--max-photons {args.max_photons} exceeds the desk-scale cap of {MAX_PHOTONS}"
-        )
-    if args.max_photons < 0:
-        raise CliError("--max-photons must be >= 0")
-    if not 0.0 <= args.tolerance < math.inf:
-        raise CliError("--tolerance must be >= 0 and finite")
-    if args.dim_margin < 0:
-        raise CliError("--dim-margin must be >= 0")
-    if args.dim_margin > MAX_DIM_MARGIN:
-        raise CliError(
-            f"--dim-margin {args.dim_margin} exceeds the cap of {MAX_DIM_MARGIN}"
-        )
-    if args.cases < 0:
-        raise CliError("--cases must be >= 0")
-    if args.cases > MAX_CASES:
-        raise CliError(f"--cases {args.cases} exceeds the cap of {MAX_CASES}")
-    if args.seed < 0:
-        raise CliError("--seed must be >= 0")
     report = run_crosscheck(
         max_photons=args.max_photons,
         tolerance=args.tolerance,
         seed=args.seed,
         extra_cases=args.cases,
-        dim_margin=args.dim_margin,
     )
     manifest = _manifest(
         argv,
@@ -419,7 +386,6 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
             "max_photons": args.max_photons,
             "tolerance": args.tolerance,
             "cases": args.cases,
-            "dim_margin": args.dim_margin,
         },
         seed=args.seed,
     )

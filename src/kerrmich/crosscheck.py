@@ -45,7 +45,7 @@ from .analytic import (
     signal_mean_exact,
     signal_variance,
 )
-from .core import NoiseSpec
+from .core import NoiseSpec, ParameterError
 from .fock import (
     apply_kerr,
     coherent_amplitudes,
@@ -79,10 +79,6 @@ MEAN_WINDOW = 2048
 # Largest photon number a run accepts: the mean section's tables grow with
 # the square of it.
 MAX_PHOTONS = 30
-# Largest basis enlargement a run accepts: the mean, identity, variance and
-# noise sections build arrays of fock_dim + dim_margin levels (squared in
-# the dense sections).
-MAX_DIM_MARGIN = 100
 # Most random mean cases a run accepts (the sweep's MAX_ROWS): the report
 # keeps one error per case.
 MAX_CASES = 1_000_000
@@ -245,10 +241,6 @@ def _photon_grid(max_photons: int) -> tuple[int, ...]:
     return ns if ns else (0,)
 
 
-def _product_input(n: int, dim_margin: int):
-    return product_input(math.sqrt(float(n)), dim=fock_dim(n / 2.0) + dim_margin)
-
-
 def _labelled_block(
     section: str, limit: float, labels: list[str], errors: list[float] | np.ndarray
 ) -> CheckBlock:
@@ -290,15 +282,15 @@ def _mean_settings(
 
 
 def _mean_blocks(
-    max_photons: int, count: int, rng: np.random.Generator, dim_margin: int, tolerance: float
+    max_photons: int, count: int, rng: np.random.Generator, tolerance: float
 ) -> list[CheckBlock]:
     # row n: the level weights of n photons, from the one-mode amplitudes of
-    # `_product_input`; fock_dim grows with n, so the last row is the longest
+    # `product_input`; fock_dim grows with n, so the last row is the longest
     top = max(max_photons, 0)
-    table = np.zeros((top + 1, fock_dim(top / 2.0) + dim_margin - 1), dtype=complex)
+    table = np.zeros((top + 1, fock_dim(top / 2.0) - 1), dtype=complex)
     for n, row in enumerate(table):
         beta = math.sqrt(float(n)) / math.sqrt(2.0)
-        dim = fock_dim(n / 2.0) + dim_margin
+        dim = fock_dim(n / 2.0)
         row[: dim - 1] = level_weights(coherent_amplitudes(beta, dim))
     # one kernel call and one block per window, so the draws take
     # O(window) memory next to the O(count) errors
@@ -312,25 +304,24 @@ def _mean_blocks(
     return blocks
 
 
-def _identity_block(max_photons: int, dim_margin: int, tolerance: float) -> CheckBlock:
+def _identity_block(max_photons: int, tolerance: float) -> CheckBlock:
     mus = tuple(mu for mu in (0.5, 2.0, 5.0, 10.0) if mu <= max(max_photons, 0))
     checks = [
-        (f"|beta|^2={mu} z={z:.4f}",
-         coherent_identity_residual(math.sqrt(mu), float(z), fock_dim(mu) + dim_margin))
+        (f"|beta|^2={mu} z={z:.4f}", coherent_identity_residual(math.sqrt(mu), float(z)))
         for mu in mus or (0.0,)
         for z in np.linspace(0.0, math.pi, 7)
     ]
     return _labelled_block("identity", tolerance, *zip(*checks))
 
 
-def _variance_block(max_photons: int, dim_margin: int, tolerance: float) -> CheckBlock:
+def _variance_block(max_photons: int, tolerance: float) -> CheckBlock:
     # phi0 puts the empty interferometer on the operating point, where the
     # balanced closed form is exact; each state is evolved once and all
     # eight offsets are read from one contraction of it
     offsets = [j * math.pi / 4.0 + 0.35 for j in range(8)]
     labels, got, want = [], [], []
     for n in _photon_grid(max_photons):
-        state = _product_input(n, dim_margin)
+        state = product_input(math.sqrt(n))
         for chi, phi0 in ((0.0, 0.0), (0.1, 2.0 * math.pi / 0.1)):
             evolved = apply_kerr(state, phi0, phi0, chi)
             got.extend(moments(evolved, offsets).mean_m2.tolist())
@@ -373,11 +364,11 @@ def _gaussian_blocks(seed: int, tolerance: float) -> tuple[CheckBlock, CheckBloc
     return quad, mc
 
 
-def _noise_block(max_photons: int, dim_margin: int, tolerance: float) -> CheckBlock:
+def _noise_block(max_photons: int, tolerance: float) -> CheckBlock:
     n = min(16, max_photons) if max_photons > 0 else 0
     chi = 0.1
     phi0 = 2.0 * math.pi / chi
-    base = moments(apply_kerr(_product_input(n, dim_margin), phi0, phi0, chi), offset=0.0)
+    base = moments(apply_kerr(product_input(math.sqrt(n)), phi0, phi0, chi), offset=0.0)
     settings = list(itertools.product((0.5, 1.0), (0.0, 0.05, 0.2), (0.0, 2.0)))
     got = [
         noisy_moments(
@@ -401,25 +392,24 @@ def run_crosscheck(
     tolerance: float = 1e-9,
     seed: int = 42,
     extra_cases: int = 0,
-    dim_margin: int = 0,
 ) -> CrossCheckReport:
-    """Run the whole suite; tolerance applies to every non-Monte-Carlo case."""
+    """Run the whole suite; tolerance applies to every non-Monte-Carlo case.
+
+    Every input is checked before any table is built: a photon count,
+    tolerance, case count or seed out of range raises `ParameterError`.
+    """
     if max_photons < 0:
-        raise ValueError(f"max_photons must be >= 0, got {max_photons}")
+        raise ParameterError(f"max_photons must be >= 0, got {max_photons}")
     if max_photons > MAX_PHOTONS:
-        raise ValueError(f"max_photons {max_photons} exceeds the cap of {MAX_PHOTONS}")
+        raise ParameterError(f"max_photons {max_photons} exceeds the cap of {MAX_PHOTONS}")
     if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance!r}")
-    if dim_margin < 0:
-        raise ValueError(f"dim_margin must be >= 0, got {dim_margin}")
-    if dim_margin > MAX_DIM_MARGIN:
-        raise ValueError(f"dim_margin {dim_margin} exceeds the cap of {MAX_DIM_MARGIN}")
+        raise ParameterError(f"tolerance must be >= 0 and finite, got {tolerance!r}")
     if extra_cases < 0:
-        raise ValueError(f"extra_cases must be >= 0, got {extra_cases}")
+        raise ParameterError(f"extra_cases must be >= 0, got {extra_cases}")
     if extra_cases > MAX_CASES:
-        raise ValueError(f"extra_cases {extra_cases} exceeds the cap of {MAX_CASES}")
+        raise ParameterError(f"extra_cases {extra_cases} exceeds the cap of {MAX_CASES}")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ParameterError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     stages: dict[str, float] = {}
@@ -430,16 +420,16 @@ def run_crosscheck(
         now = time.perf_counter()
         stages[section], last = now - last, now
 
-    blocks = _mean_blocks(max_photons, extra_cases, rng, dim_margin, tolerance)
+    blocks = _mean_blocks(max_photons, extra_cases, rng, tolerance)
     lap("mean")
-    blocks.append(_identity_block(max_photons, dim_margin, tolerance))
+    blocks.append(_identity_block(max_photons, tolerance))
     lap("identity")
-    blocks.append(_variance_block(max_photons, dim_margin, tolerance))
+    blocks.append(_variance_block(max_photons, tolerance))
     lap("variance")
     quad, mc = _gaussian_blocks(seed, tolerance)
     lap("gaussian")
     blocks.append(quad)
-    blocks.append(_noise_block(max_photons, dim_margin, tolerance))
+    blocks.append(_noise_block(max_photons, tolerance))
     lap("noise")
     blocks.append(mc)
     return CrossCheckReport(tuple(blocks), stages)

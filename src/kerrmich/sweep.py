@@ -478,6 +478,8 @@ def sweep_blocks(
     names = [g.parameter for g in grids]
     if len(set(names)) != len(names):
         raise ParameterError(f"duplicate sweep parameter in {names}")
+    if max_rows < 1:
+        raise ParameterError(f"max_rows must be >= 1, got {max_rows}")
     shape = tuple(g.points for g in grids)
     total = math.prod(shape)
     if total > max_rows:

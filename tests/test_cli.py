@@ -18,8 +18,8 @@ import kerrmich.crosscheck
 import kerrmich.fock
 import kerrmich.sweep
 from kerrmich.cli import DESIGN_FLAGS, CliError, main, parse_grid, parse_n2
-from kerrmich.crosscheck import MAX_CASES, MAX_DIM_MARGIN, MAX_PHOTONS, CrossCheckReport
-from kerrmich.core import HBAR, C_LIGHT, PRESETS, get_preset
+from kerrmich.crosscheck import MAX_CASES, MAX_PHOTONS, CrossCheckReport, run_crosscheck
+from kerrmich.core import HBAR, C_LIGHT, PRESETS, ParameterError, get_preset
 from kerrmich.sweep import (
     CSV_HEADER, FLAG_FIELDS, GridSpec, SweepTable, regime_report, sweep_blocks,
 )
@@ -223,7 +223,7 @@ class TestSweep:
     def test_row_cap_below_one_is_one_clean_error(self, capsys, value):
         assert run_cli(
             capsys, "sweep", "--regime", "giant-eit", "--max-rows", value
-        ) == (1, "", "kerrmich: error: --max-rows must be >= 1\n")
+        ) == (1, "", f"kerrmich: error: max_rows must be >= 1, got {value}\n")
 
     def test_huge_axis_under_a_raised_row_cap_is_one_clean_error(self, capsys):
         assert run_cli(
@@ -292,12 +292,6 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--max-photons", "0")
         assert code == 0
 
-    def test_photon_cap(self, capsys):
-        value = MAX_PHOTONS + 1
-        assert run_cli(capsys, "verify", "--max-photons", str(value)) == (
-            1, "", f"kerrmich: error: --max-photons {value} exceeds the desk-scale cap of {MAX_PHOTONS}\n"
-        )
-
     def test_deterministic_for_seed(self, capsys):
         args = ("verify", "--max-photons", "9", "--seed", "42", "--cases", "3")
         _, out_a, _ = run_cli(capsys, *args)
@@ -313,12 +307,6 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--max-photons", "4", "--cases", "2")
         assert code == 0
         assert out.count("random[") == 2
-
-    def test_dim_margin_accepted(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "verify", "--max-photons", "4", "--dim-margin", "10"
-        )
-        assert code == 0
 
 
 class TestRegimes:
@@ -487,13 +475,15 @@ def test_manifest_counts_rows_and_validity_failures(capsys, tmp_path, fmt):
         ("verify", "--max-photons", "4", "--threshold", "0.1"),
         ("regimes", "--format", "json"),
         ("regimes", "--threshold", "0.02"),
+        # verify takes no basis size: fock_dim sizes each basis
+        ("verify", "--dim-margin", "7"),
     ],
 )
 def test_flags_a_command_would_ignore_are_rejected(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert code == 1
     assert out == ""
-    assert f"unrecognized arguments: {args[-2]}" in err
+    assert f"unrecognized arguments: {args[-2]}" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -519,47 +509,33 @@ def test_seed_stays_as_provenance_on_verify_and_regimes(capsys):
         assert "unrecognized arguments: --seed 3" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_verify_tolerance_must_be_finite_and_non_negative(capsys, value):
-    # nan would fail every deterministic check, inf would pass every one
-    code, out, err = run_cli(capsys, "verify", "--max-photons", "4", "--tolerance", value)
-    assert code == 1
-    assert out == ""
-    assert "--tolerance must be >= 0 and finite" in err
+# Every limit `run_crosscheck` enforces, as verify's flags and its keywords
+VERIFY_LIMITS = [
+    (["--max-photons", "-1"], dict(max_photons=-1)),
+    (["--max-photons", str(MAX_PHOTONS + 1)], dict(max_photons=MAX_PHOTONS + 1)),
+    (["--tolerance", "nan"], dict(tolerance=math.nan)),
+    (["--tolerance", "inf"], dict(tolerance=math.inf)),
+    (["--tolerance", "-1"], dict(tolerance=-1.0)),
+    (["--cases", "-1"], dict(extra_cases=-1)),
+    (["--cases", str(MAX_CASES + 1)], dict(extra_cases=MAX_CASES + 1)),
+    (["--seed", "-1"], dict(seed=-1)),
+]
 
 
-@pytest.mark.parametrize("flag", ["--dim-margin", "--cases"])
-def test_verify_rejects_negative_counts(capsys, flag):
-    code, out, err = run_cli(capsys, "verify", "--max-photons", "2", flag, "-1")
-    assert code == 1
-    assert out == ""
-    assert f"{flag} must be >= 0" in err
-
-
-@pytest.mark.parametrize("value", [MAX_DIM_MARGIN + 1, 10**9])
-def test_verify_dim_margin_above_the_cap_is_one_clean_error(capsys, monkeypatch, value):
-    # every section builds arrays of the basis size, so an unbounded margin
-    # would try to allocate them; the CLI stops before any is built
+@pytest.mark.parametrize(
+    "flags, kwargs", VERIFY_LIMITS, ids=[" ".join(flags) for flags, _ in VERIFY_LIMITS]
+)
+def test_verify_limit_is_the_library_error(capsys, monkeypatch, flags, kwargs):
+    # the CLI prints run_crosscheck's own error, raised before any basis or
+    # mean table is built
     def refuse(*args, **kwargs):
-        raise AssertionError("a basis was built")
+        raise AssertionError("a table was built")
 
     monkeypatch.setattr(kerrmich.crosscheck, "coherent_amplitudes", refuse)
-    monkeypatch.setattr(kerrmich.fock, "coherent_amplitudes", refuse)
-    assert run_cli(capsys, "verify", "--max-photons", "2", "--dim-margin", str(value)) == (
-        1, "", f"kerrmich: error: --dim-margin {value} exceeds the cap of {MAX_DIM_MARGIN}\n"
-    )
-
-
-def test_verify_cases_above_the_cap_is_one_clean_error(capsys, monkeypatch):
-    # the report keeps one error per case; the CLI stops before any is drawn
-    def refuse(*args, **kwargs):
-        raise AssertionError("the suite was run")
-
-    monkeypatch.setattr(kerrmich.cli, "run_crosscheck", refuse)
-    value = MAX_CASES + 1
-    assert run_cli(capsys, "verify", "--max-photons", "2", "--cases", str(value)) == (
-        1, "", f"kerrmich: error: --cases {value} exceeds the cap of {MAX_CASES}\n"
-    )
+    monkeypatch.setattr(kerrmich.crosscheck, "kerr_means", refuse)
+    with pytest.raises(ParameterError) as raised:
+        run_crosscheck(**kwargs)
+    assert run_cli(capsys, "verify", *flags) == (1, "", f"kerrmich: error: {raised.value}\n")
 
 
 @pytest.mark.parametrize(
@@ -580,13 +556,6 @@ def test_unformable_operating_arm_is_named(capsys, args):
 def test_explicit_zero_arm_blames_the_flag(capsys):
     assert run_cli(capsys, "estimate", "--regime", "giant-eit", "--arm-length", "0") == (
         1, "", "kerrmich: error: arm_length must be positive and finite, got 0.0\n"
-    )
-
-
-def test_verify_rejects_negative_seed(capsys):
-    # numpy's default_rng raises on a negative seed; the CLI stops first
-    assert run_cli(capsys, "verify", "--max-photons", "2", "--seed", "-1") == (
-        1, "", "kerrmich: error: --seed must be >= 0\n"
     )
 
 

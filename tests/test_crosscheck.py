@@ -47,12 +47,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kerrmich.crosscheck
-import kerrmich.fock
 from kerrmich.cli import main
 from kerrmich.analytic import signal_mean_exact
 from kerrmich.crosscheck import (
     MAX_CASES,
-    MAX_DIM_MARGIN,
     MAX_PHOTONS,
     MC_SIGMA_BAND,
     MEAN_WINDOW,
@@ -68,7 +66,6 @@ from kerrmich.crosscheck import (
 from kerrmich.fock import (
     apply_kerr,
     coherent_amplitudes,
-    coherent_identity_residual,
     fock_dim,
     kerr_means,
     level_weights,
@@ -85,10 +82,11 @@ def report_lines(report):
     return "".join(report.texts()).split("\n")[:-1]
 
 
-def one_mode(n, dim_margin=0):
-    """One arm's amplitudes at n photons in all, as `verify` builds them."""
+def one_mode(n, extra_levels=0):
+    """One arm's amplitudes at n photons in all, as `verify` builds them,
+    with extra_levels more levels than its basis has."""
     beta = math.sqrt(float(n)) / math.sqrt(2.0)
-    return coherent_amplitudes(beta, fock_dim(n / 2.0) + dim_margin)
+    return coherent_amplitudes(beta, fock_dim(n / 2.0) + extra_levels)
 
 
 def means(amps, phi1, phi2, chi, offset):
@@ -97,8 +95,8 @@ def means(amps, phi1, phi2, chi, offset):
     return kerr_means(level_weights(amps)[None], rows, phi1, phi2, chi, offset)
 
 
-def assert_matches_dense(n, dim_margin, phi1, phi2, chi, offset):
-    amps = one_mode(n, dim_margin)
+def assert_matches_dense(n, extra_levels, phi1, phi2, chi, offset):
+    amps = one_mode(n, extra_levels)
     got = means(amps, phi1, phi2, chi, offset)
     assert got.shape == (len(phi1),)
     state = product_input(math.sqrt(float(n)), dim=len(amps))
@@ -119,10 +117,10 @@ def settings_for(draw, k):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    data=st.data(), n=st.integers(0, 30), dim_margin=st.integers(0, 12), k=st.integers(1, 100)
+    data=st.data(), n=st.integers(0, 30), extra_levels=st.integers(0, 12), k=st.integers(1, 100)
 )
-def test_product_input_matches_per_case(data, n, dim_margin, k):
-    assert_matches_dense(n, dim_margin, *settings_for(data.draw, k))
+def test_product_input_matches_per_case(data, n, extra_levels, k):
+    assert_matches_dense(n, extra_levels, *settings_for(data.draw, k))
 
 
 def mp_amplitudes(n, dim):
@@ -282,30 +280,17 @@ def test_mean_section_builds_each_photon_numbers_amplitudes_once(monkeypatch):
     assert all(table is tables[0] for table in tables)
 
 
-@pytest.mark.parametrize("dim_margin", [0, 7])
-def test_check_lines_match_golden(capsys, dim_margin):
+def test_check_lines_match_golden(capsys):
     # captured from the per-case oracle; the [mean] error digits, the random
     # [mean] labels and the summary line were recaptured from the kernel and
     # the batched draws, every other byte is unchanged
-    argv = ["verify", "--max-photons", "30", "--cases", "300", "--seed", "7",
-            "--dim-margin", str(dim_margin)]
+    argv = ["verify", "--max-photons", "30", "--cases", "300", "--seed", "7"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    want = (GOLDEN / f"verify_seed7_margin{dim_margin}.txt").read_text()
+    want = (GOLDEN / "verify_seed7_margin0.txt").read_text()
     assert out == want
     assert len(out.splitlines()) == 202 + 300 + 1
-
-
-def test_dim_margin_reaches_the_identity_residuals():
-    report = run_crosscheck(max_photons=10, dim_margin=7)
-    (block,) = [b for b in report.blocks if b.section == "identity"]
-    want = [
-        coherent_identity_residual(math.sqrt(mu), float(z), fock_dim(mu) + 7)
-        for mu in (0.5, 2.0, 5.0, 10.0)
-        for z in np.linspace(0.0, math.pi, 7)
-    ]
-    assert block.errors.tolist() == want
 
 
 def test_mean_lines_stable_across_a_window_boundary():
@@ -461,23 +446,6 @@ def test_fixed_mean_window_carries_exact_means_bit_for_bit(max_photons, first_n,
     assert len(labels) == size
     assert labels[0] == f"N={first_n} chi=0.0 phi=(0.3,0.32) off=0.0"
     assert bits(wants) == bits(scalar_means(ns.tolist(), chi, phi1, phi2, offset))
-
-
-@pytest.mark.parametrize("dim_margin", [MAX_DIM_MARGIN + 1, 10**9])
-def test_dim_margin_above_the_cap_rejected_before_any_basis_is_built(
-    monkeypatch, dim_margin
-):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a basis was built")
-
-    monkeypatch.setattr(kerrmich.crosscheck, "coherent_amplitudes", refuse)
-    monkeypatch.setattr(kerrmich.fock, "coherent_amplitudes", refuse)
-    with pytest.raises(ValueError, match=f"dim_margin {dim_margin} exceeds the cap"):
-        run_crosscheck(max_photons=1, dim_margin=dim_margin)
-
-
-def test_dim_margin_at_the_cap_runs():
-    assert run_crosscheck(max_photons=1, dim_margin=MAX_DIM_MARGIN).ok
 
 
 def test_max_photons_above_the_cap_rejected_before_any_table_is_built(monkeypatch):
@@ -792,7 +760,7 @@ def test_hand_built_report_verdicts():
 
 # (argv, run_crosscheck keywords): the default run; 2e4 random cases at the
 # cap; tolerance 0, which fails mean checks; a seed whose Monte Carlo check
-# fails on correct code; an enlarged basis; no photons
+# fails on correct code; no photons
 VERIFY_RUNS = [
     ([], {}),
     (["--max-photons", "30", "--cases", "20000", "--seed", "1"],
@@ -800,13 +768,12 @@ VERIFY_RUNS = [
     (["--tolerance", "0", "--cases", "1000"], dict(tolerance=0.0, extra_cases=1000)),
     (["--seed", "1828106889", "--max-photons", "4", "--cases", "3"],
      dict(seed=1828106889, max_photons=4, extra_cases=3)),
-    (["--dim-margin", "7"], dict(dim_margin=7)),
     (["--max-photons", "0"], dict(max_photons=0)),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, kwargs", VERIFY_RUNS, ids=["default", "cases", "fail", "mc-fail", "margin", "zero"]
+    "argv, kwargs", VERIFY_RUNS, ids=["default", "cases", "fail", "mc-fail", "zero"]
 )
 def test_verify_output_is_the_report_printed_case_by_case(capsys, tmp_path, argv, kwargs):
     report = run_crosscheck(**kwargs)

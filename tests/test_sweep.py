@@ -133,6 +133,12 @@ class TestRunSweep:
         with pytest.raises(ParameterError, match="cap"):
             run_sweep(GIANT_BASE, [GridSpec("eta", 0.1, 1.0, 11)], max_rows=10)
 
+    @pytest.mark.parametrize("max_rows", [0, -5])
+    def test_row_cap_below_one_rejected(self, max_rows):
+        for grids in ([], [GridSpec("eta", 0.1, 1.0, 11)]):
+            with pytest.raises(ParameterError, match=f"^max_rows must be >= 1, got {max_rows}$"):
+                run_sweep(GIANT_BASE, grids, max_rows=max_rows)
+
     def test_row_cap_checked_before_axes_are_built(self, monkeypatch):
         # a 1e12-point axis would need terabytes: the cap must reject it
         # from the point counts alone; an axis is built whole, so a 1e17-point
