@@ -15,7 +15,6 @@ from .analytic import (
     displacement_resolution,
     displacement_resolution_linear,
     improvement_ratio,
-    scaling_figure,
     sensitivity_report,
     signal_mean,
     signal_mean_exact,

@@ -101,32 +101,21 @@ def signal_variance(
     eta: float = 1.0,
     sigma: float = 0.0,
     thermal: float = 0.0,
-    exact: bool = False,
 ) -> float:
-    """Variance of M at the balance point x = 0, on the operating point.
+    """Variance of M at the balance point x = 0, on the operating point,
+    with the full dephasing factor:
 
-    Default is the small-sigma budget
+        eta*N + eta^2 (N^2/2) (1 - exp(-2 sigma^2)) + eta*N*nt .
 
-        eta*N + eta^2 N^2 sigma^2 + eta*N*nt .
-
-    exact=True keeps the full dephasing factor instead,
-
-        eta*N + eta^2 (N^2/2) (1 - exp(-2 sigma^2)) + eta*N*nt ,
-
-    which the default overshoots by eta^2 N^2 sigma^4 at leading order.
-    The result does not depend on the Kerr phase: at the operating point
-    the nonlinearity drops out of the balance-point noise.
-
-    Total over finite inputs: a square past the largest double gives inf
-    rather than raising.
+    At small sigma this is the budget eta*N + eta^2 N^2 sigma^2 + eta*N*nt
+    that `displacement_resolution` divides by the slope, less
+    eta^2 N^2 sigma^4 at leading order. The result does not depend on the
+    Kerr phase: at the operating point the nonlinearity drops out of the
+    balance-point noise. Past N ~ 1e154 the square N^2 overflows, and the
+    result is inf, or NaN where the dephasing factor rounds to 0.
     """
     shot = eta * n_photons
-    if exact:
-        deph = eta * eta * (0.5 * n_photons * n_photons) * (
-            1.0 - math.exp(-2.0 * sigma * sigma)
-        )
-    else:
-        deph = _square(eta * n_photons * sigma)
+    deph = eta * eta * (0.5 * n_photons * n_photons) * (1.0 - math.exp(-2.0 * sigma * sigma))
     return shot + deph + eta * n_photons * thermal
 
 
@@ -197,27 +186,6 @@ def improvement_ratio(
     return math.sqrt(noise / (1.0 + thermal)) / (1.0 + 0.5 * chi * n_photons)
 
 
-def scaling_figure(
-    duration: float, cross_section: float, wavelength: float, n_photons: float
-) -> float:
-    """Conjectured optimal resolution scaling tau*A*lambda^2/N^2.
-
-    A relative figure only (unit proportionality constant): halving the
-    duration halves it, doubling the photon number divides it by four.
-    Reaching this scaling would need non-classical probes; nothing else in
-    this package depends on it.
-    """
-    for name, value in (
-        ("duration", duration),
-        ("cross_section", cross_section),
-        ("wavelength", wavelength),
-        ("n_photons", n_photons),
-    ):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-    return duration * cross_section * wavelength**2 / n_photons**2
-
-
 @dataclass(frozen=True)
 class ValidityCheck:
     """One validity condition: its margin ratio and whether it is met."""
@@ -282,10 +250,11 @@ def validity(
 class SensitivityReport:
     """Resolution of the interferometer and of its linear counterpart.
 
-    delta_x is computed by `displacement_resolution`, which is algebraically
-    sqrt(signal_variance) over the slope d<M>/dx = eta*N*k*(1 + chi*N/2) at x = 0;
-    improvement is the ratio delta_x/delta_x_linear, <= 1 whenever the
-    linear scheme sees the same noise floor.
+    delta_x is computed by `displacement_resolution`: the square root of the
+    small-sigma noise budget eta*N + eta^2 N^2 sigma^2 + eta*N*nt over the
+    slope d<M>/dx = eta*N*k*(1 + chi*N/2) at x = 0; improvement is the
+    ratio delta_x/delta_x_linear, <= 1 whenever the linear scheme sees the
+    same noise floor.
     """
 
     delta_x: float

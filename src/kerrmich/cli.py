@@ -33,8 +33,6 @@ from .sweep import (
     MAX_ROWS,
     GridSpec,
     SweepRow,
-    SweepTable,
-    evaluate,
     regime_report,
     run_sweep,  # not called here: bench/spans.py looks it up on this module
     sweep_blocks,
@@ -285,8 +283,9 @@ def _row_validity(row: SweepRow) -> dict:
 
 def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params = _params_from_args(args)
-    row = evaluate(params, args.threshold)
-    table = SweepTable.from_rows([row])
+    # a one-point sweep, so `estimate` equals it by construction
+    table = next(sweep_blocks(params, (), args.threshold))
+    row = table[0]
     manifest = _manifest(argv, dataclasses.asdict(params))
     manifest["rows"] = len(table)
     manifest["validity_failures"] = table.validity_failures()

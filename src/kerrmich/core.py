@@ -141,18 +141,16 @@ class GeometrySpec:
         return self.arm_length + 0.5 * self.signal
 
 
-def operating_arm_length(derived: KerrDerived, m: int = 1) -> float:
+def operating_arm_length(derived: KerrDerived) -> float:
     """Shortest arm length putting the empty interferometer on the operating
-    point z0 = m*pi, i.e. 2*pi*m/(k*chi). Requires chi > 0 and m >= 1."""
-    if m < 1:
-        raise ParameterError(f"operating order m must be >= 1, got {m}")
+    point z0 = pi, i.e. 2*pi/(k*chi). Requires chi > 0."""
     if derived.chi <= 0.0:
         raise ParameterError("operating arm length undefined for chi = 0")
     kchi = derived.wavenumber * derived.chi
-    arm = 2.0 * math.pi * m / kchi if kchi > 0.0 else math.inf
+    arm = 2.0 * math.pi / kchi if kchi > 0.0 else math.inf
     if not 0.0 < arm < math.inf:
         raise ParameterError(
-            f"operating arm 2*pi*m/(k*chi) must be positive and finite, got {arm!r} "
+            f"operating arm 2*pi/(k*chi) must be positive and finite, got {arm!r} "
             f"(k*chi = {kchi!r})"
         )
     return arm

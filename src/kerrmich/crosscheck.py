@@ -119,11 +119,6 @@ class CheckBlock(NamedTuple):
     label_columns: tuple
     errors: np.ndarray
 
-    def columns(self) -> list:
-        """The label columns as sequences of Python values, which `%`
-        formats as it formats the values they came from."""
-        return [c.tolist() if isinstance(c, np.ndarray) else c for c in self.label_columns]
-
     def passed(self) -> np.ndarray:
         """Each check's verdict; a NaN error fails."""
         return self.errors <= self.limit
@@ -157,9 +152,12 @@ class CheckBlock(NamedTuple):
         return join_texts(fixed, tables).tobytes().replace(b"\0", b"").decode()
 
     def cases(self) -> list[CheckCase]:
+        # the columns as Python values, which `%` formats as it formats the
+        # values they came from
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.label_columns]
         return [
             CheckCase(self.section, self.label_format % row[:-1], row[-1], self.limit)
-            for row in zip(*self.columns(), self.errors.tolist())
+            for row in zip(*columns, self.errors.tolist())
         ]
 
 
@@ -376,9 +374,7 @@ def _noise_block(max_photons: int, tolerance: float) -> CheckBlock:
         ).mean_m2
         for eta, sigma, nt in settings
     ]
-    want = [
-        signal_variance(float(n), eta, sigma, nt, exact=True) for eta, sigma, nt in settings
-    ]
+    want = [signal_variance(float(n), eta, sigma, nt) for eta, sigma, nt in settings]
     return _labelled_block(
         "noise",
         tolerance,

@@ -102,16 +102,14 @@ class TwoModeState:
         return self.coeffs.shape
 
 
-def product_input(alpha: complex, dim: int | None = None) -> TwoModeState:
+def product_input(alpha: complex) -> TwoModeState:
     """Input state |alpha/sqrt(2)>_1 |alpha/sqrt(2)>_2 of the internal modes.
 
-    dim is the per-mode basis size (default from `fock_dim`); each mode is
-    built by `coherent_amplitudes`, so its truncation is checked.
+    Each mode is built by `coherent_amplitudes` on the `fock_dim` basis,
+    so its truncation is checked.
     """
     beta = complex(alpha) / math.sqrt(2.0)
-    if dim is None:
-        dim = fock_dim(abs(beta) ** 2)
-    amps = coherent_amplitudes(beta, dim)
+    amps = coherent_amplitudes(beta, fock_dim(abs(beta) ** 2))
     return TwoModeState(np.outer(amps, amps))
 
 
@@ -286,18 +284,15 @@ def noisy_moments(m: MomentSet, noise: NoiseSpec) -> MomentSet:
     )
 
 
-def coherent_identity_residual(
-    beta: complex, z: float, dim: int | None = None
-) -> float:
+def coherent_identity_residual(beta: complex, z: float) -> float:
     """|direct - closed| for <beta| e^{i 2 z N} a |beta>.
 
-    The direct side is the truncated-basis contraction; the closed side is
-    beta * exp(|beta|^2 (e^{i 2 z} - 1)).
+    The direct side is the contraction on the `fock_dim` basis; the closed
+    side is beta * exp(|beta|^2 (e^{i 2 z} - 1)).
     """
     b = complex(beta)
     mu = abs(b) ** 2
-    if dim is None:
-        dim = fock_dim(mu)
+    dim = fock_dim(mu)
     amps = coherent_amplitudes(b, dim)
     n = np.arange(dim - 1, dtype=float)
     direct = complex(

@@ -158,6 +158,8 @@ class SweepRow(NamedTuple):
 
 def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
     """One design point through the closed-form engine, as one SweepRow.
+    The library's scalar entry: no CLI command calls it, as `estimate` and
+    `regimes` take their row from a one-point `sweep_blocks`.
 
     The scalar twin of `_kernel`: straight-line float arithmetic that
     repeats `derive`, `operating_arm_length` and `sensitivity_report` term
@@ -639,7 +641,7 @@ def regime_report(name: str) -> dict:
     square of the nonlinear gain, eroding its advantage.
     """
     params = get_preset(name)
-    row = evaluate(params)
+    row = next(sweep_blocks(params))[0]
     arm, n, chi, k = row.arm_length_m, row.n_photons, row.chi, row.k_per_m
     gain = chi * n
 

@@ -56,11 +56,8 @@ def test_criterion_1_mean_equivalence():
 def test_criterion_2_expectation_identity():
     worst = 0.0
     for mu in (0.5, 1.0, 2.0, 4.0, 7.0, 10.0):
-        dim = math.ceil(mu + 10.0 * math.sqrt(mu) + 20.0)
         for z in np.linspace(0.0, math.pi, 13):
-            worst = max(
-                worst, coherent_identity_residual(math.sqrt(mu), float(z), dim=dim)
-            )
+            worst = max(worst, coherent_identity_residual(math.sqrt(mu), float(z)))
     assert worst < 1e-10, f"worst identity residual {worst:.3e}"
     _report(2, f"coherent rotation identity, worst residual {worst:.2e}")
 

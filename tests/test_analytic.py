@@ -10,7 +10,6 @@ from kerrmich.analytic import (
     displacement_resolution,
     displacement_resolution_linear,
     improvement_ratio,
-    scaling_figure,
     sensitivity_report,
     signal_mean,
     signal_mean_exact,
@@ -154,36 +153,15 @@ class TestVariance:
 
     def test_small_sigma_budget_vs_exact_form(self):
         n, eta, sigma, nt = 100.0, 1.0, 0.1, 2.0
-        budget = signal_variance(n, eta, sigma, nt)
-        exact = signal_variance(n, eta, sigma, nt, exact=True)
+        budget = eta * n + (eta * n * sigma) ** 2 + eta * n * nt
+        exact = signal_variance(n, eta, sigma, nt)
         assert budget == 100.0 + 100.0 + 200.0
         # overshoot is eta^2 N^2 sigma^4 at leading order, and positive
         assert 0.0 < budget - exact <= (eta * n) ** 2 * sigma**4
 
-    @pytest.mark.parametrize(
-        "n, eta, sigma, nt",
-        [
-            (100.0, 1.0, 0.1, 2.0),
-            (2.517e14, 0.7, 1e-3, 0.0),
-            (2.517e14, 1.0, 1e139, 0.0),
-            (1e300, 1.0, 1e-146, 1e-300),
-        ],
-    )
-    def test_budget_is_the_python_square_where_finite(self, n, eta, sigma, nt):
-        want = eta * n + (eta * n * sigma) ** 2 + eta * n * nt
-        assert math.isfinite(want)
-        assert signal_variance(n, eta, sigma, nt).hex() == want.hex()
-
-    @pytest.mark.parametrize("n, sigma", [(2.517e14, 1e140), (1.0, 1e155), (1e300, 1.0)])
-    def test_budget_is_inf_where_the_square_overflows(self, n, sigma):
-        with pytest.raises(OverflowError):
-            (n * sigma) ** 2
-        assert signal_variance(n, 1.0, sigma) == math.inf
-
     def test_exact_form_at_zero_sigma(self):
-        assert signal_variance(64.0, 0.8, 0.0, 3.0, exact=True) == signal_variance(
-            64.0, 0.8, 0.0, 3.0
-        )
+        # no dephasing term: shot noise plus the thermal counts
+        assert signal_variance(64.0, 0.8, 0.0, 3.0) == 0.8 * 64.0 + 0.8 * 64.0 * 3.0
 
 
 class TestBalancedSecondMoment:
@@ -330,31 +308,6 @@ class TestImprovement:
         assert 0.0 < ratio <= 1.0
 
 
-class TestScalingFigure:
-    def test_doubling_photons_quarters(self):
-        base = scaling_figure(1e-10, 1e-6, 5e-7, 1e14)
-        assert scaling_figure(1e-10, 1e-6, 5e-7, 2e14) == base / 4.0
-
-    def test_doubling_duration_doubles(self):
-        base = scaling_figure(1e-10, 1e-6, 5e-7, 1e14)
-        assert scaling_figure(2e-10, 1e-6, 5e-7, 1e14) == 2.0 * base
-
-    def test_regime_comparison(self):
-        g, n = GIANT, NATURAL
-        dg, dn = derive(g.pulse, g.medium), derive(n.pulse, n.medium)
-        ratio = scaling_figure(
-            g.pulse.duration, g.pulse.cross_section, g.pulse.wavelength, dg.photons
-        ) / scaling_figure(
-            n.pulse.duration, n.pulse.cross_section, n.pulse.wavelength, dn.photons
-        )
-        # 1e5 from tau*A, (1e7)^2 from the photon numbers
-        assert ratio == pytest.approx(1e19, rel=1e-6)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="duration"):
-            scaling_figure(0.0, 1e-6, 5e-7, 1e14)
-
-
 def checks(flags):
     """The five ValidityCheck fields of a ValidityFlags."""
     return [getattr(flags, f.name) for f in dataclasses.fields(flags)]
@@ -433,10 +386,10 @@ class TestSensitivityReport:
         geometry = GeometrySpec(GIANT_ARM, 0.0)
         rep = sensitivity_report(d, geometry, GIANT.noise)
         noise = GIANT.noise
-        var_m = signal_variance(
-            d.photons, noise.efficiency, noise.phase_sigma, noise.thermal_photons
-        )
-        dmdx = noise.efficiency * d.photons * d.wavenumber * (
+        eta, sigma, nt = noise.efficiency, noise.phase_sigma, noise.thermal_photons
+        # the small-sigma budget that delta_x divides by the slope
+        var_m = eta * d.photons + (eta * d.photons * sigma) ** 2 + eta * d.photons * nt
+        dmdx = eta * d.photons * d.wavenumber * (
             1.0 + 0.5 * d.chi * d.photons
         )
         assert rep.delta_x == pytest.approx(math.sqrt(var_m) / dmdx, rel=1e-12)

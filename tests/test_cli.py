@@ -548,7 +548,7 @@ def test_unformable_operating_arm_is_named(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (1, "")
     assert err == (
-        "kerrmich: error: operating arm 2*pi*m/(k*chi) must be positive and finite, "
+        "kerrmich: error: operating arm 2*pi/(k*chi) must be positive and finite, "
         "got 0.0 (k*chi = inf)\n"
     )
 

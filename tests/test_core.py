@@ -199,7 +199,7 @@ class TestKerrPhases:
         d = derive(p.pulse, p.medium)
         ell0 = 2.0 * math.pi / (d.wavenumber * d.chi)
         assert detuning_margin(d, GeometrySpec(arm_length=ell0)) < 1e-9 / math.pi
-        assert ell0 == operating_arm_length(d, m=1)
+        assert ell0 == operating_arm_length(d)
 
     def test_detuning_bounded(self):
         d = KerrDerived(photons=1.0, intensity=1.0, chi=0.77, wavenumber=3.1)
@@ -219,7 +219,7 @@ class TestKerrPhases:
         # k*chi overflows, so 2*pi/(k*chi) rounds to 0; or it is too small
         # for the quotient, or underflows to a zero divisor
         d = KerrDerived(photons=1.0, intensity=1.0, chi=chi, wavenumber=wavenumber)
-        with pytest.raises(ParameterError, match=rf"^operating arm 2\*pi\*m/\(k\*chi\) .*got {got} "):
+        with pytest.raises(ParameterError, match=rf"^operating arm 2\*pi/\(k\*chi\) .*got {got} "):
             operating_arm_length(d)
 
 

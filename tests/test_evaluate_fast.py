@@ -151,8 +151,8 @@ GIANT_ARM = 125.85291426568021
         # z0 / pi is the odd integer 2**52 + 3, where round() (half to
         # even) and floor(x + 0.5) differ by one
         dict(arm_length=GIANT_ARM * (2**52 + 3)),
-        # (eta * N * sigma) ** 2 overflows in signal_variance, which gives
-        # inf for it; no row field carries that variance
+        # (eta * N * sigma) ** 2 would overflow, but no row field squares
+        # that product: the noise terms square sigma alone
         dict(sigma=1e140),
     ],
     ids=[

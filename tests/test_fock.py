@@ -96,9 +96,10 @@ class TestProductInput:
 
     def test_budget_violation_raises(self):
         # alpha = sqrt(2) puts one photon in each internal mode; two levels
-        # keep only ~74% of each mode
+        # keep only ~74% of each mode, where the `fock_dim` basis keeps all
         with pytest.raises(TruncationError):
-            product_input(math.sqrt(2.0), dim=2)
+            coherent_amplitudes(1.0, 2)
+        assert product_input(math.sqrt(2.0)).dims == (fock_dim(1.0),) * 2
 
     def test_mean_photons_split_between_arms(self):
         state = product_input(math.sqrt(8.0))
@@ -132,7 +133,8 @@ class TestApplyKerr:
         assert after.mean_m2 == pytest.approx(before.mean_m2, rel=1e-12)
 
     def test_cornerstone_mean_against_closed_form(self):
-        state = product_input(2.0, dim=max(fock_dim(2.0), 40))
+        amps = coherent_amplitudes(2.0 / math.sqrt(2.0), max(fock_dim(2.0), 40))
+        state = TwoModeState(np.outer(amps, amps))
         ms = moments(apply_kerr(state, 0.30, 0.32, 0.1))
         want = signal_mean_exact(4.0, 0.1, 0.30, 0.32)
         assert ms.mean_m == pytest.approx(want, rel=1e-9)
@@ -187,10 +189,8 @@ class TestMoments:
         # truncation control: a much larger basis moves nothing by more
         # than the declared budget
         tight = moments(apply_kerr(product_input(4.0), 0.5, 0.6, 0.07))
-        dim = fock_dim(8.0) + 60
-        loose = moments(
-            apply_kerr(product_input(4.0, dim=dim), 0.5, 0.6, 0.07)
-        )
+        amps = coherent_amplitudes(4.0 / math.sqrt(2.0), fock_dim(8.0) + 60)
+        loose = moments(apply_kerr(TwoModeState(np.outer(amps, amps)), 0.5, 0.6, 0.07))
         assert abs(tight.mean_m - loose.mean_m) < 1e-10
         assert abs(tight.mean_m2 - loose.mean_m2) < 1e-10 * max(1.0, loose.mean_m2)
 
@@ -285,8 +285,8 @@ class TestNoisyMoments:
         ms = self._balanced(n)
         eta, sigma, nt = 0.7, 0.05, 0.5
         noisy = noisy_moments(ms, NoiseSpec(eta, sigma, nt))
-        exact = signal_variance(n, eta, sigma, nt, exact=True)
-        budget = signal_variance(n, eta, sigma, nt)
+        exact = signal_variance(n, eta, sigma, nt)
+        budget = eta * n + (eta * n * sigma) ** 2 + eta * n * nt
         assert noisy.mean_m2 == pytest.approx(exact, rel=1e-9)
         assert abs(noisy.mean_m2 - budget) <= (eta * n * sigma) ** 2 * sigma**2 + 1e-9
 
@@ -317,7 +317,7 @@ class TestIdentityResidual:
         assert coherent_identity_residual(0.0, 0.3) == 0.0
 
     def test_example_point(self):
-        assert coherent_identity_residual(math.sqrt(6.0), 0.3, dim=80) < 1e-10
+        assert coherent_identity_residual(math.sqrt(6.0), 0.3) < 1e-10
 
     def test_grid_up_to_ten_photons(self):
         for mu in (0.5, 2.0, 5.0, 10.0):
