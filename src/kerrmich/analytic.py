@@ -111,11 +111,13 @@ def signal_variance(
     that `displacement_resolution` divides by the slope, less
     eta^2 N^2 sigma^4 at leading order. The result does not depend on the
     Kerr phase: at the operating point the nonlinearity drops out of the
-    balance-point noise. Past N ~ 1e154 the square N^2 overflows, and the
-    result is inf, or NaN where the dephasing factor rounds to 0.
+    balance-point noise. Past N ~ 1e154 the square N^2 overflows and the
+    dephasing term is inf, except where the dephasing factor rounds to 0
+    (sigma below ~5e-9): there the term is 0, not inf * 0.
     """
     shot = eta * n_photons
-    deph = eta * eta * (0.5 * n_photons * n_photons) * (1.0 - math.exp(-2.0 * sigma * sigma))
+    factor = 1.0 - math.exp(-2.0 * sigma * sigma)
+    deph = eta * eta * (0.5 * n_photons * n_photons) * factor if factor else 0.0
     return shot + deph + eta * n_photons * thermal
 
 

@@ -18,15 +18,15 @@ and stored at the shape of the grid axes it depends on. On a tau x
 power x sigma grid that is a constant once, chi once per tau, N once
 per (tau, power), and only delta_x, the improvement and the dominance
 margin once per row.
-Each computes only the points it can vouch for: those that pass every
-spec check with finite inputs, derived values and resolutions, where the
-composed path cannot raise; a validity margin may come out inf or NaN,
-as it does there. Every other point goes through `_evaluate_reference`,
-which composes `derive` and `sensitivity_report` themselves on the
-design's specs (`ParameterSet.pulse`, `.medium`, `.noise`) and raises
-what they raise, with an arithmetic failure reported as a
-`ParameterError`. So every row is bit for bit the row of the composed
-path, which the tests use as the reference.
+`_evaluate_reference` composes `derive` and `sensitivity_report`
+themselves on the design's specs (`ParameterSet.pulse`, `.medium`,
+`.noise`) and raises what they raise, with an arithmetic failure
+reported as a `ParameterError`. `_kernel` computes every row on which
+that path returns and rejects exactly the rows on which it raises, and
+`sweep_blocks` runs the first rejected row through it to raise its
+error. `evaluate` takes every point it does not vouch for through it.
+So every row is bit for bit the row of the composed path, which the
+tests use as the reference.
 
 `SweepTable.write_csv_rows` and `write_json_rows` share one byte writer,
 `_write_rows`: each stored value of a block is formatted once, floats by
@@ -163,11 +163,12 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
 
     The scalar twin of `_kernel`: straight-line float arithmetic that
     repeats `derive`, `operating_arm_length` and `sensitivity_report` term
-    for term, so a clean point (the rule of `_kernel`) is bit for bit what
+    for term, so a clean point, one that passes every spec check with
+    finite inputs, derived values and resolutions, is bit for bit what
     `_evaluate_reference` returns. Any other point, and any point on which
     this arithmetic raises, such as a square past the largest double, goes
-    to `_evaluate_reference`, which raises exactly what the composed path
-    raises.
+    to `_evaluate_reference`, which returns or raises exactly what the
+    composed path does.
     """
     _check_threshold(threshold)
     p = params
@@ -232,8 +233,9 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
 
 def _evaluate_reference(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
     """`evaluate` composed from the spec types, `derive` and
-    `sensitivity_report`: the fallback for points the straight-line path
-    does not vouch for, and the reference it is tested against.
+    `sensitivity_report`: the fallback for points `evaluate` does not
+    vouch for, the error of a row `_kernel` rejects, and the reference
+    both are tested against.
 
     A failure of the arithmetic itself, such as a product that underflows
     to a zero divisor or `round(nan)`, is raised as a `ParameterError`.
@@ -466,13 +468,10 @@ def sweep_blocks(
     block is a box of the grid (see `_boxes`), and its columns are
     computed by `_kernel` on the shapes of the axes they depend on.
 
-    Rows the column kernel cannot vouch for (see `_kernel`) are recomputed
-    by `_evaluate_reference` in row order, so the first one that raises
-    raises exactly what a row-by-row loop of `evaluate` would, once the
-    blocks before its own have been yielded. A column in which such a
-    row's value differs in its bits from the kernel's is widened to the
-    block's full shape to hold it. Each block's `stages` hold the seconds
-    its kernel and its fallback took and its fallback row count.
+    At the first row the kernel rejects, `_evaluate_reference` raises
+    exactly what a row-by-row loop of `evaluate` would, once the blocks
+    before its own have been yielded. Each block's `stages` hold the
+    seconds its kernel took (`kernel_s`).
     """
     _check_threshold(threshold)
     if len(grids) > 3:
@@ -499,30 +498,15 @@ def sweep_blocks(
     lo = 0
     for box in _boxes(axes):
         start = time.perf_counter()
-        columns, clean = _kernel({**constants, **dict(zip(names, box))}, threshold)
-        kernel_end = time.perf_counter()
-        unclean = np.flatnonzero(~clean).tolist()
-        if unclean:
-            at = np.unravel_index(np.add(unclean, lo), shape) if shape else ()
-            swept = [axis[j].tolist() for axis, j in zip(axes, at)]
-            rows = [
-                _evaluate_reference(
-                    dataclasses.replace(base, **{name: v[k] for name, v in zip(names, swept)}),
-                    threshold,
-                )
-                for k in range(len(unclean))
-            ]
-            for name, fallback in zip(ROW_FIELDS, zip(*rows)):
-                values = np.broadcast_to(columns[name], clean.shape)
-                fallback = np.array(fallback, dtype=values.dtype)
-                bits = f"u{values.itemsize}"
-                differ = values.flat[unclean].view(bits) != fallback.view(bits)
-                if differ.any():
-                    columns[name] = values.copy()
-                    columns[name].flat[np.compress(differ, unclean)] = fallback[differ]
-        stages = {"kernel_s": kernel_end - start, "fallback_s": time.perf_counter() - kernel_end,
-                  "fallback_rows": len(unclean)}
-        block = SweepTable(columns, clean.shape, stages)
+        columns, ok = _kernel({**constants, **dict(zip(names, box))}, threshold)
+        if not ok.all():
+            # Python floats, as the composed path divides np.float64 by zero
+            # without raising
+            at = np.unravel_index(lo + int(np.argmin(ok)), shape)
+            swept = {name: axis[j].item() for name, axis, j in zip(names, axes, at)}
+            _evaluate_reference(dataclasses.replace(base, **swept), threshold)
+            raise AssertionError(f"sweep row {swept} evaluates, but the kernel rejected it")
+        block = SweepTable(columns, ok.shape, {"kernel_s": time.perf_counter() - start})
         lo += len(block)
         yield block
 
@@ -552,7 +536,7 @@ def _kernel(
     p: dict[str, np.ndarray], threshold: float
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """SweepRow columns for the ParameterSet values p, and the mask of
-    clean rows.
+    the rows on which the composed path returns.
 
     The values in p broadcast against each other: a constant is 0-d and
     each swept axis lies along its own dimension, so every column comes
@@ -564,23 +548,22 @@ def _kernel(
     rounded, `round` is `np.rint`, and squares are `np.float_power(x, 2.0)`,
     which calls the C library's `pow` as Python's float `**` does (`x * x`
     rounds differently for about one input in a thousand), and gives inf
-    where `**` raises, as `analytic._square` does. So a clean row is bit
-    for bit what `_evaluate_reference` returns. A row is clean when its
-    inputs pass every spec check and its inputs, derived values, resolutions
-    and `round` argument are finite; a zero divisor shows up as an infinite
-    resolution. These are the values on which the composed path can raise
-    or branch. The margins are left out: there they come from the same
-    finite values by `*`, `abs`, `/ pi`, `_square` and `_ratio`, none of
-    which raises, so an inf or NaN margin is the composed path's own value.
-    Only clean rows are vouched for; the values of the others are left as
-    they fall. `evaluate` applies the same rule to one point.
+    where `**` raises, as `analytic._square` does; its branches, a dark
+    input's resolutions and `_ratio`, are `np.where`. So a row on which the
+    composed path returns is bit for bit its row, inf and NaN included.
+    The mask rejects exactly the rows on which that path raises: an input
+    out of its spec, an arm that is not positive and finite or that the
+    signal makes non-positive, a zero divisor (hbar omega or area tau in
+    `derive`, eta k^2 N for N > 0) and a `round` of inf or NaN. The values
+    of rejected rows are left as they fall.
     """
     wl, tau, area, power = p["wavelength"], p["tau"], p["area"], p["power"]
     n0, n2, eta, sigma, nt = p["n0"], p["n2"], p["eta"], p["sigma"], p["nt"]
     signal = p["signal_x"]
     with np.errstate(all="ignore"):
         omega = 2.0 * math.pi * C_LIGHT / wl
-        n = power * tau / (HBAR * omega)
+        hbar_omega = HBAR * omega
+        n = power * tau / hbar_omega
         chi = (n2 / n0) * HBAR * omega / (area * tau)
         k = n0 * omega / C_LIGHT
         if "arm_length" in p:
@@ -588,12 +571,14 @@ def _kernel(
         else:
             arm = np.where(chi > 0.0, 2.0 * math.pi / (k * chi), 1.0)
 
+        # a dark input has infinite resolutions and an improvement of 1
+        dark = n <= 0.0
         ekkn = eta * k * k * n
         noise = 1.0 + eta * n * sigma * sigma + nt
         gain = 1.0 + 0.5 * chi * n
-        delta_x = np.sqrt(noise / ekkn) / gain
-        delta_x_linear = np.sqrt((1.0 + nt) / ekkn)
-        improvement = np.sqrt(noise / (1.0 + nt)) / gain
+        delta_x = np.where(dark, math.inf, np.sqrt(noise / ekkn) / gain)
+        delta_x_linear = np.where(dark, math.inf, np.sqrt((1.0 + nt) / ekkn))
+        improvement = np.where(dark, 1.0, np.sqrt(noise / (1.0 + nt)) / gain)
 
         z0 = k * arm * chi / 2.0
         turns = z0 / math.pi
@@ -603,28 +588,29 @@ def _kernel(
         nl_noise = eta * n * sigma_sq + nt
         margins = (
             chi * n * k * np.abs(signal),
-            np.where(nt == 0.0, 0.0, nt / n),
+            np.where(nt == 0.0, 0.0, np.where(n == 0.0, math.inf, nt / n)),
             sigma,
             np.abs(detuning) / math.pi,
             np.where(nl_noise == 0.0, 0.0, np.where(gain_sq == 0.0, math.inf, nl_noise / gain_sq)),
         )
 
-        clean = (
+        ok = (
             (wl > 0.0) & (tau > 0.0) & (area > 0.0) & (power >= 0.0)
             & (n0 > 0.0) & (n2 >= 0.0) & (eta > 0.0) & (eta <= 1.0)
             & (sigma >= 0.0) & (nt >= 0.0)
             & (arm > 0.0) & (arm - 0.5 * signal > 0.0) & (arm + 0.5 * signal > 0.0)
+            & (hbar_omega != 0.0) & (area * tau != 0.0)
+            & (dark | (ekkn != 0.0))
         )
-        for col in (*p.values(), arm, omega, n, chi, k, turns,
-                    delta_x, delta_x_linear, improvement):
-            clean = clean & np.isfinite(col)
+        for col in (*p.values(), arm, turns):
+            ok = ok & np.isfinite(col)
 
     columns = (
         tau, area, power, n2, wl, eta, sigma, nt, arm, signal,
         n, chi, k, delta_x, delta_x_linear, improvement,
         *margins, *(m < threshold for m in margins),
     )
-    return dict(zip(ROW_FIELDS, columns)), clean
+    return dict(zip(ROW_FIELDS, columns)), ok
 
 
 # Beyond this the required interferometer stops being buildable on Earth.

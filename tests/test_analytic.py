@@ -163,6 +163,14 @@ class TestVariance:
         # no dephasing term: shot noise plus the thermal counts
         assert signal_variance(64.0, 0.8, 0.0, 3.0) == 0.8 * 64.0 + 0.8 * 64.0 * 3.0
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-9])
+    def test_no_dephasing_term_past_the_square_overflow(self, sigma):
+        # N^2 overflows to inf; with a dephasing factor that rounds to 0
+        # the term is 0, not inf * 0 = NaN
+        assert signal_variance(1e300, 1.0, sigma, 0.0) == 1e300
+        assert signal_variance(1e300, 0.5, sigma, 2.0) == 0.5e300 + 0.5e300 * 2.0
+        assert signal_variance(1e300, 1.0, 1e-3, 0.0) == math.inf
+
 
 class TestBalancedSecondMoment:
     def test_zero_offset(self):

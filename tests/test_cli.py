@@ -408,7 +408,7 @@ class TestOutputFiles:
         assert first == second
         # the timestamp and the stage seconds differ from run to run
         stages_a, stages_b = manifest_a.pop("stages"), manifest_b.pop("stages")
-        assert stages_a["fallback_rows"] == stages_b["fallback_rows"]
+        assert list(stages_a) == list(stages_b) == ["check_s", "kernel_s", "format_write_s"]
         manifest_a.pop("timestamp")
         manifest_b.pop("timestamp")
         assert manifest_a == manifest_b
@@ -762,8 +762,7 @@ def test_failing_sweep_writes_nothing(capsys, tmp_path, case, fmt, to_file):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_manifest_records_stage_timings(capsys, tmp_path, fmt):
-    # power = 0 is a dark input, the one row of five the kernel leaves to
-    # the fallback
+    # power = 0 is a dark input, which the kernel computes with the rest
     target = tmp_path / f"rows.{fmt}"
     args = ("sweep", "--regime", "giant-eit", "--grid", "power=0:2e6:5", "--format", fmt)
     code, stdout, _ = run_cli(capsys, *args)
@@ -779,15 +778,14 @@ def test_sweep_manifest_records_stage_timings(capsys, tmp_path, fmt):
         manifest = payload.pop("manifest")
         assert payload == json.loads(stdout)
     stages = manifest["stages"]
-    assert list(stages) == ["check_s", "kernel_s", "fallback_s", "fallback_rows", "format_write_s"]
-    assert stages["fallback_rows"] == 1
+    assert list(stages) == ["check_s", "kernel_s", "format_write_s"]
     assert all(v >= 0.0 for v in stages.values())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_manifest_sums_its_blocks(capsys, tmp_path, monkeypatch, fmt):
-    # blocks of 5 rows over a dark edge: power = 0 leaves one block's rows
-    # to the fallback, and sigma >= 0.01 fails the dephasing condition
+    # blocks of 5 rows over a dark edge: power = 0 makes one block's rows
+    # dark, and sigma >= 0.01 fails the dephasing condition
     monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 5)
     target = tmp_path / f"rows.{fmt}"
     code, _, _ = run_cli(
@@ -808,8 +806,9 @@ def test_sweep_manifest_sums_its_blocks(capsys, tmp_path, monkeypatch, fmt):
     }
     assert manifest["validity_failures"]["weak_dephasing"] == 9
     stages = manifest["stages"]
-    assert list(stages) == ["check_s", "kernel_s", "fallback_s", "fallback_rows", "format_write_s"]
-    assert stages["fallback_rows"] == sum(b.stages["fallback_rows"] for b in blocks) == 5
+    assert list(stages) == ["check_s", "kernel_s", "format_write_s"]
+    assert all(list(b.stages) == ["kernel_s"] for b in blocks)
+    assert all(v >= 0.0 for v in stages.values())
 
 
 def _sweep_max_rss_mb(tmp_path, fmt, *grids):

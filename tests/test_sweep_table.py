@@ -66,13 +66,20 @@ def assert_same_as_evaluate(base, grids, threshold=1e-2):
         assert bits(g) == bits(w), i
 
 
+# Edge values of a base design; a grid's ends must be finite.
+EDGES = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1.7e308]
+
+
 @st.composite
-def number(draw, typical):
+def number(draw, typical, edges=False):
     """Mostly typical * 10**[-2, 2]; else a zero of either sign, or any
-    float of either sign with a decimal exponent up to +-300."""
-    kind = draw(st.integers(0, 7))
+    float of either sign with a decimal exponent up to +-300, or with
+    edges one of the EDGES."""
+    kind = draw(st.integers(0, 8 if edges else 7))
     if kind == 0:
         return draw(st.sampled_from([0.0, -0.0]))
+    if kind == 8:
+        return draw(st.sampled_from(EDGES))
     if kind == 1:
         sign = draw(st.sampled_from([1.0, -1.0]))
         return sign * draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-300, 300))
@@ -98,7 +105,7 @@ def designs(draw):
     base = draw(st.sampled_from([GIANT_BASE, NATURAL_BASE]))
     changes = {}
     for name in draw(st.lists(st.sampled_from(GRID_PARAMETERS), unique=True)):
-        changes[name] = draw(number(TYPICAL[name]))
+        changes[name] = draw(number(TYPICAL[name], edges=True))
     grids = []
     for name in draw(st.lists(st.sampled_from(GRID_PARAMETERS), max_size=3, unique=True)):
         lo, hi = sorted((draw(number(TYPICAL[name])), draw(number(TYPICAL[name]))))
@@ -156,8 +163,8 @@ def test_squares_round_like_python_power(base, sigma, parameter):
         # square, which `analytic._ratio` makes inf
         (dict(wavelength=1e-7, n2=0.0, eta=1e-200, power=4e-132),
          GridSpec("sigma", 1e160, 1e170, 2, "log")),
-        # a dark input of power -0.0: the kernel's resolutions are NaN where
-        # the composed path's are inf, so the fallback's values replace them
+        # a dark input of power -0.0: the resolutions take the dark branch,
+        # and nt / -0.0 is -inf where `analytic._ratio` gives inf
         (dict(power=-0.0), GridSpec("nt", 0.0, 10.0, 3)),
     ],
 )
@@ -265,11 +272,11 @@ def test_blocks_and_their_stats(monkeypatch):
     assert {name: sum(f[name] for f in failures) for name in FLAG_FIELDS} == (
         table.validity_failures()
     )
-    # the dark input is the one power the kernel leaves to the fallback
-    assert [b.stages["fallback_rows"] for b in blocks] == [3, 0, 0]
+    # the dark input's block, the first, is the kernel's own
+    assert blocks[0].column("delta_x_m").tolist() == [math.inf] * 3
     for b in blocks:
-        assert list(b.stages) == ["kernel_s", "fallback_s", "fallback_rows"]
-        assert b.stages["kernel_s"] >= 0.0 and b.stages["fallback_s"] >= 0.0
+        assert list(b.stages) == ["kernel_s"]
+        assert b.stages["kernel_s"] >= 0.0
     # a table that no kernel computed has no stages
     assert table.stages == {} and SweepTable.from_rows(table).stages == {}
 
@@ -282,20 +289,19 @@ def test_interleaved_sweeps_share_nothing():
                      strict=True))
     assert len(pairs) > 1
     for first, second in pairs:
-        assert first.stages["fallback_rows"] == second.stages["fallback_rows"]
+        assert list(first.stages) == list(second.stages) == ["kernel_s"]
         assert first.shape == second.shape
         for name in ROW_FIELDS:
             a, b = np.asarray(first.columns[name]), np.asarray(second.columns[name])
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert sum(first.stages["fallback_rows"] for first, _ in pairs) == 5 * 3000
 
 
 @st.composite
 def boxed_sweeps(draw):
-    """Up to three grids over power (from 0, so some rows are dark and go
-    to the fallback), sigma and tau, and a block size of 1..64 rows. Half
-    the draws put the block size one below, at, or one above the length
-    of the trailing axes from some axis on, the last axis alone included.
+    """Up to three grids over power (from 0, so some rows are dark), sigma
+    and tau, and a block size of 1..64 rows. Half the draws put the block
+    size one below, at, or one above the length of the trailing axes from
+    some axis on, the last axis alone included.
     """
     names = draw(st.permutations(["power", "sigma", "tau"]))
     shape = draw(st.lists(st.integers(2, 9), max_size=3))
@@ -357,8 +363,8 @@ CSV_AXES = {
 
 
 def test_fallback_rows_keep_dedupe(monkeypatch):
-    # power 0 on the middle axis: every block holds dark rows, which the
-    # kernel leaves to the fallback
+    # power 0 on the middle axis: every block holds dark rows, which keep
+    # their columns at the shapes of the axes they depend on
     grids = [GridSpec("tau", 1e-11, 1e-9, 50, "log"), GridSpec("power", 0.0, 1e7, 50),
              GridSpec("sigma", 0.0, 1e-3, 40)]
     formatted = []
@@ -370,37 +376,53 @@ def test_fallback_rows_keep_dedupe(monkeypatch):
 
     monkeypatch.setattr(kerrmich.floattext, "float_texts", counting)
     assert list(CSV_AXES) == list(CSV_COLUMNS)
-    rows = fallback_rows = 0
+    rows = dark_rows = 0
     for block in sweep_blocks(GIANT_BASE, grids):
-        fallback = block.stages["fallback_rows"]
+        dark = int(np.count_nonzero(block.column("power_w") == 0.0))
         rows += len(block)
-        fallback_rows += fallback
-        assert fallback > 0
+        dark_rows += dark
+        assert dark > 0
         extent = {
             axis: len(np.unique(block.column(name)))
             for axis, name in (("t", "tau_s"), ("p", "power_w"), ("s", "sigma"))
         }
         own = {name: math.prod(extent[axis] for axis in axes) for name, axes in CSV_AXES.items()}
         block.write_csv_rows(io.StringIO())
-        assert formatted.pop() <= sum(count + fallback for count in own.values())
+        assert formatted.pop() <= sum(own.values())
         assert not formatted
     assert rows == 100_000
-    assert fallback_rows == 2000
+    assert dark_rows == 2000
 
 
-def test_linear_medium_rows_need_no_fallback():
-    # a linear medium under dephasing or thermal noise has an infinite
-    # dominance margin, which is the composed path's own value
-    base = dataclasses.replace(GIANT_BASE, n2=0.0)
+def test_sweeps_call_the_composed_path_only_to_raise(monkeypatch):
+    calls = []
+
+    def spy(params, threshold=1e-2):
+        calls.append(params)
+        return _evaluate_reference(params, threshold)
+
+    monkeypatch.setattr(kerrmich.sweep, "_evaluate_reference", spy)
+    # a dark edge, and a linear medium under dephasing or thermal noise,
+    # whose infinite dominance margin is the composed path's own value
+    dark = [GridSpec("tau", 1e-11, 1e-9, 5, "log"), GridSpec("power", 0.0, 1e7, 4),
+            GridSpec("sigma", 0.0, 1e-3, 300)]
+    assert len(run_sweep(GIANT_BASE, dark)) == 6000
+    linear = dataclasses.replace(GIANT_BASE, n2=0.0)
     grids = [GridSpec("sigma", 0.0, 0.1, 5), GridSpec("nt", 0.0, 10.0, 4)]
-    blocks = list(sweep_blocks(base, grids))
-    table = SweepTable.concat(blocks)
-    assert len(table) == 20
-    assert sum(block.stages["fallback_rows"] for block in blocks) == 0
+    table = run_sweep(linear, grids)
+    assert calls == []
     points = itertools.product(*(g.values() for g in grids))
     for row, (sigma, nt) in zip(table, points, strict=True):
-        want = _evaluate_reference(dataclasses.replace(base, sigma=sigma, nt=nt))
+        want = _evaluate_reference(dataclasses.replace(linear, sigma=sigma, nt=nt))
         assert bits(row) == bits(want), (sigma, nt)
+    # eta > 1 from the 7th of 11 rows on, in the second block of 4: one
+    # call, on the first of them, raises
+    monkeypatch.setattr(kerrmich.sweep, "CSV_CHUNK_ROWS", 4)
+    calls.clear()
+    grid = GridSpec("eta", 0.5, 1.5, 11)
+    with pytest.raises(ValueError, match="efficiency must be in"):
+        run_sweep(GIANT_BASE, [grid])
+    assert calls == [dataclasses.replace(GIANT_BASE, eta=grid.values()[6])]
 
 
 def test_json_rows_are_the_json_module_layout():
