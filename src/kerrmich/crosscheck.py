@@ -15,17 +15,18 @@ tolerance: the identity residual |direct - closed| as an absolute error,
 the rest as relative errors, NaN (a failure) when either side is NaN.
 
 The report is columnar. Each section gives blocks of checks
-(`CheckBlock`: one limit, a label format, the label's argument columns and
-an array of errors); the mean section gives one per window, the fixed
-grid and each window of MEAN_WINDOW random draws. Each window gets its
-exact <M> from one `signal_mean_exact` call and its oracle values from
-one `kerr_means` call on the one weight table the run builds first (row
-n for n photons, zero-padded to the longest row). A block's report lines
-are one byte table (`CheckBlock.text`): each column is formatted once by
-`rowtext.conversion_texts`, byte for byte as one `%` per line would
-format it; verdicts (`CheckBlock.passed`, the one rule), the failure
-count and each section's worst error are array operations. One
-`CheckCase` per check is built only when `CrossCheckReport.cases` is read.
+(`CheckBlock`: one limit, a byte table of labels and an array of errors);
+the mean section gives one per window, the fixed grid and each window of
+MEAN_WINDOW random draws. Each window gets its exact <M> from one
+`signal_mean_exact` call, its oracle values from one `kerr_means` call
+on the one weight table the run builds first (row n for n photons,
+zero-padded to the longest row), and its labels from `rowtext`'s digit
+tables (`%` per label for the grid and the other sections). A block's
+report lines are one byte table (`CheckBlock.text`), byte for byte what
+one `%` per line would give; verdicts (`CheckBlock.passed`, the one
+rule), the failure count and each section's worst error are array
+operations. One `CheckCase` per check is built only when
+`CrossCheckReport.cases` is read.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ MEAN_WINDOW = 2048
 # the square of it.
 MAX_PHOTONS = 30
 # Most random mean cases a run accepts (the sweep's MAX_ROWS): the report
-# keeps one error per case.
+# keeps one error and one label row per case.
 MAX_CASES = 1_000_000
 # Unit of each section's error: relative error, absolute residual, or
 # standard errors from the exact value (limit MC_SIGMA_BAND).
@@ -109,14 +110,13 @@ _STATUS = np.frombuffer(b"FAILPASS", dtype=np.uint32)
 
 class CheckBlock(NamedTuple):
     """Checks of one section under one limit, as columns: check i is
-    labelled `label_format % (column[i] for each of label_columns)` and has
-    error `errors[i]`. A column is a numpy array or a sequence of Python
-    values (a list, or a range for running indices)."""
+    labelled by row i of `labels`, a NUL-padded [n, width] uint8 table of
+    UTF-8 texts whose NULs are not part of them (`rowtext.text_table`),
+    and has error `errors[i]`."""
 
     section: str
     limit: float
-    label_format: str
-    label_columns: tuple
+    labels: np.ndarray
     errors: np.ndarray
 
     def passed(self) -> np.ndarray:
@@ -125,39 +125,26 @@ class CheckBlock(NamedTuple):
 
     def text(self) -> str:
         """The block's report lines, each ending in a newline: for each
-        check, `line % (status, *label values, error)` with line
-        "%s [section] <label_format>: error %.3e (limit <limit>)". Each
-        column is formatted once (`rowtext.conversion_texts`) and the
-        lines are laid out as one byte table. No label holds a NUL."""
-        from .rowtext import conversion_texts, join_texts, split_format
+        check, "<PASS|FAIL> [section] <label>: error <%.3e of error>
+        (limit <%.3e of limit>)", laid out as one byte table. A section
+        holding a NUL raises ValueError."""
+        from .rowtext import join_texts, scaled_texts, text_table
 
-        line = f"%s [{self.section}] {self.label_format}: error %.3e (limit {self.limit:.3e})\n"
-        fixed, conversions = split_format(line)
-        columns = self.label_columns
-        if len(conversions) != len(columns) + 2:
-            raise TypeError(
-                f"label format {self.label_format!r} takes {len(conversions) - 2} "
-                f"columns, not {len(columns)}"
-            )
-        rows = min([len(self.errors), *map(len, columns)])
-        if not rows:
-            return ""
-        tables = [
-            _STATUS[self.passed()[:rows].view(np.uint8)].view(np.uint8).reshape(rows, 4),
-            *map(conversion_texts, conversions[1:-1], [c[:rows] for c in columns]),
-            conversion_texts(conversions[-1], self.errors[:rows]),
-        ]
-        # NULs are few here (padding of the integers), and `replace` skips
-        # from one to the next where `translate` visits every byte
+        rows = min(len(self.labels), len(self.errors))
+        status = _STATUS[self.passed()[:rows].view(np.uint8)].view(np.uint8).reshape(rows, 4)
+        head = text_table([f" [{self.section}] "]).tobytes()  # NUL-checked
+        fixed = [b"", head, b": error ", f" (limit {self.limit:.3e})\n".encode()]
+        tables = [status, self.labels[:rows], scaled_texts(self.errors[:rows], 3, True)]
+        # NULs are few here (padding of the labels' integers), and
+        # `replace` skips from one to the next where `translate` visits
+        # every byte
         return join_texts(fixed, tables).tobytes().replace(b"\0", b"").decode()
 
     def cases(self) -> list[CheckCase]:
-        # the columns as Python values, which `%` formats as it formats the
-        # values they came from
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.label_columns]
+        labels = (row.tobytes().replace(b"\0", b"").decode() for row in self.labels)
         return [
-            CheckCase(self.section, self.label_format % row[:-1], row[-1], self.limit)
-            for row in zip(*columns, self.errors.tolist())
+            CheckCase(self.section, label, error, self.limit)
+            for label, error in zip(labels, self.errors.tolist())
         ]
 
 
@@ -242,16 +229,19 @@ def _photon_grid(max_photons: int) -> tuple[int, ...]:
 def _labelled_block(
     section: str, limit: float, labels: list[str], errors: list[float] | np.ndarray
 ) -> CheckBlock:
-    return CheckBlock(section, limit, "%s", (labels,), np.asarray(errors, dtype=float))
+    from .rowtext import text_table
+
+    return CheckBlock(section, limit, text_table(labels), np.asarray(errors, dtype=float))
 
 
 def _mean_settings(
     max_photons: int, count: int, rng: np.random.Generator
 ) -> Iterator[tuple]:
     """The mean checks as windows of columns (n, chi, phi1, phi2, offset,
-    label format, label columns, exact <M>): the fixed grid, then the first
-    `count` kept draws from rng, drawn MEAN_WINDOW at a time, one window
-    per draw."""
+    label table, exact <M>): the fixed grid, then the first `count` kept
+    draws from rng, drawn MEAN_WINDOW at a time, one window per draw."""
+    from .rowtext import digit_texts, join_texts, scaled_texts, text_table
+
     grid = [
         (n, chi, *phases)
         for n, chi, phases in itertools.product(
@@ -259,7 +249,8 @@ def _mean_settings(
         )
     ]
     columns = tuple(np.array(c) for c in zip(*grid))
-    yield (*columns, "N=%d chi=%s phi=(%s,%s) off=%s", columns, signal_mean_exact(*columns))
+    labels = text_table(["N=%d chi=%s phi=(%s,%s) off=%s" % setting for setting in grid])
+    yield (*columns, labels, signal_mean_exact(*columns))
     # each batch draws MEAN_WINDOW settings whatever count is, so draw i
     # depends on the seed and i alone; a draw is kept only if n == 0 or its
     # mean is not pathologically small, so a relative comparison stays
@@ -274,8 +265,13 @@ def _mean_settings(
         wants = signal_mean_exact(ns, *columns)
         keep = np.flatnonzero((ns == 0) | (np.abs(wants) >= 1e-3))[: count - i]
         ns, columns, wants = ns[keep], columns[:, keep], wants[keep]
-        label_columns = (range(i, i + len(keep)), ns, columns[0])
-        yield ns, *columns, "random[%d] N=%d chi=%.4f", label_columns, wants
+        # "random[%d] N=%d chi=%.4f" of each kept draw
+        labels = join_texts([b"random[", b"] N=", b" chi=", b""], [
+            digit_texts(np.arange(i, i + len(keep), dtype=np.uint64)),
+            digit_texts(ns.astype(np.uint64)),
+            scaled_texts(columns[0], 4, False),
+        ])
+        yield ns, *columns, labels, wants
         i += len(keep)
 
 
@@ -294,11 +290,9 @@ def _mean_blocks(
     # O(window) memory next to the O(count) errors
     blocks = []
     windows = _mean_settings(max_photons, count, rng)
-    for ns, chi, phi1, phi2, offset, label_format, label_columns, wants in windows:
+    for ns, chi, phi1, phi2, offset, labels, wants in windows:
         got = kerr_means(table, ns, phi1, phi2, chi, offset)
-        blocks.append(CheckBlock(
-            "mean", tolerance, label_format, label_columns, relative_error(got, wants)
-        ))
+        blocks.append(CheckBlock("mean", tolerance, labels, relative_error(got, wants)))
     return blocks
 
 

@@ -1,29 +1,21 @@
-"""Rows of `%`-format text as byte tables, byte for byte what `%` gives.
+"""Rows of text as NUL-padded byte tables, byte for byte what `%` gives.
 
-`split_format` finds a format's fixed texts and its conversions,
-`conversion_texts` formats a whole column for one conversion (digits from
-tables of 4-digit groups for integers, scaled digits for %.Ne and %.Nf
-wherever they are provably `%`'s, and `%` itself for every other value),
-and `join_texts` lays the columns out between the fixed texts as one
-NUL-padded byte table: the one row layout, of `verify`'s check lines and
-of sweep CSV and JSON rows, whose callers delete the NULs. The tables
-are built on first use.
+`digit_texts` writes the decimal digits of unsigned integers from tables
+of 4-digit groups, `scaled_texts` writes `%.Ne` and `%.Nf` of floats from
+scaled digits wherever those are provably `%`'s (and hands every other
+value to `%`), and `text_table` holds any texts. `join_texts` lays such
+tables out between fixed texts as one NUL-padded byte table: the one row
+layout, of `verify`'s labels and check lines and of sweep CSV and JSON
+rows, whose callers delete the NULs. The digit tables are built on first
+use.
 """
 
 import functools
-import re
 
 import numpy as np
 
 _U = np.uint64
 
-# One `%` conversion as `str.__mod__` reads it: mapping key, flags, width,
-# precision, length modifier and type.
-_CONVERSION = re.compile(
-    r"%(?:\([^)]*\))?[-#0 +]*(?:\*|\d+)?(?:\.(?:\*|\d*))?[hlL]?.", re.DOTALL
-)
-# The conversions with texts of their own: %s, %d, %.Ne and %.Nf.
-_PLAIN = re.compile(r"%(?:([sd])|\.(\d+)([ef]))")
 # A value scaled by at most two exact powers of ten is off by less than
 # 3 2**-53 of itself, so below _SCALED_MAX and at least _EDGE from half an
 # integer it rounds to the integer its exact value rounds to.
@@ -31,27 +23,6 @@ _SCALED_MAX, _EDGE = 1e9, 1e-6
 # 10**k for k = -22..22 as _UP[k + 22] / _DOWN[k + 22], one of them 1.
 _UP = np.array([10.0 ** max(k, 0) for k in range(-22, 23)])
 _DOWN = _UP[::-1].copy()
-
-
-def split_format(line_format: str) -> tuple[list[bytes], list[str]]:
-    """The fixed texts of a `%` format, UTF-8 encoded, around its
-    conversions: one more text than conversions, "%%" read as "%"."""
-    fixed, conversions, start = [""], [], 0
-    for match in _CONVERSION.finditer(line_format):
-        fixed[-1] += line_format[start : match.start()]
-        start = match.end()
-        if match.group() == "%%":
-            fixed[-1] += "%"
-        else:
-            conversions.append(match.group())
-            fixed.append("")
-    if "%" in line_format[start:]:
-        raise ValueError("incomplete format")
-    fixed[-1] += line_format[start:]
-    texts = [text.encode() for text in fixed]
-    if any(b"\0" in text for text in texts):
-        raise ValueError("a format of rows of texts holds no NUL")
-    return texts, conversions
 
 
 def join_texts(fixed: list[bytes], tables: list[np.ndarray]) -> np.ndarray:
@@ -63,44 +34,6 @@ def join_texts(fixed: list[bytes], tables: list[np.ndarray]) -> np.ndarray:
     for table, text in zip(tables, fixed[1:]):
         pieces += [table, text]
     return _side_by_side(len(tables[0]), pieces)
-
-
-def conversion_texts(conversion: str, column) -> np.ndarray:
-    """`conversion % (value,)` for each value of a column (a 1-D numpy
-    array, a list, a tuple or a range), UTF-8 encoded in a NUL-padded
-    [n, width] uint8 array. For numeric arrays and ranges, %d and %s of
-    integers are digits from tables of 4-digit groups, and %.Ne and %.Nf
-    of floats are scaled digits where those are `%`'s (see
-    `_scaled_texts`); %s of a list of strings is the strings. Every other
-    value is formatted by `%` itself, %s of floats too: `verify` labels
-    carry a few dozen of those, too few to pay for the ~5 ms it takes to
-    build the tables of `floattext.float_texts`. A text that would hold a
-    NUL raises ValueError."""
-    plain = _PLAIN.fullmatch(conversion)
-    values = _numbers(column) if plain else None
-    if values is not None:
-        word, digits, kind = plain.groups()
-        if values.dtype == np.int64:
-            if word:
-                return _int_texts(values)
-        elif kind and int(digits) <= 8:
-            return _scaled_texts(values, int(digits), kind == "e", conversion)
-    elif conversion == "%s" and isinstance(column, (list, tuple)):
-        if set(map(type, column)) <= {str}:
-            return _text_table(column)
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return _text_table([conversion % (value,) for value in values])
-
-
-def _int_texts(values: np.ndarray) -> np.ndarray:
-    """`%d` of each int64 value as ASCII in a NUL-padded [n, width] uint8
-    array."""
-    negative = values < 0
-    magnitude = values.astype(_U)
-    if not negative.any():
-        return _digits(magnitude)
-    magnitude = np.where(negative, ~magnitude + _U(1), magnitude)
-    return _side_by_side(len(values), [_signs(negative), _digits(magnitude)])
 
 
 @functools.cache
@@ -123,10 +56,10 @@ def _group_tables() -> tuple[np.ndarray, np.ndarray]:
     return groups, np.frombuffer(exponents, dtype=np.uint32)
 
 
-def _digits(values: np.ndarray, count: int | None = None) -> np.ndarray:
-    """The decimal digits of each uint64 value as ASCII in an [n, width]
-    uint8 array: the last `count` digits, zero-padded, or if count is
-    None all of them, right-aligned after NULs."""
+def digit_texts(values: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The decimal digits of each uint64 value (`%d`) as ASCII in an
+    [n, width] uint8 array: the last `count` digits, zero-padded, or if
+    count is None all of them, right-aligned after NULs."""
     groups = _group_tables()[0]
     top = int(values.max(initial=0))
     blank = count is None
@@ -148,28 +81,9 @@ def _digits(values: np.ndarray, count: int | None = None) -> np.ndarray:
     return table.view(np.uint8)[:, 4 * quads - count :]
 
 
-def _signs(negative: np.ndarray) -> np.ndarray:
-    """An [n, 1] uint8 column: "-" where negative, else NUL."""
-    return (negative * np.uint8(ord("-")))[:, None]
-
-
-def _numbers(column) -> np.ndarray | None:
-    """A numeric column's values as int64 or float64, each the number its
-    Python value is, or None for any other column (lists, bools, unsigned
-    or wider numbers, a range beyond int64)."""
-    if isinstance(column, range):
-        try:
-            return np.arange(column.start, column.stop, column.step, dtype=np.int64)
-        except OverflowError:
-            return None
-    if not isinstance(column, np.ndarray) or column.ndim != 1 or column.dtype.itemsize > 8:
-        return None
-    dtype = {"f": np.float64, "i": np.int64}.get(column.dtype.kind)
-    return None if dtype is None else column.astype(dtype)
-
-
-def _text_table(texts) -> np.ndarray:
-    """The texts, UTF-8 encoded, in a NUL-padded [n, width] uint8 array."""
+def text_table(texts) -> np.ndarray:
+    """The texts, UTF-8 encoded, in a NUL-padded [n, width] uint8 array. A
+    text that holds a NUL raises ValueError."""
     encoded = [text.encode() for text in texts]
     if b"\0" in b"".join(encoded):
         raise ValueError("a text in a table of texts holds no NUL")
@@ -196,27 +110,27 @@ def _side_by_side(rows: int, pieces: list) -> np.ndarray:
     return table
 
 
-def _scaled_texts(
-    values: np.ndarray, precision: int, scientific: bool, conversion: str
-) -> np.ndarray:
-    """`%.Ne` if scientific, else `%.Nf`, of each float64 value, where N is
-    the precision, at most 8.
+def scaled_texts(values: np.ndarray, precision: int, scientific: bool) -> np.ndarray:
+    """`%.Ne` if scientific, else `%.Nf`, of each float64 value as ASCII in
+    a NUL-padded [n, width] uint8 array, where N is the precision, 1 to 8
+    (any other raises ValueError).
 
-    |value| is scaled by 10**k, k = N for %f and N - e for %e (e the
-    exponent of its leading digit, from log10), in at most two float64
-    roundings by exact powers of ten, to a value s whose nearest integer
-    gives the digits. Where s is below _SCALED_MAX and at least _EDGE
-    from half an integer, its error cannot move its rounding, so the
-    digits are those of the exact value, rounded as `%` rounds them. A
-    rounding up to 10**(N+1) carries into the exponent, and a wrong log10
-    exponent leaves too few or too many digits. Those values, NaN, inf,
-    values with |k| > 44 and values near a rounding edge are formatted by
-    `%`."""
-    magnitude = np.abs(values)
+    A value >= 0 is scaled by 10**k, k = N for %f and N - e for %e (e
+    the exponent of its leading digit, from log10), in at most two
+    float64 roundings by exact powers of ten, to a value s whose nearest
+    integer gives the digits. Where s is below _SCALED_MAX and at least
+    _EDGE from half an integer, its error cannot move its rounding, so
+    the digits are those of the exact value, rounded as `%` rounds them.
+    A rounding up to 10**(N+1) carries into the exponent, and a wrong
+    log10 exponent leaves too few or too many digits. Those values,
+    negative values (-0.0 too), NaN, inf, values with |k| > 44 and values
+    near a rounding edge are formatted by `%`."""
+    if not 1 <= precision <= 8:
+        raise ValueError(f"precision must be 1 to 8, got {precision}")
     one = _UP[22 + precision]
     if scientific:
         zero = values == 0
-        usable = np.where((magnitude < np.inf) & ~zero, magnitude, 1.0)
+        usable = np.where((values > 0) & (values < np.inf), values, 1.0)
         e = np.floor(np.log10(usable)).astype(np.int64)
         k = precision - e
         s = _scale(usable, k)
@@ -225,31 +139,28 @@ def _scaled_texts(
         carry = m == 10.0 * one  # 9.9996 is 1.000e+01
         e += carry
         m = np.where(carry, one, m)
-        ok &= (np.abs(k) <= 44) & (m >= one) & (m < 10.0 * one) & (usable == magnitude)
+        ok &= (np.abs(k) <= 44) & (m >= one) & (m < 10.0 * one) & (usable == values)
         ok |= zero
         m[zero] = 0.0
     else:
-        small = np.where(magnitude < _SCALED_MAX, magnitude, 0.0)  # NaN too
+        small = np.where((values >= 0) & (values < _SCALED_MAX), values, 0.0)  # NaN and < 0 too
         s = small * one
         m = np.rint(s)
-        ok = (np.abs(s - m) <= 0.5 - _EDGE) & (small == magnitude) & (s < _SCALED_MAX)
+        ok = (np.abs(s - m) <= 0.5 - _EDGE) & (small == values) & (s < _SCALED_MAX)
+    ok &= ~np.signbit(values)
     m = np.where(ok, m, 0.0).astype(_U)
     if scientific:
-        digits = _digits(m, precision + 1)
+        digits = digit_texts(m, precision + 1)
         exponents = np.take(_group_tables()[1], e + 99, mode="clip")
         pieces = [digits[:, :1], b".", digits[:, 1:], exponents.view(np.uint8).reshape(-1, 4)]
     else:
-        pieces = [_digits(m // _U(10**precision)), b".", _digits(m, precision)]
-    if not precision:
-        del pieces[1:3]
-    negative = np.signbit(values)
-    if negative.any():
-        pieces.insert(0, _signs(negative))
+        pieces = [digit_texts(m // _U(10**precision)), b".", digit_texts(m, precision)]
     table = _side_by_side(len(values), pieces)
     bad = np.flatnonzero(~ok)
     if not len(bad):
         return table
-    texts = _text_table([conversion % (value,) for value in values[bad].tolist()])
+    conversion = f"%.{precision}{'e' if scientific else 'f'}"
+    texts = text_table([conversion % (value,) for value in values[bad].tolist()])
     if texts.shape[1] > table.shape[1]:
         table = np.pad(table, ((0, 0), (0, texts.shape[1] - table.shape[1])))
     table[bad] = 0

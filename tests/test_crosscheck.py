@@ -26,9 +26,10 @@ The report holds its checks as blocks of columns, one per mean window and
 one per other section; its lines, its `cases` view of one `CheckCase` (a
 NamedTuple) per check, its counts and its worst errors must agree with one
 another and with the report as it was printed from one `CheckCase` at a
-time, and `CheckBlock.passed` is the one verdict rule. Each block's text
-(one byte table) must be what one `%` per line makes of its columns, and
-`verify`'s output the report printed case by case. Each variance state
+time, and `CheckBlock.passed` is the one verdict rule. Each mean label
+must be what `%` makes of its window's draws, each block's text (one
+byte table) what one `%` per line makes of its labels, verdicts and
+errors, and `verify`'s output the report printed case by case. Each variance state
 is built and evolved once and read at every offset from one contraction,
 and `--cases` is capped at MAX_CASES.
 """
@@ -76,6 +77,7 @@ from kerrmich.fock import (
     moments,
     product_input,
 )
+from kerrmich.rowtext import digit_texts, join_texts, scaled_texts, text_table
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -86,10 +88,9 @@ def report_lines(report):
     return "".join(report.texts()).split("\n")[:-1]
 
 
-def python_columns(label_columns):
-    """Label columns as sequences of Python values, which `%` formats as it
-    formats the values they came from."""
-    return [c.tolist() if isinstance(c, np.ndarray) else c for c in label_columns]
+def decoded(labels):
+    """A table of label texts as strings, its NULs deleted."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in labels]
 
 
 def one_mode(n, extra_levels=0):
@@ -314,19 +315,14 @@ def test_mean_lines_stable_across_a_window_boundary():
     assert mean[:375] == golden[:375]
 
 
-def window_labels(label_format, label_columns):
-    """A window's labels, formatted the way the report formats them."""
-    return [label_format % row for row in zip(*python_columns(label_columns))]
-
-
 def random_draws(max_photons, count, seed=7):
     """The random mean checks as ((n, chi, phi1, phi2, offset), label,
     exact <M>), one per case, from the windows of `_mean_settings`."""
     draws = []
-    for ns, *columns, label_format, label_columns, wants in _mean_settings(
+    for ns, *columns, labels, wants in _mean_settings(
         max_photons, count, np.random.default_rng(seed)
     ):
-        labels = window_labels(label_format, label_columns)
+        labels = decoded(labels)
         assert len(ns) == len(labels) == len(wants) <= MEAN_WINDOW
         settings = zip(ns.tolist(), *(c.tolist() for c in columns))
         draws += (
@@ -359,6 +355,35 @@ def test_random_draws_are_in_range_and_carry_their_exact_mean(max_photons):
         assert label == f"random[{i}] N={n} chi={chi:.4f}"
         assert want == signal_mean_exact(float(n), chi, phi1, phi2, offset)
         assert n == 0 or abs(want) >= 1e-3
+
+
+@pytest.mark.parametrize("max_photons", [0, 1, 30])
+def test_mean_labels_are_what_percent_makes_of_the_draws(max_photons):
+    # every window's labels built here from its own columns, not from its
+    # label table: the fixed grid, then 2100 random cases, which cross a
+    # window boundary
+    windows = list(_mean_settings(max_photons, 2100, np.random.default_rng(7)))
+    assert len(windows) >= 3
+    want, tables, first = [], [], 0
+    for w, (ns, chi, phi1, phi2, offset, labels, _) in enumerate(windows):
+        draws = zip(ns.tolist(), chi.tolist(), phi1.tolist(), phi2.tolist(), offset.tolist())
+        if w == 0:
+            texts = ["N=%d chi=%s phi=(%s,%s) off=%s" % draw for draw in draws]
+        else:
+            texts = ["random[%d] N=%d chi=%.4f" % (first + j, n, c)
+                     for j, (n, c, *_) in enumerate(draws)]
+            first += len(texts)
+        assert decoded(labels) == texts
+        want += texts
+        tables.append(labels)
+    assert first == 2100
+    # the run's mean blocks hold those tables, and its lines those labels
+    report = run_crosscheck(max_photons=max_photons, seed=7, extra_cases=2100)
+    blocks = [b for b in report.blocks if b.section == "mean"]
+    assert len(blocks) == len(tables)
+    assert all(np.array_equal(b.labels, t) for b, t in zip(blocks, tables))
+    lines = [line for line in report_lines(report) if " [mean] " in line]
+    assert [line.split("] ", 1)[1].rsplit(": error ", 1)[0] for line in lines] == want
 
 
 def bits(values):
@@ -451,8 +476,8 @@ def test_fixed_mean_window_carries_exact_means_bit_for_bit(max_photons, first_n,
     # the grid is the first window, in report order; no random draw follows
     windows = list(_mean_settings(max_photons, 0, np.random.default_rng(0)))
     assert len(windows) == 1
-    ns, chi, phi1, phi2, offset, label_format, label_columns, wants = windows[0]
-    labels = window_labels(label_format, label_columns)
+    ns, chi, phi1, phi2, offset, labels, wants = windows[0]
+    labels = decoded(labels)
     assert len(labels) == size
     assert labels[0] == f"N={first_n} chi=0.0 phi=(0.3,0.32) off=0.0"
     assert bits(wants) == bits(scalar_means(ns.tolist(), chi, phi1, phi2, offset))
@@ -509,11 +534,11 @@ def test_tolerance_must_be_finite_and_non_negative(tolerance):
 
 
 def blocks_of(cases):
-    """Hand-built checks as report blocks: one block of "%s" labels per run
-    of cases with the same section and limit."""
+    """Hand-built checks as report blocks: one block per run of cases with
+    the same section and limit."""
     runs = itertools.groupby(cases, key=lambda c: (c.section, c.limit))
     return tuple(
-        CheckBlock(section, limit, "%s", ([c.label for c in run],),
+        CheckBlock(section, limit, text_table([c.label for c in run]),
                    np.array([c.error for c in run]))
         for (section, limit), run in ((key, list(run)) for key, run in runs)
     )
@@ -582,7 +607,7 @@ def test_check_case_fields_and_verdict():
     assert case.error == 1e-9 and case.limit == 1e-9
     # the one verdict rule: an error at the limit passes; above it, or
     # NaN, fails
-    block = CheckBlock("mean", 1e-9, "%s", (["a", "b", "c"],), np.array([1e-9, 2e-9, math.nan]))
+    block = CheckBlock("mean", 1e-9, text_table(["a", "b", "c"]), np.array([1e-9, 2e-9, math.nan]))
     assert block.passed().tolist() == [True, False, False]
 
 
@@ -669,15 +694,14 @@ def rendered_text(report):
 
 
 def percent_text(block):
-    """A block's lines as one `%` per line makes them, from its columns as
-    Python values."""
-    line = (
-        f"%s [{block.section}] {block.label_format}: error %.3e "
-        f"(limit {block.limit:.3e})\n"
-    )
+    """A block's lines as one `%` per line makes them, from its labels,
+    verdicts and errors as Python values."""
+    line = "%s [%s] %s: error %.3e (limit %.3e)\n"
     status = np.where(block.passed(), "PASS", "FAIL").tolist()
-    columns = python_columns(block.label_columns)
-    return "".join(map(line.__mod__, zip(status, *columns, block.errors.tolist())))
+    return "".join(
+        line % (s, block.section, label, error, block.limit)
+        for s, label, error in zip(status, decoded(block.labels), block.errors.tolist())
+    )
 
 
 def hand_built_report():
@@ -685,25 +709,23 @@ def hand_built_report():
     # blocks, one of them empty, with its NaN in the first
     blocks = (
         CheckBlock(
-            "mean", 1e-9, "N=%d chi=%s phi=(%s,%s) off=%s",
-            (np.array([1, 4]), np.array([0.0, 0.1]), [0.3, 1.1], [0.32, 0.9], [0.0, -0.4]),
+            "mean", 1e-9,
+            text_table(["N=1 chi=0.0 phi=(0.3,0.32) off=0.0", "N=4 chi=0.1 phi=(1.1,0.9) off=-0.4"]),
             np.array([2e-15, math.nan]),
         ),
         CheckBlock(
-            "mean", 1e-9, "random[%d] N=%d chi=%.4f",
-            (range(0, 3), np.array([0, 7, 30]), np.array([0.0, 0.05, 0.11999])),
+            "mean", 1e-9,
+            text_table(["random[0] N=0 chi=0.0000", "random[1] N=7 chi=0.0500",
+                        "random[2] N=30 chi=0.1200"]),
             np.array([0.0, 3e-9, math.inf]),
         ),
+        CheckBlock("mean", 1e-9, text_table([]), np.zeros(0)),
+        CheckBlock("identity", 1e-9, text_table(["|beta|^2=0.5 z=0.0000"]), np.array([1e-9])),
         CheckBlock(
-            "mean", 1e-9, "random[%d] N=%d chi=%.4f",
-            (range(3, 3), np.zeros(0, dtype=int), np.zeros(0)), np.zeros(0),
+            "gaussian-mc", MC_SIGMA_BAND,
+            text_table(["mc sin sigma=0.1", "mc cos2 sigma=0.1"]), np.array([3.5, 0.2]),
         ),
-        CheckBlock("identity", 1e-9, "%s", (["|beta|^2=0.5 z=0.0000"],), np.array([1e-9])),
-        CheckBlock(
-            "gaussian-mc", MC_SIGMA_BAND, "%s",
-            (["mc sin sigma=0.1", "mc cos2 sigma=0.1"],), np.array([3.5, 0.2]),
-        ),
-        CheckBlock("noise", 1e-9, "%s", (["N=16 eta=0.5 sigma=0.0 nt=0.0"],),
+        CheckBlock("noise", 1e-9, text_table(["N=16 eta=0.5 sigma=0.0 nt=0.0"]),
                    np.array([math.inf])),
     )
     return CrossCheckReport(blocks)
@@ -749,7 +771,7 @@ def test_hand_built_report_verdicts():
     failed = [
         label
         for b in report.blocks
-        for label, ok in zip(window_labels(b.label_format, b.label_columns), b.passed())
+        for label, ok in zip(decoded(b.labels), b.passed())
         if not ok
     ]
     assert failed == [
@@ -810,66 +832,64 @@ def test_block_text_of_unusual_errors_and_labels():
         9.9995, 1.0625, 2.0**-30, -2.0, 12345.678,
     ])
     n = len(errors)
+    index = np.arange(10**6 - 3, 10**6 - 3 + n, dtype=np.uint64)
+    photons = np.arange(n, dtype=np.uint64) * np.uint64(10**17)
     blocks = [
-        CheckBlock("mean", 1e-9, "random[%d] N=%d chi=%.4f",
-                   (range(10**6 - 3, 10**6 - 3 + n), np.arange(-7, n - 7) * 10**17,
-                    errors), errors),
-        # float columns as lists and arrays, %s of ints, bools, None,
-        # labels beyond ASCII and a literal %
-        CheckBlock("noise", 0.5, "%s|%s|%s|%d|%s|%.2f%%|%5.1e",
-                   ([float(i) / 3 for i in range(n)], np.linspace(-1, 1, n).astype(np.float32),
-                    list(range(n)), np.arange(n, dtype=np.uint64), ["ä", True, None] * 4 + [1, 2],
-                    errors, errors), errors),
-        CheckBlock("identity", 0.0, "%s", (["lone"],), np.array([-1e-9])),
+        # labels laid out as the random mean labels are, from unusual values
+        CheckBlock("mean", 1e-9, join_texts(
+            [b"random[", b"] N=", b" chi=", b""],
+            [digit_texts(index), digit_texts(photons), scaled_texts(errors, 4, False)],
+        ), errors),
+        # labels beyond ASCII, with a literal %, empty and long
+        CheckBlock("noise", 0.5, text_table(
+            ["ä", "100% sure", "", "x" * 70, "%s %d", *map(str, range(n - 5))]
+        ), errors),
+        CheckBlock("identity", 0.0, text_table(["lone"]), np.array([-1e-9])),
+    ]
+    assert decoded(blocks[0].labels) == [
+        "random[%d] N=%d chi=%.4f" % row
+        for row in zip(index.tolist(), photons.tolist(), errors.tolist())
     ]
     for block in blocks:
         assert block.text() == percent_text(block)
-    assert "FAIL [mean] random[999997] N=-700000000000000000 chi=nan: error nan" in blocks[0].text()
+    assert "FAIL [mean] random[999997] N=0 chi=nan: error nan" in blocks[0].text()
     assert blocks[2].text() == "PASS [identity] lone: error -1.000e-09 (limit 0.000e+00)\n"
 
 
 def test_empty_block_writes_nothing():
-    block = CheckBlock("mean", 1e-9, "random[%d] N=%d chi=%.4f",
-                       (range(3, 3), np.zeros(0, dtype=int), np.zeros(0)), np.zeros(0))
+    block = CheckBlock("mean", 1e-9, text_table([]), np.zeros(0))
     assert block.text() == "" == percent_text(block)
-    # columns of unequal length make as many lines as the shortest, as zip does
-    short = block._replace(label_columns=(range(2), np.arange(5), np.ones(3)),
-                           errors=np.zeros(4))
+    # labels and errors of unequal length make as many lines as the
+    # shorter, as zip does
+    short = block._replace(labels=text_table(["a", "b"]), errors=np.zeros(4))
     assert short.text() == percent_text(short) and short.text().count("\n") == 2
-
-
-@pytest.mark.parametrize(
-    "label_format, columns",
-    [("%s %s", (["a"],)), ("%s", (["a"], ["b"])), ("%s %", (["a"],)), ("%(key)s", (["a"],))],
-    ids=["too-few-columns", "too-many-columns", "bad-conversion", "mapping-key"],
-)
-def test_block_text_rejects_what_percent_rejects(label_format, columns):
-    block = CheckBlock("mean", 1e-9, label_format, columns, np.zeros(1))
-    with pytest.raises((TypeError, ValueError)):
-        percent_text(block)
-    with pytest.raises((TypeError, ValueError)):
-        block.text()
 
 
 def test_block_text_rejects_a_nul():
     with pytest.raises(ValueError, match="NUL"):
-        CheckBlock("mean", 1e-9, "%s", (["a\0b"],), np.zeros(1)).text()
+        CheckBlock("mean", 1e-9, text_table(["a\0b"]), np.zeros(1))
     with pytest.raises(ValueError, match="NUL"):
-        CheckBlock("mean\0", 1e-9, "%s", (["a"],), np.zeros(1)).text()
+        CheckBlock("mean\0", 1e-9, text_table(["a"]), np.zeros(1)).text()
 
 
 def test_text_modules_load_only_when_text_is_made():
     # the float tables of `floattext` cost every process that loads them
-    # ~5 ms and ~0.45 MB; a verify report's text needs `rowtext` alone
+    # ~5 ms and ~0.45 MB; `import kerrmich` loads no text module,
+    # `run_crosscheck` makes its labels with `rowtext`, and no verify run
+    # loads `floattext`
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import kerrmich\n"
+        "from kerrmich.cli import main\n"
         "from kerrmich.crosscheck import run_crosscheck\n"
         "texts = ('kerrmich.floattext', 'kerrmich.rowtext')\n"
         "loaded = lambda: [m for m in texts if m in sys.modules]\n"
         "print(loaded())\n"
-        "report = run_crosscheck(max_photons=30, extra_cases=3000)\n"
-        "''.join(report.texts())\n"
+        "run_crosscheck(max_photons=30, extra_cases=3000)\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in ([], ['--max-photons', '0'], ['--tolerance', '0', '--cases', '99']):\n"
+        "        main(['verify', *argv])\n"
         "print(loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(kerrmich.__file__).parents[1]))
@@ -877,4 +897,4 @@ def test_text_modules_load_only_when_text_is_made():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
         timeout=300,
     )
-    assert proc.stdout.splitlines() == ["[]", "['kerrmich.rowtext']"]
+    assert proc.stdout.splitlines() == ["[]", "['kerrmich.rowtext']", "['kerrmich.rowtext']"]

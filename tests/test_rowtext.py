@@ -1,9 +1,11 @@
-"""`conversion_texts` against `%`, byte for byte, over every float64 class
-and every int64, and `split_format` and the errors of both.
+"""`digit_texts`, `scaled_texts` and `text_table` against `%`, byte for
+byte, over every float64 class at every precision and every uint64, and
+`join_texts` laying them out.
 
 `%.Ne` and `%.Nf` round the exact binary value half to even; the NumPy
 digits must do the same on exact ties and carry 9.9995-like values into
-the next decade, and hand every value they cannot prove to `%`.
+the next decade, and hand every value they cannot prove, and every
+negative value, to `%`.
 """
 
 import math
@@ -12,14 +14,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrmich.rowtext import conversion_texts, split_format
+from kerrmich.rowtext import digit_texts, join_texts, scaled_texts, text_table
 from test_floattext import edge_values, from_bits
 
+# %.Ne and %.Nf for every precision N that `scaled_texts` takes
+CONVERSIONS = [f"%.{n}{kind}" for n in range(1, 9) for kind in "ef"]
 
-def converted(conversion, column):
-    """`conversion_texts` as one bytes string per value."""
-    table = conversion_texts(conversion, column)
+
+def rows(table):
+    """A NUL-padded table of texts as one bytes string per row."""
     return [row.tobytes().replace(b"\0", b"") for row in table]
+
+
+def scaled(conversion, values):
+    """`scaled_texts` for the conversion "%.Ne" or "%.Nf", one bytes
+    string per value."""
+    precision, scientific = int(conversion[2:-1]), conversion[-1] == "e"
+    return rows(scaled_texts(np.asarray(values, dtype=np.float64), precision, scientific))
 
 
 def percent(conversion, values):
@@ -31,25 +42,22 @@ def percent(conversion, values):
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_float_conversions_of_any_bit_pattern(bits):
     values = from_bits(bits)
-    for conversion in ("%.3e", "%.4f", "%s"):
-        assert converted(conversion, values) == percent(conversion, values)
+    for conversion in CONVERSIONS:
+        assert scaled(conversion, values) == percent(conversion, values)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
 def test_float_conversions_of_any_float(values):
     values = np.array(values, dtype=np.float64)
-    for conversion in ("%.3e", "%.4f", "%s", "%.0e", "%.8e", "%.0f", "%.12f"):
-        assert converted(conversion, values) == percent(conversion, values)
+    for conversion in CONVERSIONS:
+        assert scaled(conversion, values) == percent(conversion, values)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
-def test_int_conversions_of_any_int64(ints):
-    values = np.array(ints, dtype=np.int64)
-    for conversion in ("%d", "%s"):
-        assert converted(conversion, values) == percent(conversion, values)
-        assert converted(conversion, ints) == percent(conversion, ints)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_digit_texts_of_any_uint64(ints):
+    assert rows(digit_texts(np.array(ints, dtype=np.uint64))) == percent("%d", ints)
 
 
 def test_random_values_per_conversion():
@@ -59,7 +67,7 @@ def test_random_values_per_conversion():
     errors = np.abs(rng.normal(size=100_000)) * 10.0 ** rng.integers(-18, 0, 100_000)
     chis = rng.uniform(0.0, 0.12, 100_000)
     for conversion, values in [("%.3e", bits), ("%.3e", errors), ("%.4f", chis), ("%.4f", bits)]:
-        got = converted(conversion, values)
+        got = scaled(conversion, values)
         want = percent(conversion, values)
         wrong = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
         assert [(values[i], got[i], want[i]) for i in wrong[:5]] == []
@@ -73,14 +81,14 @@ def test_random_values_per_conversion():
         ("%.3e", 1.1875, "1.188e+00"),
         ("%.4f", 0.03125, "0.0312"),
         ("%.4f", 0.09375, "0.0938"),
-        ("%.0f", 2.5, "2"),
-        ("%.0e", 2.5, "2e+00"),
+        ("%.1f", 0.25, "0.2"),
+        ("%.1e", 2.25, "2.2e+00"),
         # decade carries
         ("%.3e", 9999.5, "1.000e+04"),
         ("%.3e", 9.99951, "1.000e+01"),
         ("%.3e", 9.9994, "9.999e+00"),
         ("%.4f", 9.99995, "10.0000"),
-        ("%.0e", 9.6, "1e+01"),
+        ("%.1e", 9.96, "1.0e+01"),
         # zeros, subnormals, NaN and infinities
         ("%.3e", 0.0, "0.000e+00"),
         ("%.3e", -0.0, "-0.000e+00"),
@@ -94,58 +102,66 @@ def test_random_values_per_conversion():
         ("%.3e", -math.inf, "-inf"),
         ("%.3e", 1e100, "1.000e+100"),
         ("%.4f", 1e20, "100000000000000000000.0000"),
+        # negative values, each formatted by `%`
+        ("%.3e", -1.5e-10, "-1.500e-10"),
+        ("%.3e", -9.99951, "-1.000e+01"),
+        ("%.4f", -0.03125, "-0.0312"),
+        ("%.4f", -12345.678, "-12345.6780"),
+        ("%.8e", -5e-324, "-4.94065646e-324"),
+        ("%.8f", -0.0, "-0.00000000"),
     ],
 )
 def test_conversion_edges(conversion, value, text):
     assert (conversion % value) == text
     column = np.array([value, 1.0, value])
-    assert converted(conversion, column) == percent(conversion, column)
-    assert converted(conversion, column)[0] == text.encode()
+    assert scaled(conversion, column) == percent(conversion, column)
+    assert scaled(conversion, column)[0] == text.encode()
 
 
 def test_edge_classes_per_conversion():
-    values = np.array(edge_values())
+    values = np.array(edge_values())  # each value and its negative
     ties = np.arange(-20_000, 20_000) / 16.0  # every value an exact tie or exact
-    for conversion in ("%.3e", "%.4f", "%.0e", "%.1f", "%s"):
+    for conversion in ("%.3e", "%.4f", "%.1e", "%.1f", "%.8e", "%.8f"):
         for column in (values, ties, ties / 1e4):
-            assert converted(conversion, column) == percent(conversion, column)
+            assert scaled(conversion, column) == percent(conversion, column)
+
+
+def test_scaled_texts_takes_precisions_1_to_8():
+    for precision in (0, 9, -1):
+        for scientific in (True, False):
+            with pytest.raises(ValueError, match="precision must be 1 to 8"):
+                scaled_texts(np.ones(2), precision, scientific)
+    assert scaled_texts(np.zeros(0), 3, True).shape[0] == 0
 
 
 def test_integer_columns():
-    extremes = [0, 1, -1, 9, 10, 9999, 10_000, -10_000, 2**63 - 1, -(2**63)]
-    for column in (np.array(extremes), extremes, range(-12, 10**6, 9973)):
-        assert converted("%d", column) == percent("%d", column)
-    unsigned = np.array([0, 2**64 - 1, 10**19, 7], dtype=np.uint64)
-    assert converted("%s", unsigned) == percent("%s", unsigned)
-    small = np.array([3, -4], dtype=np.int8)
-    assert converted("%d", small) == [b"3", b"-4"]
+    extremes = [0, 1, 9, 10, 9999, 10_000, 99_999_999, 10**8, 2**63 - 1, 2**64 - 1]
+    for column in (extremes, list(range(0, 10**6, 9973))):
+        assert rows(digit_texts(np.array(column, dtype=np.uint64))) == percent("%d", column)
+    # the last `count` digits, zero-padded
+    values = np.array([0, 7, 12345, 2**64 - 1], dtype=np.uint64)
+    assert rows(digit_texts(values, 4)) == [b"0000", b"0007", b"2345", b"1615"]
+    assert digit_texts(np.zeros(0, dtype=np.uint64)).shape[0] == 0
 
 
-def test_other_columns_go_through_percent():
-    columns = [
-        ("%s", ["plain", "ä", "x" * 40]),
-        ("%s", [True, None, 1.5, 2, (1, 2)]),
-        ("%d", np.array([2.7, -2.7])),
-        ("%r", ["a"]),
-        ("%5.1f", np.array([1.25, -3.0])),
-        ("%.3e", np.array([1, 2])),
-        ("%s", [10**30, -(10**30)]),
-        ("%d", range(2**70, 2**70 + 3)),
-        ("%s", np.array([[1, 2], [3, 4]])),
-        ("%s", np.array([1 + 2j])),
-    ]
-    for conversion, column in columns:
-        assert converted(conversion, column) == percent(conversion, column)
-    assert conversion_texts("%s", []).shape[0] == 0
-    assert conversion_texts("%.3e", np.zeros(0)).shape[0] == 0
-
-
-def test_split_format():
-    assert split_format("a %d b %%%.3e c\n") == ([b"a ", b" b %", b" c\n"], ["%d", "%.3e"])
-    assert split_format("ä %s") == (["ä ".encode(), b""], ["%s"])
-    with pytest.raises(ValueError, match="incomplete format"):
-        split_format("a %s %")
+def test_text_table():
+    texts = ["plain", "ä", "x" * 40, "", "100% sure"]
+    assert rows(text_table(texts)) == [text.encode() for text in texts]
+    assert text_table([]).shape[0] == 0
     with pytest.raises(ValueError, match="NUL"):
-        split_format("a\0 %s")
-    with pytest.raises(ValueError, match="NUL"):
-        conversion_texts("%s", ["a\0"])
+        text_table(["a", "b\0c"])
+
+
+def test_join_texts_lays_out_tables_between_fixed_texts():
+    settings_ = [(3, "ä", 0.05, -2.0), (12345, "bc", 0.11999, 1.0625)]
+    index, names, chi, error = zip(*settings_)
+    table = join_texts(
+        [b"r[", b"] ", b" chi=", b" e=", b"|"],
+        [
+            digit_texts(np.array(index, dtype=np.uint64)),
+            text_table(names),
+            scaled_texts(np.array(chi), 4, False),
+            scaled_texts(np.array(error), 3, True),
+        ],
+    )
+    assert rows(table) == [("r[%d] %s chi=%.4f e=%.3e|" % s).encode() for s in settings_]
