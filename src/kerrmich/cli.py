@@ -265,7 +265,7 @@ def _emit_json(obj: dict, output: Path | None, manifest: dict | None) -> None:
     _emit_stream(lambda f: f.write(text), output, None)
 
 
-def _estimate_payload(row: SweepRow, validity: dict) -> dict:
+def _estimate_payload(row: SweepRow) -> dict:
     return {
         "n_photons": row.n_photons,
         "chi": row.chi,
@@ -273,12 +273,8 @@ def _estimate_payload(row: SweepRow, validity: dict) -> dict:
         "delta_x_m": row.delta_x_m,
         "delta_x_linear_m": row.delta_x_linear_m,
         "improvement": row.improvement,
-        "validity": validity,
+        "validity": {name: getattr(row, name) for name in (*MARGIN_FIELDS, *FLAG_FIELDS)},
     }
-
-
-def _row_validity(row: SweepRow) -> dict:
-    return {name: getattr(row, name) for name in (*MARGIN_FIELDS, *FLAG_FIELDS)}
 
 
 def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
@@ -302,7 +298,7 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
         _emit_stream(write, args.output, manifest)
     else:
-        _emit_json(_estimate_payload(row, _row_validity(row)), args.output, manifest)
+        _emit_json(_estimate_payload(row), args.output, manifest)
     return 0
 
 

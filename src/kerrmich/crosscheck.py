@@ -21,12 +21,12 @@ MEAN_WINDOW random draws. Each window gets its exact <M> from one
 `signal_mean_exact` call, its oracle values from one `kerr_means` call
 on the one weight table the run builds first (row n for n photons,
 zero-padded to the longest row), and its labels from `rowtext`'s digit
-tables (`%` per label for the grid and the other sections). A block's
-report lines are one byte table (`CheckBlock.text`), byte for byte what
-one `%` per line would give; verdicts (`CheckBlock.passed`, the one
-rule), the failure count and each section's worst error are array
-operations. One `CheckCase` per check is built only when
-`CrossCheckReport.cases` is read.
+texts, laid out by `rowtext.join_texts` (`%` per label for the grid and
+the other sections). A block's report lines are one byte table
+(`CheckBlock.text`), byte for byte what one `%` per line would give;
+verdicts (`CheckBlock.passed`, the one rule), the failure count and each
+section's worst error are array operations. One `CheckCase` per check is
+built only when `CrossCheckReport.cases` is read.
 """
 
 from __future__ import annotations
@@ -133,12 +133,12 @@ class CheckBlock(NamedTuple):
         rows = min(len(self.labels), len(self.errors))
         status = _STATUS[self.passed()[:rows].view(np.uint8)].view(np.uint8).reshape(rows, 4)
         head = text_table([f" [{self.section}] "]).tobytes()  # NUL-checked
-        fixed = [b"", head, b": error ", f" (limit {self.limit:.3e})\n".encode()]
-        tables = [status, self.labels[:rows], scaled_texts(self.errors[:rows], 3, True)]
-        # NULs are few here (padding of the labels' integers), and
-        # `replace` skips from one to the next where `translate` visits
-        # every byte
-        return join_texts(fixed, tables).tobytes().replace(b"\0", b"").decode()
+        tail = f" (limit {self.limit:.3e})\n".encode()
+        errors = scaled_texts(self.errors[:rows], 3, True)
+        # NULs are few here (padding of the labels' integers), and `replace`
+        # skips from one to the next where `translate` visits every byte
+        line = join_texts([status, head, self.labels[:rows], b": error ", errors, tail])
+        return line.tobytes().replace(b"\0", b"").decode()
 
     def cases(self) -> list[CheckCase]:
         labels = (row.tobytes().replace(b"\0", b"").decode() for row in self.labels)
@@ -266,10 +266,10 @@ def _mean_settings(
         keep = np.flatnonzero((ns == 0) | (np.abs(wants) >= 1e-3))[: count - i]
         ns, columns, wants = ns[keep], columns[:, keep], wants[keep]
         # "random[%d] N=%d chi=%.4f" of each kept draw
-        labels = join_texts([b"random[", b"] N=", b" chi=", b""], [
-            digit_texts(np.arange(i, i + len(keep), dtype=np.uint64)),
-            digit_texts(ns.astype(np.uint64)),
-            scaled_texts(columns[0], 4, False),
+        labels = join_texts([
+            b"random[", digit_texts(np.arange(i, i + len(keep), dtype=np.uint64)),
+            b"] N=", digit_texts(ns.astype(np.uint64)),
+            b" chi=", scaled_texts(columns[0], 4, False),
         ])
         yield ns, *columns, labels, wants
         i += len(keep)

@@ -30,7 +30,7 @@ tests use as the reference.
 
 `SweepTable.write_csv_rows` and `write_json_rows` share one byte writer,
 `_write_rows`: each stored value of a block is formatted once, floats by
-`floattext.float_texts` (byte for byte `repr`), and the rows are laid
+`rowtext.float_texts` (byte for byte `repr`), and the rows are laid
 out by `rowtext.join_texts`, as `verify`'s report lines are.
 """
 
@@ -394,8 +394,7 @@ def _write_rows(
     CSV row's bytes, ~6% of a JSON row's), and `translate` deletes them
     in one pass over the bytes.
     """
-    from .floattext import float_texts  # only the writers load the formatter
-    from .rowtext import join_texts
+    from .rowtext import float_texts, join_texts  # only the writers load the formatter
 
     n = len(table)
     if not n:
@@ -414,7 +413,7 @@ def _write_rows(
     if nonfinite is not None:
         texts.view("S24")[~np.isfinite(floats)] = nonfinite
 
-    row_fixed, columns, lo = [fixed[0]], [], 0
+    row, lo = [fixed[0]], 0  # fixed texts, and (texts, index) of the other columns
     for (bits, index), after in zip(parts, fixed[1:]):
         if bits.dtype == np.uint64:
             words = texts[lo : lo + len(bits)]
@@ -422,17 +421,17 @@ def _write_rows(
         else:
             words = _FLAG_TEXTS[bits]
         if len(bits) == 1:
-            row_fixed[-1] += words[0].tobytes().rstrip(b"\0") + after
+            row[-1] += words[0].tobytes().rstrip(b"\0") + after
         else:
-            columns.append((words, index))
-            row_fixed.append(after)
+            row += [(words, index), after]
     for lo in range(0, n, WRITE_ROWS):
         hi = min(n, lo + WRITE_ROWS)
-        tables = [
-            words[lo:hi] if index is None else words[index[lo:hi]] for words, index in columns
+        pieces = [
+            p if isinstance(p, bytes) else p[0][lo:hi] if p[1] is None else p[0][p[1][lo:hi]]
+            for p in row
         ]
         # with every column folded, each row is the one fixed text
-        text = join_texts(row_fixed, tables).tobytes() if tables else row_fixed[0] * (hi - lo)
+        text = join_texts(pieces).tobytes() if len(row) > 1 else row[0] * (hi - lo)
         text = text.translate(None, b"\0").decode("ascii")
         out.write(text if hi < n else text.removesuffix(drop_end))
 

@@ -836,10 +836,10 @@ def test_block_text_of_unusual_errors_and_labels():
     photons = np.arange(n, dtype=np.uint64) * np.uint64(10**17)
     blocks = [
         # labels laid out as the random mean labels are, from unusual values
-        CheckBlock("mean", 1e-9, join_texts(
-            [b"random[", b"] N=", b" chi=", b""],
-            [digit_texts(index), digit_texts(photons), scaled_texts(errors, 4, False)],
-        ), errors),
+        CheckBlock("mean", 1e-9, join_texts([
+            b"random[", digit_texts(index), b"] N=", digit_texts(photons),
+            b" chi=", scaled_texts(errors, 4, False),
+        ]), errors),
         # labels beyond ASCII, with a literal %, empty and long
         CheckBlock("noise", 0.5, text_table(
             ["ä", "100% sure", "", "x" * 70, "%s %d", *map(str, range(n - 5))]
@@ -873,28 +873,30 @@ def test_block_text_rejects_a_nul():
 
 
 def test_text_modules_load_only_when_text_is_made():
-    # the float tables of `floattext` cost every process that loads them
-    # ~5 ms and ~0.45 MB; `import kerrmich` loads no text module,
-    # `run_crosscheck` makes its labels with `rowtext`, and no verify run
-    # loads `floattext`
+    # `float_texts`' own tables cost every process that builds them ~5 ms
+    # and ~0.45 MB; `import kerrmich` loads no text module,
+    # `run_crosscheck` makes its labels with `rowtext`'s shared tables,
+    # and no verify run builds the float tables
     script = (
         "import contextlib, io, sys\n"
         "import kerrmich\n"
         "from kerrmich.cli import main\n"
         "from kerrmich.crosscheck import run_crosscheck\n"
-        "texts = ('kerrmich.floattext', 'kerrmich.rowtext')\n"
-        "loaded = lambda: [m for m in texts if m in sys.modules]\n"
-        "print(loaded())\n"
+        "print([m for m in sys.modules if m.startswith('kerrmich.') and 'text' in m])\n"
         "run_crosscheck(max_photons=30, extra_cases=3000)\n"
-        "print(loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in ([], ['--max-photons', '0'], ['--tolerance', '0', '--cases', '99']):\n"
         "        main(['verify', *argv])\n"
-        "print(loaded())\n"
+        "from kerrmich import rowtext\n"
+        "print(rowtext._group_tables.cache_info().currsize)\n"
+        "print(rowtext._float_tables.cache_info().currsize)\n"
+        "rowtext.float_texts(rowtext.np.array([0.5]))\n"
+        "print(rowtext._float_tables.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(kerrmich.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
         timeout=300,
     )
-    assert proc.stdout.splitlines() == ["[]", "['kerrmich.rowtext']", "['kerrmich.rowtext']"]
+    # the shared tables are built once, the float tables only by `float_texts`
+    assert proc.stdout.splitlines() == ["[]", "1", "0", "1"]

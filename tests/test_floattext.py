@@ -11,7 +11,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from kerrmich.floattext import CHUNK, float_texts
+from kerrmich.rowtext import CHUNK, float_texts
 
 
 def texts(values):

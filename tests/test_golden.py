@@ -7,8 +7,9 @@ cases cover both presets, log and linear grids, a dark input (power = 0,
 infinite resolution), a linear medium (n2 = 0, 1 m arm fallback and an
 infinite dominance margin), -0.0 next to 0.0, a 3-axis grid, and grids
 over the two JSON-only coordinates. The `regimes` file pins
-`regime_report`. Both presets are clean points, so `evaluate`'s scalar
-twin computes them and `analytic.validity` is never called; the file was
+`regime_report`. `estimate`, `sweep` and `regimes` read `sweep_blocks`,
+and both presets are clean points, so the column kernel `_kernel`
+computes their rows and `analytic.validity` is never called; the file was
 captured before `validity` computed the operating-point detuning inline.
 """
 

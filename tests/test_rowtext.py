@@ -1,6 +1,6 @@
 """`digit_texts`, `scaled_texts` and `text_table` against `%`, byte for
 byte, over every float64 class at every precision and every uint64, and
-`join_texts` laying them out.
+`join_texts` laying out a row's pieces in order.
 
 `%.Ne` and `%.Nf` round the exact binary value half to even; the NumPy
 digits must do the same on exact ties and carry 9.9995-like values into
@@ -155,13 +155,16 @@ def test_text_table():
 def test_join_texts_lays_out_tables_between_fixed_texts():
     settings_ = [(3, "ä", 0.05, -2.0), (12345, "bc", 0.11999, 1.0625)]
     index, names, chi, error = zip(*settings_)
-    table = join_texts(
-        [b"r[", b"] ", b" chi=", b" e=", b"|"],
-        [
-            digit_texts(np.array(index, dtype=np.uint64)),
-            text_table(names),
-            scaled_texts(np.array(chi), 4, False),
-            scaled_texts(np.array(error), 3, True),
-        ],
-    )
+    table = join_texts([
+        b"r[", digit_texts(np.array(index, dtype=np.uint64)),
+        b"] ", text_table(names),
+        b" chi=", scaled_texts(np.array(chi), 4, False),
+        b" e=", scaled_texts(np.array(error), 3, True),
+        b"|",
+    ])
     assert rows(table) == [("r[%d] %s chi=%.4f e=%.3e|" % s).encode() for s in settings_]
+    # tables side by side, fixed texts side by side, and a table alone
+    names_chi = join_texts([text_table(names), scaled_texts(np.array(chi), 4, False)])
+    assert rows(names_chi) == [("%s%.4f" % (n, c)).encode() for n, c in zip(names, chi)]
+    assert rows(join_texts([b"a", b"", b"b", text_table(names)])) == [b"ab\xc3\xa4", b"abbc"]
+    assert join_texts([text_table([])]).shape[0] == 0

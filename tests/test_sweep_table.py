@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import kerrmich.floattext
+import kerrmich.rowtext
 import kerrmich.sweep
 from kerrmich.core import get_preset
 from kerrmich.sweep import (
@@ -368,13 +368,13 @@ def test_fallback_rows_keep_dedupe(monkeypatch):
     grids = [GridSpec("tau", 1e-11, 1e-9, 50, "log"), GridSpec("power", 0.0, 1e7, 50),
              GridSpec("sigma", 0.0, 1e-3, 40)]
     formatted = []
-    float_texts = kerrmich.floattext.float_texts
+    float_texts = kerrmich.rowtext.float_texts
 
     def counting(values):
         formatted.append(len(values))
         return float_texts(values)
 
-    monkeypatch.setattr(kerrmich.floattext, "float_texts", counting)
+    monkeypatch.setattr(kerrmich.rowtext, "float_texts", counting)
     assert list(CSV_AXES) == list(CSV_COLUMNS)
     rows = dark_rows = 0
     for block in sweep_blocks(GIANT_BASE, grids):
