@@ -57,22 +57,23 @@ def signal_mean_exact(
     with np.errstate(all="ignore"):
         z1 = 0.5 * phi1 * chi
         z2 = 0.5 * phi2 * chi
-        envelope = _mapped(
-            math.exp, 0.5 * n * (_mapped(math.cos, 2.0 * z1) + _mapped(math.cos, 2.0 * z2) - 2.0)
-        )
-        arg = (
-            offset
-            + (phi2 - phi1)
-            + (z2 - z1)
-            + 0.5 * n * (_mapped(math.sin, 2.0 * z2) - _mapped(math.sin, 2.0 * z1))
-        )
-        mean = eta * n * envelope * _mapped(math.sin, arg)
+        cos1, sin1 = _mapped(2.0 * z1, math.cos, math.sin)
+        cos2, sin2 = _mapped(2.0 * z2, math.cos, math.sin)
+        (envelope,) = _mapped(0.5 * n * (cos1 + cos2 - 2.0), math.exp)
+        arg = offset + (phi2 - phi1) + (z2 - z1) + 0.5 * n * (sin2 - sin1)
+        (sine,) = _mapped(arg, math.sin)
+        mean = eta * n * envelope * sine
     return mean if mean.ndim else float(mean)
 
 
-def _mapped(fn, x: np.ndarray) -> np.ndarray:
-    """fn, a `math` function, at each value of x."""
-    return np.fromiter(map(fn, np.ravel(x).tolist()), dtype=float, count=x.size).reshape(np.shape(x))
+def _mapped(x: np.ndarray, *fns) -> list[np.ndarray]:
+    """Each fn, a `math` function, at each value of x, all read from one
+    list of x's values."""
+    values = np.ravel(x).tolist()
+    return [
+        np.fromiter(map(fn, values), dtype=float, count=len(values)).reshape(np.shape(x))
+        for fn in fns
+    ]
 
 
 def signal_mean(

@@ -19,14 +19,17 @@ The report is columnar. Each section gives blocks of checks
 the mean section gives one per window, the fixed grid and each window of
 MEAN_WINDOW random draws. Each window gets its exact <M> from one
 `signal_mean_exact` call, its oracle values from one `kerr_means` call
-on the one weight table the run builds first (row n for n photons,
-zero-padded to the longest row), and its labels from `rowtext`'s digit
-texts, laid out by `rowtext.join_texts` (`%` per label for the grid and
-the other sections). A block's report lines are one byte table
-(`CheckBlock.text`), byte for byte what one `%` per line would give;
-verdicts (`CheckBlock.passed`, the one rule), the failure count and each
-section's worst error are array operations. One `CheckCase` per check is
-built only when `CrossCheckReport.cases` is read.
+on the one level-major weight table the run builds first (column n for n
+photons, zero-padded to the most levels), and its labels from
+`rowtext`'s digit texts, laid out by `rowtext.join_texts` (`%` per label
+for the grid and the other sections). Every other oracle input is built
+once per run too: one coherent state per identity |beta|^2, one evolved
+state per variance (N, chi), one undamped exact mean for the quadrature.
+A block's report lines are one byte table (`CheckBlock.text`), byte for
+byte what one `%` per line would give; verdicts (`CheckBlock.passed`,
+the one rule), the failure count and each section's worst error are
+array operations. One `CheckCase` per check is built only when
+`CrossCheckReport.cases` is read.
 """
 
 from __future__ import annotations
@@ -275,35 +278,44 @@ def _mean_settings(
         i += len(keep)
 
 
+def _level_table(max_photons: int) -> np.ndarray:
+    """The run's level-major weight table: levels[m, n] is level m's
+    weight for n photons, `level_weights` of the one-mode amplitudes of
+    `product_input`. fock_dim grows with n, so n = max_photons has the most
+    levels and each other column is zero-padded to them."""
+    top = max(max_photons, 0)
+    levels = np.zeros((fock_dim(top / 2.0) - 1, top + 1), dtype=complex)
+    for n in range(top + 1):
+        beta = math.sqrt(float(n)) / math.sqrt(2.0)
+        dim = fock_dim(n / 2.0)
+        levels[: dim - 1, n] = level_weights(coherent_amplitudes(beta, dim))
+    return levels
+
+
 def _mean_blocks(
     max_photons: int, count: int, rng: np.random.Generator, tolerance: float
 ) -> list[CheckBlock]:
-    # row n: the level weights of n photons, from the one-mode amplitudes of
-    # `product_input`; fock_dim grows with n, so the last row is the longest
-    top = max(max_photons, 0)
-    table = np.zeros((top + 1, fock_dim(top / 2.0) - 1), dtype=complex)
-    for n, row in enumerate(table):
-        beta = math.sqrt(float(n)) / math.sqrt(2.0)
-        dim = fock_dim(n / 2.0)
-        row[: dim - 1] = level_weights(coherent_amplitudes(beta, dim))
-    # one kernel call and one block per window, so the draws take
-    # O(window) memory next to the O(count) errors
+    """One block per window of `_mean_settings`, each from one `kerr_means`
+    call on the one `_level_table` of the run. The draws take O(window)
+    memory next to the O(count) errors, and so does each kernel call,
+    whatever the basis size."""
+    levels = _level_table(max_photons)
     blocks = []
     windows = _mean_settings(max_photons, count, rng)
     for ns, chi, phi1, phi2, offset, labels, wants in windows:
-        got = kerr_means(table, ns, phi1, phi2, chi, offset)
+        got = kerr_means(levels, ns, phi1, phi2, chi, offset)
         blocks.append(CheckBlock("mean", tolerance, labels, relative_error(got, wants)))
     return blocks
 
 
 def _identity_block(max_photons: int, tolerance: float) -> CheckBlock:
     mus = tuple(mu for mu in (0.5, 2.0, 5.0, 10.0) if mu <= max(max_photons, 0))
-    checks = [
-        (f"|beta|^2={mu} z={z:.4f}", coherent_identity_residual(math.sqrt(mu), float(z)))
-        for mu in mus or (0.0,)
-        for z in np.linspace(0.0, math.pi, 7)
-    ]
-    return _labelled_block("identity", tolerance, *zip(*checks))
+    zs = np.linspace(0.0, math.pi, 7)
+    labels, errors = [], []
+    for mu in mus or (0.0,):
+        labels.extend(f"|beta|^2={mu} z={z:.4f}" for z in zs)
+        errors.extend(coherent_identity_residual(math.sqrt(mu), zs).tolist())
+    return _labelled_block("identity", tolerance, labels, errors)
 
 
 def _variance_block(max_photons: int, tolerance: float) -> CheckBlock:
@@ -330,10 +342,8 @@ def _gaussian_blocks(seed: int, tolerance: float) -> tuple[CheckBlock, CheckBloc
     averaged = functools.partial(signal_mean_exact, 9.0, 0.01, 0.3, 0.32)
     sigmas = (0.1, 0.3, 0.5)
     got = [gauss_hermite_phase(averaged, sigma) for sigma in sigmas]
-    want = [
-        math.exp(-0.5 * sigma * sigma) * signal_mean_exact(9.0, 0.01, 0.3, 0.32)
-        for sigma in sigmas
-    ]
+    undamped = signal_mean_exact(9.0, 0.01, 0.3, 0.32)
+    want = [math.exp(-0.5 * sigma * sigma) * undamped for sigma in sigmas]
     quad = _labelled_block(
         "gaussian",
         tolerance,

@@ -135,7 +135,7 @@ def level_weights(amps: np.ndarray) -> np.ndarray:
 
 
 def kerr_means(
-    weights: np.ndarray,
+    levels: np.ndarray,
     rows: np.ndarray,
     phi1: np.ndarray,
     phi2: np.ndarray,
@@ -144,11 +144,12 @@ def kerr_means(
 ) -> np.ndarray:
     """<M> of product inputs amps (x) amps under many Kerr settings at once.
 
-    Setting i takes the level weights weights[rows[i]], `level_weights` of
-    its one-mode amplitudes, each row zero-padded to the table's width. The
-    Kerr propagator acts on each arm alone, so the product stays a product
-    and <a1^dag a2> = conj(<a1>) <a2>, also in the truncated basis. With
-    g_j as in `apply_kerr`, the increment g_j(n+1) - g_j(n) is
+    The weights are level-major: levels[m, k] is level m's weight for table
+    column k, and setting i takes column rows[i], `level_weights` of its
+    one-mode amplitudes zero-padded to the table's height. The Kerr
+    propagator acts on each arm alone, so the product stays a product and
+    <a1^dag a2> = conj(<a1>) <a2>, also in the truncated basis. With g_j as
+    in `apply_kerr`, the increment g_j(n+1) - g_j(n) is
     phi_j*(1 + chi/2) + n*phi_j*chi, so
     <a_j> = exp(i*phi_j*(1 + chi/2)) * sum_n w_n r_j^n with
     r_j = exp(i*phi_j*chi). The polynomial is evaluated by Horner's rule
@@ -158,18 +159,17 @@ def kerr_means(
     up to rounding, at O(d) work per setting instead of O(d^2). Horner
     carries an exact zero through zero top coefficients and reduces each
     setting on its own (no BLAS), so a setting's value does not depend on
-    the batch it came in or on the padding of its row. A call gathers
-    d x len(rows) complex weights at once, so its batch bounds its memory.
+    the batch it came in or on the padding of its column. Each step
+    gathers one level's weights for the batch, so a call's working memory
+    is O(len(rows)) whatever the basis size.
     """
     phi = np.array([phi1, phi2], dtype=float)
     chi, offset = (np.asarray(v, dtype=float) for v in (chi, offset))
-    # level-major, so each Horner step reads one contiguous row
-    w = np.ascontiguousarray(np.asarray(weights, dtype=complex).T)[:, rows]
     r = np.exp(1j * (phi * chi))
     a = np.zeros_like(r)
-    for w_n in w[::-1]:
+    for level in levels[::-1]:
         a *= r
-        a += w_n
+        a += level[rows]
     a *= np.exp(1j * (phi * (1.0 + 0.5 * chi)))
     return 2.0 * (np.exp(1j * offset) * np.conj(a[0]) * a[1]).imag
 
@@ -284,22 +284,29 @@ def noisy_moments(m: MomentSet, noise: NoiseSpec) -> MomentSet:
     )
 
 
-def coherent_identity_residual(beta: complex, z: float) -> float:
+def coherent_identity_residual(beta: complex, z: float | np.ndarray) -> float | np.ndarray:
     """|direct - closed| for <beta| e^{i 2 z N} a |beta>.
 
     The direct side is the contraction on the `fock_dim` basis; the closed
-    side is beta * exp(|beta|^2 (e^{i 2 z} - 1)).
+    side is beta * exp(|beta|^2 (e^{i 2 z} - 1)). An array of z shares one
+    coherent state and gives an array of its shape, entry i with the bits
+    of the call at z[i]; a float z gives a float.
     """
     b = complex(beta)
     mu = abs(b) ** 2
     dim = fock_dim(mu)
     amps = coherent_amplitudes(b, dim)
     n = np.arange(dim - 1, dtype=float)
-    direct = complex(
-        np.sum(np.conj(amps[:-1]) * np.exp(2j * z * n) * np.sqrt(n + 1.0) * amps[1:])
-    )
-    closed = b * cmath.exp(mu * (cmath.exp(2j * z) - 1.0))
-    return abs(direct - closed)
+    bra, ladder, ket = np.conj(amps[:-1]), np.sqrt(n + 1.0), amps[1:]
+
+    def residual(z: float) -> float:
+        direct = complex(np.sum(bra * np.exp(2j * z * n) * ladder * ket))
+        return abs(direct - b * cmath.exp(mu * (cmath.exp(2j * z) - 1.0)))
+
+    zs = np.asarray(z, dtype=float)
+    if not zs.ndim:
+        return residual(float(zs))
+    return np.array(list(map(residual, zs.ravel().tolist()))).reshape(zs.shape)
 
 
 def monte_carlo_phase(

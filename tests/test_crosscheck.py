@@ -10,9 +10,10 @@ and with a 40-digit sum, to 1e-14*(1 + N) up to 100 photons whatever the
 batch size, and at 1000 photons near the revival to a bound from Horner's
 rounding, of order d*eps*(1 + N); and a setting's value must not change by
 a bit with the batch it comes in or with the zero padding of its weights
-to a longer row. `verify` builds one table of weights per run, row n for n
-photons zero-padded to the longest row, and evaluates a whole window of
-settings in one kernel call. `_mean_settings` yields the fixed
+to a longer column. `verify` builds one level-major table of weights per
+run, column n for n photons zero-padded to the most levels, and evaluates
+a whole window of settings in one kernel call, whose memory does not grow
+with the basis; it builds each identity coherent state once. `_mean_settings` yields the fixed
 grid, then one window of columns per draw of MEAN_WINDOW random settings,
 so draw i depends on the seed and i alone; each stays in its range, passes
 the keep rule and carries its exact mean from its window's one
@@ -36,6 +37,7 @@ and `--cases` is capped at MAX_CASES.
 
 import collections
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -43,6 +45,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -51,6 +54,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kerrmich.crosscheck
+import kerrmich.fock
 from kerrmich.cli import main
 from kerrmich.analytic import signal_mean_exact
 from kerrmich.crosscheck import (
@@ -62,6 +66,7 @@ from kerrmich.crosscheck import (
     CheckBlock,
     CheckCase,
     CrossCheckReport,
+    _level_table,
     _mean_settings,
     _worse,
     relative_error,
@@ -71,6 +76,7 @@ from kerrmich.fock import (
     TwoModeState,
     apply_kerr,
     coherent_amplitudes,
+    coherent_identity_residual,
     fock_dim,
     kerr_means,
     level_weights,
@@ -101,9 +107,9 @@ def one_mode(n, extra_levels=0):
 
 
 def means(amps, phi1, phi2, chi, offset):
-    """`kerr_means` with every setting on the one row of amps's weights."""
+    """`kerr_means` with every setting on the one column of amps's weights."""
     rows = np.zeros(len(offset), dtype=int)
-    return kerr_means(level_weights(amps)[None], rows, phi1, phi2, chi, offset)
+    return kerr_means(level_weights(amps)[:, None], rows, phi1, phi2, chi, offset)
 
 
 def assert_matches_dense(n, extra_levels, phi1, phi2, chi, offset):
@@ -237,9 +243,9 @@ def test_kernel_value_does_not_depend_on_its_batch(n):
     # each row is reduced on its own, so a setting gets the same bits alone,
     # inside a batch of 2048 and in that batch shifted by one; Horner
     # carries an exact 0 through zero top weights, so its bits also stay
-    # the same when its row is zero-padded to the longest row of a
+    # the same when its column is zero-padded to the most levels of a
     # 30-photon run, n = 30's, in a window that mixes it with n = 30
-    # settings (a pairwise np.sum over the padded row regroups the terms
+    # settings (a pairwise np.sum over the padded column regroups the terms
     # and moves the last bits for n = 11 to 28)
     amps = one_mode(n)
     rng = np.random.default_rng(n)
@@ -249,10 +255,10 @@ def test_kernel_value_does_not_depend_on_its_batch(n):
     assert np.array_equal(batch, alone)
     assert np.array_equal(means(amps, *columns[:, 1:]), batch[1:])
     w, longest = level_weights(amps), level_weights(one_mode(30))
-    table = np.zeros((2, len(longest)), dtype=complex)
-    table[0, : len(w)], table[1] = w, longest
+    levels = np.zeros((len(longest), 2), dtype=complex)
+    levels[: len(w), 0], levels[:, 1] = w, longest
     rows = rng.integers(0, 2, size=2048)
-    padded = kerr_means(table, rows, *columns)
+    padded = kerr_means(levels, rows, *columns)
     assert np.array_equal(padded[rows == 0], batch[rows == 0])
     assert np.array_equal(padded[rows == 1], means(one_mode(30), *columns)[rows == 1])
 
@@ -268,12 +274,37 @@ def test_one_level_basis_has_no_mean():
     assert got.tolist() == [0.0, 0.0]
 
 
+def test_kernel_memory_does_not_grow_with_the_basis():
+    # one window of settings on the level table of a 1000-photon run (743
+    # levels, 1001 columns): each Horner step gathers one level for the
+    # batch, so the call's peak is O(window) at any basis size, where
+    # gathering the d x window block at once (and transposing the table)
+    # peaked at ~35 MB
+    levels = _level_table(1000)
+    rng = np.random.default_rng(1000)
+    rows = rng.integers(0, 1001, size=MEAN_WINDOW)
+    chi, phi1, phi2, offset = rng.uniform(
+        (0.0, 0.0, 0.0, -1.0), (0.12, 2.5, 2.5, 1.0), size=(MEAN_WINDOW, 4)
+    ).T
+    tracemalloc.start()
+    try:
+        got = kerr_means(levels, rows, phi1, phi2, chi, offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (MEAN_WINDOW,) and np.all(np.isfinite(got))
+    assert peak < 1_000_000
+
+
 def test_mean_section_builds_each_photon_numbers_amplitudes_once(monkeypatch):
     # 75 fixed + 4200 random cases over N = 0..30 take at least four
     # windows (the grid, then one per draw of MEAN_WINDOW); the run builds
-    # one table row per photon number 0..30 before the first window, and
-    # each window makes one kernel call on that table
-    calls, tables = [], []
+    # one table column per photon number 0..30 before the first window, and
+    # each window makes one kernel call on that table. The identity section
+    # builds one coherent state per |beta|^2 (4 at 30 photons) and reads
+    # its 7 phases from it
+    calls, tables, identity = [], [], []
+    in_identity = False
 
     def spy(beta, dim):
         calls.append(beta)
@@ -283,13 +314,30 @@ def test_mean_section_builds_each_photon_numbers_amplitudes_once(monkeypatch):
         tables.append(table)
         return kerr_means(table, *args)
 
+    def state_spy(beta, dim):
+        if in_identity:
+            identity.append(beta)
+        return coherent_amplitudes(beta, dim)
+
+    def residual(beta, z):
+        nonlocal in_identity
+        in_identity = True
+        try:
+            return coherent_identity_residual(beta, z)
+        finally:
+            in_identity = False
+
     monkeypatch.setattr(kerrmich.crosscheck, "coherent_amplitudes", spy)
     monkeypatch.setattr(kerrmich.crosscheck, "kerr_means", kernel)
+    monkeypatch.setattr(kerrmich.crosscheck, "coherent_identity_residual", residual)
+    monkeypatch.setattr(kerrmich.fock, "coherent_amplitudes", state_spy)
     report = run_crosscheck(max_photons=30, seed=7, extra_cases=4200)
     assert sum(c.section == "mean" for c in report.cases) == 75 + 4200
     assert len(calls) == len(set(calls)) == 31
     assert len(tables) == sum(b.section == "mean" for b in report.blocks) >= 4
     assert all(table is tables[0] for table in tables)
+    assert sum(c.section == "identity" for c in report.cases) == 4 * 7
+    assert identity == [math.sqrt(mu) for mu in (0.5, 2.0, 5.0, 10.0)]
 
 
 def test_check_lines_match_golden(capsys):
@@ -303,6 +351,22 @@ def test_check_lines_match_golden(capsys):
     want = (GOLDEN / "verify_seed7.txt").read_text()
     assert out == want
     assert len(out.splitlines()) == 202 + 300 + 1
+
+
+# SHA-256 of the stdout of `verify --max-photons 30 --cases 20000 --seed 42`,
+# the size the verify-oracle benchmark runs at
+VERIFY_20000_SHA256 = "680ee258a641628e48ce2c7322b0c62fb3a922118caa94e85cd663e74108ce56"
+
+
+def test_benchmark_size_report_bytes_are_pinned(capsys):
+    # the golden file's 300 cases fit in one window; these 20000 span ten
+    # windows of draws, the last one cut short at --cases
+    argv = ["verify", "--max-photons", "30", "--cases", "20000", "--seed", "42"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(out.splitlines()) == 202 + 20000 + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_20000_SHA256
 
 
 def test_mean_lines_stable_across_a_window_boundary():

@@ -324,6 +324,21 @@ class TestIdentityResidual:
             for z in np.linspace(0.0, math.pi, 9):
                 assert coherent_identity_residual(math.sqrt(mu), float(z)) < 1e-10
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0, 5.0, 10.0, 30.0])
+    def test_phase_array_equals_per_float_calls(self, mu):
+        # one coherent state for every phase, each residual with the bits
+        # of its own call; a float phase still gives a float
+        zs = np.linspace(-1.0, math.pi, 11)
+        alone = [coherent_identity_residual(math.sqrt(mu), z) for z in zs.tolist()]
+        assert all(type(r) is float for r in alone)
+        got = coherent_identity_residual(math.sqrt(mu), zs)
+        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+        bits = np.array(alone).view(np.uint64)
+        assert np.array_equal(got.view(np.uint64), bits)
+        grid = coherent_identity_residual(math.sqrt(mu), zs.reshape(1, 11, 1))
+        assert grid.shape == (1, 11, 1) and np.array_equal(grid.view(np.uint64).ravel(), bits)
+        assert coherent_identity_residual(math.sqrt(mu), zs[:0]).shape == (0,)
+
 
 class TestPhaseAveraging:
     def test_zero_sigma_collapses(self):
