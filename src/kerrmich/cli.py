@@ -281,7 +281,7 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
     params = _params_from_args(args)
     # a one-point sweep, so `estimate` equals it by construction
     table = next(sweep_blocks(params, (), args.threshold))
-    row = table[0]
+    (row,) = table
     manifest = _manifest(argv, dataclasses.asdict(params))
     manifest["rows"] = len(table)
     manifest["validity_failures"] = table.validity_failures()

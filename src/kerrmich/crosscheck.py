@@ -130,24 +130,29 @@ class CheckBlock(NamedTuple):
         """The block's report lines, each ending in a newline: for each
         check, "<PASS|FAIL> [section] <label>: error <%.3e of error>
         (limit <%.3e of limit>)", laid out as one byte table. A section
-        holding a NUL raises ValueError."""
+        holding a NUL, or labels and errors of unequal length, raise
+        ValueError."""
         from .rowtext import join_texts, scaled_texts, text_table
 
-        rows = min(len(self.labels), len(self.errors))
-        status = _STATUS[self.passed()[:rows].view(np.uint8)].view(np.uint8).reshape(rows, 4)
+        rows = len(self.errors)
+        if len(self.labels) != rows:
+            raise ValueError(f"{len(self.labels)} labels for {rows} errors in [{self.section}]")
+        status = _STATUS[self.passed().view(np.uint8)].view(np.uint8).reshape(rows, 4)
         head = text_table([f" [{self.section}] "]).tobytes()  # NUL-checked
         tail = f" (limit {self.limit:.3e})\n".encode()
-        errors = scaled_texts(self.errors[:rows], 3, True)
+        errors = scaled_texts(self.errors, 3, True)
         # NULs are few here (padding of the labels' integers), and `replace`
         # skips from one to the next where `translate` visits every byte
-        line = join_texts([status, head, self.labels[:rows], b": error ", errors, tail])
+        line = join_texts([status, head, self.labels, b": error ", errors, tail])
         return line.tobytes().replace(b"\0", b"").decode()
 
     def cases(self) -> list[CheckCase]:
+        """One CheckCase per check; labels and errors of unequal length
+        raise ValueError."""
         labels = (row.tobytes().replace(b"\0", b"").decode() for row in self.labels)
         return [
             CheckCase(self.section, label, error, self.limit)
-            for label, error in zip(labels, self.errors.tolist())
+            for label, error in zip(labels, self.errors.tolist(), strict=True)
         ]
 
 

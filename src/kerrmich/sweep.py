@@ -12,12 +12,12 @@ of at most CSV_CHUNK_ROWS rows at a time so that memory does not grow
 with the row count, and `evaluate` one design point as plain floats, both
 with the operations of `derive` and `sensitivity_report` in the same
 order. A row is a `SweepRow`, a NamedTuple of the ROW_FIELDS: `evaluate`
-builds it as one tuple, and a block keeps its rows as columns. A block
-is a box of the grid in C order, and each of its columns is computed
-and stored at the shape of the grid axes it depends on. On a tau x
-power x sigma grid that is a constant once, chi once per tau, N once
-per (tau, power), and only delta_x, the improvement and the dominance
-margin once per row.
+builds it as one tuple, and a block, a `SweepTable`, keeps its rows as
+columns and builds them only when it is iterated. A block is a box of
+the grid in C order, and each of its columns is computed and stored at
+the shape of the grid axes it depends on. On a tau x power x sigma grid
+that is a constant once, chi once per tau, N once per (tau, power), and
+only delta_x, the improvement and the dominance margin once per row.
 `_evaluate_reference` composes `derive` and `sensitivity_report`
 themselves on the design's specs (`ParameterSet.pulse`, `.medium`,
 `.noise`) and raises what they raise, with an arithmetic failure
@@ -278,17 +278,17 @@ def _check_threshold(threshold: float) -> None:
         raise ParameterError(f"threshold must be finite and > 0, got {threshold!r}")
 
 
-class SweepTable(Sequence[SweepRow]):
+class SweepTable:
     """The rows of a sweep, one column per SweepRow field.
 
     The rows lie in C order over `shape`. Each column is an array that
     broadcasts to `shape`, so it holds one value per point of the grid
-    axes it depends on. A table of 1-D columns has the shape (rows,). A
-    SweepRow, one tuple, is built only when a row is indexed; `from_rows`
-    transposes its rows to columns in one `zip`, and `write_csv_rows` and
-    `write_json_rows` read the columns as they are stored. A block of
-    `sweep_blocks` carries the `stages` that computed it; any other table
-    has none.
+    axes it depends on. A table of 1-D columns has the shape (rows,).
+    Iterating a table is the one way to get its rows: `__iter__` builds
+    each SweepRow, one tuple, from the columns, WRITE_ROWS rows at a time.
+    `write_csv_rows` and `write_json_rows` read the columns as they are
+    stored. A block of `sweep_blocks` carries the `stages` that computed
+    it; any other table has none.
     """
 
     def __init__(self, columns: dict[str, np.ndarray], shape: tuple[int, ...] | None = None,
@@ -296,14 +296,6 @@ class SweepTable(Sequence[SweepRow]):
         self.columns = columns
         self.shape = (len(columns["tau_s"]),) if shape is None else tuple(shape)
         self.stages = {} if stages is None else stages
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[SweepRow]) -> "SweepTable":
-        columns = list(zip(*rows)) or [()] * len(ROW_FIELDS)
-        return cls({
-            name: np.array(values, dtype=bool if name in FLAG_FIELDS else np.float64)
-            for name, values in zip(ROW_FIELDS, columns)
-        })
 
     @classmethod
     def concat(cls, tables: Iterable["SweepTable"]) -> "SweepTable":
@@ -320,18 +312,13 @@ class SweepTable(Sequence[SweepRow]):
     def __len__(self) -> int:
         return math.prod(self.shape)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        at = np.unravel_index(range(len(self))[index], self.shape)
-        return SweepRow._make(
-            np.broadcast_to(self.columns[name], self.shape)[at].item() for name in ROW_FIELDS
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (SweepTable, list)):
-            return NotImplemented
-        return list(self) == list(other)
+    def __iter__(self) -> Iterator[SweepRow]:
+        """The rows in order, as Python floats and bools; only WRITE_ROWS
+        of them are held at a time."""
+        columns = [self.column(name) for name in ROW_FIELDS]
+        for lo in range(0, len(self), WRITE_ROWS):
+            values = (c[lo : lo + WRITE_ROWS].tolist() for c in columns)
+            yield from map(SweepRow._make, zip(*values))
 
     def validity_failures(self) -> dict[str, int]:
         """Number of rows failing each of the five validity conditions."""
@@ -367,7 +354,8 @@ _FLAG_TEXTS = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
 # at once made glibc's malloc hand a few MB of heap back to the system
 # after each block and fault it in again for the next (measured with an
 # earlier str-joining writer on a 2-core Linux VM: 16k page faults per 1e5
-# CSV rows against 3k in pieces of 1024, and ~5% of the run time).
+# CSV rows against 3k in pieces of 1024, and ~5% of the run time). A
+# table's iterator builds its rows in pieces of the same size.
 WRITE_ROWS = 1024
 
 
@@ -626,7 +614,7 @@ def regime_report(name: str) -> dict:
     square of the nonlinear gain, eroding its advantage.
     """
     params = get_preset(name)
-    row = next(sweep_blocks(params))[0]
+    (row,) = next(sweep_blocks(params))
     arm, n, chi, k = row.arm_length_m, row.n_photons, row.chi, row.k_per_m
     gain = chi * n
 

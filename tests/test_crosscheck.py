@@ -923,10 +923,20 @@ def test_block_text_of_unusual_errors_and_labels():
 def test_empty_block_writes_nothing():
     block = CheckBlock("mean", 1e-9, text_table([]), np.zeros(0))
     assert block.text() == "" == percent_text(block)
-    # labels and errors of unequal length make as many lines as the
-    # shorter, as zip does
-    short = block._replace(labels=text_table(["a", "b"]), errors=np.zeros(4))
-    assert short.text() == percent_text(short) and short.text().count("\n") == 2
+    assert block.cases() == []
+
+
+def test_a_block_never_hides_a_check():
+    # one label for two errors, the second failing: no line may drop it,
+    # nor may the summary count a check that no line shows
+    block = CheckBlock("mean", 1e-9, text_table(["a"]), np.array([0.0, 1.0]))
+    report = CrossCheckReport((block,))
+    for make in (block.text, block.cases, lambda: list(report.texts()), lambda: report.cases):
+        with pytest.raises(ValueError):
+            make()
+    # more labels than errors
+    with pytest.raises(ValueError, match="2 labels for 1 errors"):
+        block._replace(labels=text_table(["a", "b"]), errors=np.zeros(1)).text()
 
 
 def test_block_text_rejects_a_nul():

@@ -201,5 +201,5 @@ def test_rows_are_frozen_named_tuples():
     with pytest.raises(AttributeError):
         row.eta = 0.5
     assert not hasattr(row, "__dict__")
-    table = run_sweep(GIANT_BASE)
-    assert type(table[0]) is SweepRow and table[0] == row
+    (first,) = run_sweep(GIANT_BASE)
+    assert type(first) is SweepRow and first == row

@@ -6,11 +6,13 @@
 `run_sweep` must raise the same exception with the same message.
 """
 
+import collections
 import dataclasses
 import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from kerrmich.sweep import (
     ROW_FIELDS,
     WRITE_ROWS,
     GridSpec,
+    SweepRow,
     SweepTable,
     _evaluate_reference,
     evaluate,
@@ -49,6 +52,21 @@ def reference(base, grids, threshold):
         evaluate(dataclasses.replace(base, **dict(zip(names, combo))), threshold)
         for combo in itertools.product(*(g.values() for g in grids))
     ]
+
+
+def table_of(rows):
+    """A SweepTable of the rows, through its constructor: one 1-D column
+    per field."""
+    return SweepTable({
+        name: np.array([getattr(row, name) for row in rows],
+                       dtype=bool if name in FLAG_FIELDS else np.float64)
+        for name in ROW_FIELDS
+    })
+
+
+def csv_of(rows):
+    """The CSV lines of the rows, each value its `repr`."""
+    return "".join(",".join(repr(getattr(row, c)) for c in CSV_COLUMNS) + "\n" for row in rows)
 
 
 def assert_same_as_evaluate(base, grids, threshold=1e-2):
@@ -175,21 +193,36 @@ def test_edge_rows_match_evaluate(changes, grid):
 class TestSweepTable:
     GRIDS = [GridSpec("eta", 0.5, 1.0, 2), GridSpec("sigma", 0.0, 0.02, 3)]
 
-    def test_indexing_builds_rows(self):
+    def test_iterating_builds_rows(self):
         table = run_sweep(GIANT_BASE, self.GRIDS)
-        rows = reference(GIANT_BASE, self.GRIDS, 1e-2)
         assert isinstance(table, SweepTable)
-        assert table[-1] == rows[-1]
-        assert table[1:4] == rows[1:4]
-        assert table == rows and rows == table
-        assert list(reversed(table)) == rows[::-1]
-        with pytest.raises(IndexError):
-            table[len(rows)]
+        assert [type(row) for row in table] == [SweepRow] * len(table)
+        assert list(table) == reference(GIANT_BASE, self.GRIDS, 1e-2)
+        # 20000 rows: three blocks, and twenty pieces of WRITE_ROWS rows
+        # for the iterator; the dark rows' thermal and dominance margins
+        # are inf, as nt > 0
+        base = dataclasses.replace(GIANT_BASE, nt=1.0)
+        grids = [GridSpec("tau", 1e-11, 1e-9, 5, "log"), GridSpec("power", 0.0, 1e7, 4),
+                 GridSpec("sigma", 0.0, 1e-3, 1000)]
+        assert [len(b) for b in sweep_blocks(base, grids)] == [8000, 8000, 4000]
+        table = run_sweep(base, grids)
+        for name in ("margin_thermal", "margin_nl_dominant"):
+            assert np.count_nonzero(table.column(name) == math.inf) == 5000, name
+        assert_same_as_evaluate(base, grids)
 
-    def test_from_rows_round_trips(self):
-        rows = reference(GIANT_BASE, self.GRIDS, 1e-2)
-        table = SweepTable.from_rows(rows)
-        assert list(table) == rows
+    def test_iterating_holds_one_piece_of_rows(self):
+        grids = [GridSpec("tau", 1e-11, 1e-9, 50, "log"), GridSpec("power", 0.0, 1e7, 50),
+                 GridSpec("sigma", 0.0, 1e-3, 40)]
+        table = run_sweep(GIANT_BASE, grids)
+        assert len(table) == 100_000
+        tracemalloc.start()
+        try:
+            collections.deque(table, maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every row at once is ~70 MB of tuples and floats
+        assert peak < 5e6, peak
 
     def test_validity_failures_count_false_flags(self):
         # the sigma grid of test_dominance_flag_flips_at_the_margin_crossing
@@ -213,32 +246,10 @@ class TestSweepTable:
     def test_csv_keeps_negative_zero_apart(self):
         rows = [evaluate(dataclasses.replace(GIANT_BASE, sigma=s)) for s in (0.0, -0.0, 0.0)]
         out = io.StringIO()
-        SweepTable.from_rows(rows).write_csv_rows(out)
+        table_of(rows).write_csv_rows(out)
+        assert out.getvalue() == csv_of(rows)
         lines = out.getvalue().splitlines()
-        assert lines == [
-            ",".join(repr(getattr(r, col)) for col in CSV_COLUMNS) for r in rows
-        ]
         assert [line.split(",")[6] for line in lines] == ["0.0", "-0.0", "0.0"]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(designs(), max_size=6))
-def test_from_rows_makes_one_array_per_field(points):
-    rows = []
-    for base, _, threshold in points:
-        try:
-            rows.append(evaluate(base, threshold))
-        except (ArithmeticError, ValueError):
-            pass
-    table = SweepTable.from_rows(rows)
-    assert table.shape == (len(rows),)
-    for name in ROW_FIELDS:
-        want = np.array(
-            [getattr(row, name) for row in rows],
-            dtype=bool if name in FLAG_FIELDS else np.float64,
-        )
-        got = table.columns[name]
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
@@ -266,7 +277,7 @@ def test_blocks_and_their_stats(monkeypatch):
     # a block is a box: one power at a time, since two would make 6 rows
     assert [len(b) for b in blocks] == [3, 3, 3]
     table = run_sweep(GIANT_BASE, grids)
-    assert SweepTable.concat(blocks) == table
+    assert list(SweepTable.concat(blocks)) == list(table)
     assert sum(len(b) for b in blocks) == 9
     failures = [b.validity_failures() for b in blocks]
     assert {name: sum(f[name] for f in failures) for name in FLAG_FIELDS} == (
@@ -278,7 +289,7 @@ def test_blocks_and_their_stats(monkeypatch):
         assert list(b.stages) == ["kernel_s"]
         assert b.stages["kernel_s"] >= 0.0
     # a table that no kernel computed has no stages
-    assert table.stages == {} and SweepTable.from_rows(table).stages == {}
+    assert table.stages == {} and table_of(list(table)).stages == {}
 
 
 def test_interleaved_sweeps_share_nothing():
@@ -346,9 +357,7 @@ def test_blocks_are_boxes_of_the_grid(sweep):
     out = io.StringIO()
     for block in blocks:
         block.write_csv_rows(out)
-    flat = io.StringIO()
-    SweepTable.from_rows(want).write_csv_rows(flat)
-    assert out.getvalue() == flat.getvalue()
+    assert out.getvalue() == csv_of(want)
 
 
 # The sweep axes each CSV column depends on, on giant-eit with the arm on
@@ -430,7 +439,7 @@ def test_json_rows_are_the_json_module_layout():
         dataclasses.replace(GIANT_BASE, sigma=-0.0), [GridSpec("power", 0.0, 2e6, 3)], 1e-2
     )
     out = io.StringIO()
-    SweepTable.from_rows(rows).write_json_rows(out)
+    table_of(rows).write_json_rows(out)
     text = out.getvalue()
     # strict JSON: the infinite resolutions of the dark input are null
     items = [
@@ -446,7 +455,7 @@ def test_json_rows_are_the_json_module_layout():
     # a table with no rows writes nothing, in JSON as in CSV
     for write in (SweepTable.write_json_rows, SweepTable.write_csv_rows):
         out = io.StringIO()
-        write(SweepTable.from_rows([]), out)
+        write(table_of([]), out)
         assert out.getvalue() == ""
 
 
