@@ -49,11 +49,17 @@ def signal_mean_exact(
     exp are `math`'s, mapped over the values, because NumPy's own ufuncs
     round differently from `math` on some hosts. A call on floats (or 0-d
     arrays) returns a float.
+
+    NaN in any argument gives NaN. Two cases raise, from the mapped `math`
+    functions: an infinite value reaching cos or sin (an infinite phi_1,
+    phi_2, chi or offset, or an infinite N whose phase term does not
+    vanish) raises ValueError, and an envelope exponent past `math.exp`'s
+    range (N = -1000, chi = 1, phi_1 = phi_2 = pi/2) raises OverflowError.
     """
     n, chi, phi1, phi2, offset, eta = (
         np.asarray(v, dtype=float) for v in (n_photons, chi, phi1, phi2, offset, eta)
     )
-    # inf and NaN propagate silently, as through Python's float operations
+    # + - * warn on nothing, as Python's float operations do
     with np.errstate(all="ignore"):
         z1 = 0.5 * phi1 * chi
         z2 = 0.5 * phi2 * chi

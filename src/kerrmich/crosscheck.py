@@ -355,7 +355,11 @@ def _gaussian_blocks(seed: int, tolerance: float) -> tuple[CheckBlock, CheckBloc
         [f"quadrature sigma={sigma}" for sigma in sigmas],
         relative_error(got, want),
     )
-    sin, cos2 = (lambda phi: np.sin(phi + 0.6)), (lambda phi: np.cos(2.0 * phi))
+    # each integrand overwrites its phases, as monte_carlo_phase allows
+    sin, cos2 = (
+        (lambda phi: np.sin(np.add(phi, 0.6, out=phi), out=phi)),
+        (lambda phi: np.cos(np.multiply(phi, 2.0, out=phi), out=phi)),
+    )
     # label, seed offset, sigma, integrand, its exact Gaussian average
     mc_table = (
         ("mc sin sigma=0.1", 0, 0.1, sin, math.exp(-0.5 * 0.1 * 0.1) * math.sin(0.6)),

@@ -73,6 +73,23 @@ class TestSignalMeanExact:
             v = signal_mean_exact(1000.0, 0.3, phi1, phi2, 0.3)
             assert abs(v) <= 1000.0
 
+    @pytest.mark.parametrize(
+        "args",
+        [(9.0, 0.01, math.inf, 0.32), (9.0, 0.01, 0.3, -math.inf), (9.0, math.inf, 0.3, 0.32)],
+    )
+    def test_infinite_phase_or_chi_raises(self, args):
+        with pytest.raises(ValueError, match="math domain error"):
+            signal_mean_exact(*args)
+
+    def test_envelope_past_exp_range_raises(self):
+        with pytest.raises(OverflowError):
+            signal_mean_exact(-1000.0, 1.0, 0.5 * math.pi, 0.5 * math.pi)
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_nan_gives_nan(self, at):
+        args = [9.0, 0.01, 0.3, 0.32, 0.1, 1.0]
+        args[at] = math.nan
+        assert math.isnan(signal_mean_exact(*args))
 
     @pytest.mark.parametrize("n", [1e4, 1e6])
     @pytest.mark.parametrize("scaled_detuning", [0.3, 1.0, 3.0])
