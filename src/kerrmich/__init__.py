@@ -6,7 +6,8 @@ Fock-space cross-check (`fock`, `crosscheck`), deterministic design sweeps
 
 `import kerrmich` loads only the closed-form engine (`core`, `analytic`,
 `sweep`). The oracle modules `fock` and `crosscheck`, and the names this
-package exports from them, load on first use.
+package exports from them, load on first use; the command line loads them
+only for `verify`.
 """
 
 __version__ = "0.1.0"

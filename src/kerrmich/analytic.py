@@ -50,11 +50,14 @@ def signal_mean_exact(
     round differently from `math` on some hosts. A call on floats (or 0-d
     arrays) returns a float.
 
-    NaN in any argument gives NaN. Two cases raise, from the mapped `math`
-    functions: an infinite value reaching cos or sin (an infinite phi_1,
-    phi_2, chi or offset, or an infinite N whose phase term does not
-    vanish) raises ValueError, and an envelope exponent past `math.exp`'s
-    range (N = -1000, chi = 1, phi_1 = phi_2 = pi/2) raises OverflowError.
+    NaN in any argument gives NaN. An infinite argument raises only where
+    an inf reaches the mapped cos or sin, whose ValueError passes through:
+    an infinite offset, an infinite phi_1, phi_2 or chi with an infinite
+    product phi_j*chi, or an infinite N with a nonzero phase term
+    (N/2)(sin 2z2 - sin 2z1). An inf that meets a zero first gives NaN
+    (chi = inf with phi_1 = phi_2 = 0), and an infinite eta propagates as
+    inf. An envelope exponent past `math.exp`'s range (N = -1000, chi = 1,
+    phi_1 = phi_2 = pi/2) raises OverflowError.
     """
     n, chi, phi1, phi2, offset, eta = (
         np.asarray(v, dtype=float) for v in (n_photons, chi, phi1, phi2, offset, eta)

@@ -21,9 +21,15 @@ from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
-from .core import PRESETS, ParameterError, ParameterSet, get_preset, kerr_cm2
-from .crosscheck import MAX_CASES, MAX_PHOTONS, run_crosscheck
-from .fock import TruncationError
+from .core import (
+    MAX_CASES,
+    MAX_PHOTONS,
+    PRESETS,
+    ParameterError,
+    ParameterSet,
+    get_preset,
+    kerr_cm2,
+)
 from .sweep import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -368,6 +374,20 @@ def _json_frame(payload: dict) -> list[str]:
     return _json_text(payload).split("\n    null\n", 1)
 
 
+def run_crosscheck(**kwargs):
+    """`crosscheck.run_crosscheck`, with its TruncationError as a CliError.
+
+    The Fock oracle loads on the first call, since only `verify` needs it;
+    `verify` calls this name, which bench/spans.py traces on this module.
+    """
+    from . import crosscheck, fock
+
+    try:
+        return crosscheck.run_crosscheck(**kwargs)
+    except fock.TruncationError as exc:
+        raise CliError(str(exc)) from None
+
+
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     report = run_crosscheck(
         max_photons=args.max_photons,
@@ -422,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a reader that closed the pipe early is reported here, not at exit
         sys.stdout.flush()
         return code
-    except (CliError, ParameterError, TruncationError, OSError) as exc:
+    except (CliError, ParameterError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

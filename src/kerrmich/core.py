@@ -19,6 +19,14 @@ from dataclasses import dataclass
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 
+# The caps of one cross-check run (`crosscheck.run_crosscheck`), kept here
+# so the command line can state them without loading the Fock oracle.
+# Largest photon number: the mean section's tables grow with its square.
+MAX_PHOTONS = 30
+# Most random mean cases (the sweep's MAX_ROWS): the report keeps one error
+# and one label row per case.
+MAX_CASES = 1_000_000
+
 
 class ParameterError(ValueError):
     """A physical input is missing, out of range, or inconsistent."""

@@ -49,7 +49,7 @@ from .analytic import (
     signal_mean_exact,
     signal_variance,
 )
-from .core import NoiseSpec, ParameterError
+from .core import MAX_CASES, MAX_PHOTONS, NoiseSpec, ParameterError
 from .fock import (
     apply_kerr,
     coherent_amplitudes,
@@ -80,12 +80,6 @@ MC_SIGMA_BAND = 3.0
 # Random mean settings drawn at a time; the kept ones are evaluated in
 # one kernel call.
 MEAN_WINDOW = 2048
-# Largest photon number a run accepts: the mean section's tables grow with
-# the square of it.
-MAX_PHOTONS = 30
-# Most random mean cases a run accepts (the sweep's MAX_ROWS): the report
-# keeps one error and one label row per case.
-MAX_CASES = 1_000_000
 # Unit of each section's error: relative error, absolute residual, or
 # standard errors from the exact value (limit MC_SIGMA_BAND).
 SECTION_UNITS = {
@@ -355,11 +349,7 @@ def _gaussian_blocks(seed: int, tolerance: float) -> tuple[CheckBlock, CheckBloc
         [f"quadrature sigma={sigma}" for sigma in sigmas],
         relative_error(got, want),
     )
-    # each integrand overwrites its phases, as monte_carlo_phase allows
-    sin, cos2 = (
-        (lambda phi: np.sin(np.add(phi, 0.6, out=phi), out=phi)),
-        (lambda phi: np.cos(np.multiply(phi, 2.0, out=phi), out=phi)),
-    )
+    sin, cos2 = (lambda phi: np.sin(phi + 0.6)), (lambda phi: np.cos(2.0 * phi))
     # label, seed offset, sigma, integrand, its exact Gaussian average
     mc_table = (
         ("mc sin sigma=0.1", 0, 0.1, sin, math.exp(-0.5 * 0.1 * 0.1) * math.sin(0.6)),

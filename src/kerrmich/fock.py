@@ -317,28 +317,22 @@ def monte_carlo_phase(
 ) -> tuple[float, float]:
     """Sample mean of mean_fn(phi) with phi ~ Normal(0, sigma^2).
 
-    mean_fn must accept an ndarray of phases. It may overwrite that array,
-    and its result is consumed: the spread is formed in it in place.
-    Returns (estimate, standard error), with the bits of `values.mean()`
-    and `values.std(ddof=1) / sqrt(samples)`. The stream is keyed by the
-    seed alone, so a fixed seed gives a bit-identical estimate regardless
-    of where the call runs.
+    mean_fn must accept an ndarray of phases. Returns (estimate, standard
+    error). The stream is keyed by the seed alone, so a fixed seed gives a
+    bit-identical estimate regardless of where the call runs.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
-    phi = rng.standard_normal(samples)
-    phi *= sigma
+    phi = sigma * rng.standard_normal(samples)
     values = np.asarray(mean_fn(phi), dtype=float)
     if values.shape != phi.shape:
         raise ValueError("mean_fn must map an (n,) phase array to (n,) values")
-    estimate = np.add.reduce(values) / samples
-    values -= estimate
-    values *= values
-    stderr = math.sqrt(np.add.reduce(values) / (samples - 1)) / math.sqrt(samples)
-    return float(estimate), stderr
+    estimate = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(samples))
+    return estimate, stderr
 
 
 def gauss_hermite_phase(mean_fn: Callable[[np.ndarray], np.ndarray], sigma: float) -> float:

@@ -75,11 +75,22 @@ class TestSignalMeanExact:
 
     @pytest.mark.parametrize(
         "args",
-        [(9.0, 0.01, math.inf, 0.32), (9.0, 0.01, 0.3, -math.inf), (9.0, math.inf, 0.3, 0.32)],
+        [
+            (9.0, 0.01, math.inf, 0.32),
+            (9.0, 0.01, 0.3, -math.inf),
+            (9.0, math.inf, 0.3, 0.32),
+            (math.inf, 0.01, 0.3, 0.32),
+            (9.0, 0.01, 0.3, 0.32, math.inf),
+        ],
     )
-    def test_infinite_phase_or_chi_raises(self, args):
+    def test_inf_reaching_cos_or_sin_raises(self, args):
         with pytest.raises(ValueError, match="math domain error"):
             signal_mean_exact(*args)
+
+    def test_inf_meeting_a_zero_gives_nan_and_infinite_eta_propagates(self):
+        assert math.isnan(signal_mean_exact(9.0, math.inf, 0.0, 0.0))
+        assert math.isnan(signal_mean_exact(9.0, 0.0, math.inf, 0.32))
+        assert signal_mean_exact(9.0, 0.01, 0.3, 0.32, 0.1, math.inf) == math.inf
 
     def test_envelope_past_exp_range_raises(self):
         with pytest.raises(OverflowError):

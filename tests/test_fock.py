@@ -362,20 +362,6 @@ class TestPhaseAveraging:
         b = monte_carlo_phase(lambda p: np.sin(p + 0.2), 0.4, 5000, seed=321)
         assert a == b
 
-    @pytest.mark.parametrize("seed", range(0, 200, 37))
-    @pytest.mark.parametrize("sigma", [0.1, 0.3])
-    def test_in_place_integrands_give_the_bits_of_mean_and_std(self, seed, sigma):
-        # the reference: draw, scale and reduce out of place
-        phi = sigma * np.random.default_rng(seed).standard_normal(100_000)
-        for out_of_place, in_place in (
-            (lambda p: np.sin(p + 0.6), lambda p: np.sin(np.add(p, 0.6, out=p), out=p)),
-            (lambda p: np.cos(2.0 * p), lambda p: np.cos(np.multiply(p, 2.0, out=p), out=p)),
-        ):
-            values = out_of_place(phi)
-            want = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
-            assert monte_carlo_phase(in_place, sigma, 100_000, seed) == want
-            assert monte_carlo_phase(out_of_place, sigma, 100_000, seed) == want
-
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             monte_carlo_phase(np.sin, 0.1, 1, seed=0)

@@ -72,3 +72,47 @@ def test_oracle_loads_on_first_use_and_exports_stay_the_same():
     assert out["same"] == dict.fromkeys(names, True)
     assert out["modules"] == ["kerrmich.fock", "kerrmich.crosscheck"]
     assert out["unknown"] == "module 'kerrmich' has no attribute 'no_such_name'"
+
+
+# the command line loads the oracle only when `verify` runs
+CLI_SCRIPT = """\
+import contextlib, io, json, sys
+from kerrmich.cli import main
+def oracle():
+    return sorted({"kerrmich.fock", "kerrmich.crosscheck"} & set(sys.modules))
+out = {"import": oracle()}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["estimate", "--regime", "giant-eit"]) == 0
+    assert main(["regimes"]) == 0
+    assert main(["sweep", "--regime", "giant-eit", "--grid", "tau=1e-9:1e-8:2"]) == 0
+    out["design"] = oracle()
+    out["verify"] = main(["verify", "--max-photons", "4"])
+out["after"] = oracle()
+print(json.dumps(out))
+"""
+
+
+def test_cli_loads_the_oracle_only_for_verify():
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmich.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    out = json.loads(proc.stdout)
+    assert out == {
+        "import": [], "design": [], "verify": 0,
+        "after": ["kerrmich.crosscheck", "kerrmich.fock"],
+    }
+
+
+def test_cli_reports_a_truncation_error_as_an_input_error(capsys, monkeypatch):
+    import kerrmich.cli
+    import kerrmich.crosscheck
+    import kerrmich.fock
+
+    def truncated(**kwargs):
+        raise kerrmich.fock.TruncationError("basis too small")
+
+    monkeypatch.setattr(kerrmich.crosscheck, "run_crosscheck", truncated)
+    assert kerrmich.cli.main(["verify"]) == 1
+    assert capsys.readouterr() == ("", "kerrmich: error: basis too small\n")
