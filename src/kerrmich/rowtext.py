@@ -5,10 +5,12 @@ Three formatters read one table of 4-digit groups and one of exponent
 texts: `digit_texts` writes `%d` of unsigned integers, `scaled_texts`
 `%.Ne` and `%.Nf` of floats from scaled digits wherever those are provably
 `%`'s (handing every other value to `%`), and `float_texts` `repr` of
-floats. `text_table` holds any texts, and `join_texts` lays such tables
-out between fixed texts as one NUL-padded byte table: the one row layout,
-of `verify`'s labels and check lines and of sweep CSV and JSON rows,
-whose callers delete the NULs. Every table is built on first use.
+floats. `text_table` holds any texts. `row_table` is the one row layout,
+of `verify`'s labels and check lines and of sweep CSV and JSON rows: it
+lays a row's fixed texts out once, in every row of a NUL-padded byte
+table, and gives a slot for each column of texts, which its caller fills
+whole or a piece of rows at a time; `join_texts` fills every slot at
+once. The callers delete the NULs. Every table is built on first use.
 
 `float_texts` finds each value's shortest round-trip digits with the
 Schubfach algorithm (R. Giulietti, "The Schubfach way to render doubles",
@@ -17,11 +19,16 @@ scientific when the decimal point is at or before the fourth zero after
 it, or past the 16th digit, with at least two exponent digits; otherwise
 positional, with ".0" on integral values. Java's `Double.toString`, which
 Schubfach was written for, keeps at least two digits; this keeps the plain
-shortest, as Python does ("5e-324"). Its own tables are cached apart from
-the shared ones, so a process that formats no `repr` never builds them.
+shortest, as Python does ("5e-324"). It formats CHUNK values at a time:
+each value's digits and suffix make a 28-byte source row, and its text
+is gathered from that row by the byte offsets of its layout, straight
+into the result. Its own tables are cached apart from the shared ones,
+so a process that formats no `repr` never builds them.
 """
 
 import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -29,8 +36,15 @@ _U = np.uint64
 _M32, _FRACTION = _U(2**32 - 1), _U(2**52 - 1)
 _POW10 = np.array([10**i for i in range(18)], dtype=_U)
 
-# Values `float_texts` formats at once: a chunk's work arrays stay near 1 MB.
-CHUNK = 2048
+# Values `float_texts` formats at once, and rows of texts it gathers at
+# once. A chunk's ~20 live work arrays of 32 kB stay below glibc's 128 KiB
+# mmap threshold; 2048 values took ~20% longer per value, and 8192 (or
+# one [3, 4096] array for the three Schubfach products) let the heap top
+# outgrow glibc's trim threshold, so that a 1e5-row CSV sweep faulted in
+# ~20k more pages (~2.5 us each on a 2-core Linux VM). The gather's
+# [GATHER_ROWS, 24] byte index is 96 kB.
+CHUNK = 4096
+GATHER_ROWS = 512
 
 # A value's source row of 28 bytes in `float_texts`: "-.0" and the first
 # significant digit, the other 16 digits, then the 8-byte suffix: a
@@ -46,25 +60,47 @@ _UP = np.array([10.0 ** max(k, 0) for k in range(-22, 23)])
 _DOWN = _UP[::-1].copy()
 
 
-def join_texts(pieces: list[bytes | np.ndarray]) -> np.ndarray:
-    """The pieces of a row side by side, in order, as one NUL-padded
-    [rows, width] uint8 table: each piece a bytes string repeated on every
-    row, or a NUL-padded [rows, w] uint8 table of texts whose rows are
-    contiguous; at least one is a table. The caller deletes the NULs, in
-    the way that suits how many there are. The bytes strings are laid out
-    in one template row, copied to every row at once; each table is then
-    copied as one column of w-byte items, faster than w columns of bytes."""
-    rows = next(len(p) for p in pieces if not isinstance(p, bytes))
-    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in pieces]
-    template = b"".join(p if isinstance(p, bytes) else bytes(w) for p, w in zip(pieces, widths))
+def row_table(pieces: list[bytes | int], rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The row layout: a new [rows, width] uint8 table whose every row
+    holds the pieces side by side, in order, each a bytes string laid out
+    in every row or the width w > 0 of a column of texts, left NUL; and
+    the slot of each column, a [rows] view of the table's w-byte items
+    there, into which the caller writes the column's `items`, in one go
+    or a part at a time. The fixed texts are laid out in one template row,
+    copied to every row at once, and a caller that refills the slots
+    reuses them."""
+    template = b"".join(p if isinstance(p, bytes) else bytes(p) for p in pieces)
     table = np.empty((rows, len(template)), dtype=np.uint8)
     table[:] = np.frombuffer(template, dtype=np.uint8)
-    start = 0
-    for piece, width in zip(pieces, widths):
-        if width and not isinstance(piece, bytes):
-            slot = table[:, start : start + width].view(f"V{width}")[:, 0]
-            slot[:] = piece.view(f"V{width}")[:, 0]
-        start += width
+    slots, start = [], 0
+    for piece in pieces:
+        if isinstance(piece, bytes):
+            start += len(piece)
+        else:
+            slots.append(table[:, start : start + piece].view(f"V{piece}")[:, 0])
+            start += piece
+    return table, slots
+
+
+def items(texts: np.ndarray) -> np.ndarray:
+    """A NUL-padded [n, w] uint8 table of texts whose rows are contiguous,
+    w > 0, as n w-byte items: copied as one column of items, faster than w
+    columns of bytes."""
+    return texts.view(f"V{texts.shape[1]}")[:, 0]
+
+
+def join_texts(pieces: list[bytes | np.ndarray]) -> np.ndarray:
+    """The pieces of a row side by side, in order, as one NUL-padded
+    [rows, width] uint8 table laid out by `row_table`: each piece a bytes
+    string repeated on every row, or a NUL-padded [rows, w] uint8 table of
+    texts whose rows are contiguous; at least one is a table. The caller
+    deletes the NULs, in the way that suits how many there are."""
+    rows = next(len(p) for p in pieces if not isinstance(p, bytes))
+    # a table of no width adds nothing
+    pieces = [p if isinstance(p, bytes) or p.shape[1] else b"" for p in pieces]
+    table, slots = row_table([p if isinstance(p, bytes) else p.shape[1] for p in pieces], rows)
+    for slot, texts in zip(slots, (p for p in pieces if not isinstance(p, bytes))):
+        slot[:] = items(texts)
     return table
 
 
@@ -193,48 +229,58 @@ def _flog2pow10(e):
 @functools.cache
 def _float_tables():
     """The tables of `float_texts` alone: g = g1 2**63 + g0 for
-    k = -324..292, as g1 and the 32-bit limbs of g1 and g0; each 4-digit
-    group's trailing zeros; suffixes by decimal-point position -324..310
-    (the exponent texts), then the words; and the patterns, byte offsets
-    into a source row for each (sign, decimal-point class, significant
-    digits - 1), then word, -word."""
-    limbs = []
-    for k in range(-324, 293):
-        # floor(10**-k / 2**r) + 1 in [2**125, 2**126)
-        num, den, r = 10 ** max(-k, 0), 10 ** max(k, 0), _flog2pow10(-k) - 125
-        g = (num << -r) // den + 1 if r < 0 else num // (den << r) + 1
-        g1, g0 = g >> 63, g & (2**63 - 1)
-        limbs.append((g1, g1 >> 32, g1 & (2**32 - 1), g0 >> 32, g0 & (2**32 - 1)))
-    groups, exponents = _group_tables()
-    digits = groups[:10_000].view(np.uint8).reshape(10_000, 4)
-    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1).astype(np.uint8)
-    zeros[0] = 4
+    k = -324..292, as one [5, 617] array of g1 and the 32-bit limbs of g1
+    and g0; each 4-digit group's trailing zeros; suffixes by decimal-point
+    position -324..310 (the exponent texts), then the words; and the
+    patterns, byte offsets into a source row for each (sign, decimal-point
+    class, significant digits - 1), then word, -word."""
+    # g = floor(10**-k / 2**r) + 1 in [2**125, 2**126), r = flog2pow10(-k) - 125
+    shifts = (_flog2pow10(np.arange(324, -293, -1)) - 125).tolist()
+    tens = list(itertools.accumulate(itertools.repeat(10, 324), operator.mul, initial=1))
+    gs = [(tens[e] >> r if r >= 0 else tens[e] << -r) + 1 for e, r in zip(range(324, -1, -1), shifts)]
+    gs += [(1 << -r) // tens[k] + 1 for k, r in zip(range(1, 293), shifts[325:])]
+    low, high = np.frombuffer(b"".join(g.to_bytes(16, "little") for g in gs), "<u8").reshape(-1, 2).T
+    g1, g0 = high << _U(1) | low >> _U(63), low & _U(2**63 - 1)
+    g = np.stack([g1, g1 >> _U(32), g1 & _M32, g0 >> _U(32), g0 & _M32])
+    zeros = np.zeros(10_000, dtype=np.uint8)
+    for step in (10, 100, 1000, 10_000):  # 0 has four
+        zeros[::step] += 1
     words = b"".join(word.ljust(8, b"\0") for word in (b"inf", b"nan", b"0.0"))
-    suffixes = np.concatenate([exponents, np.frombuffer(words, dtype=_U)])
+    suffixes = np.concatenate([_group_tables()[1], np.frombuffer(words, dtype=_U)])
+    return g, zeros, suffixes, _patterns()
 
-    patterns = np.full((2 * 22 * 17 + 2, 24), _NUL, dtype=np.int16)
-    for key, (sign, dclass, n) in enumerate(np.ndindex(2, 22, 17)):
-        d, point = list(range(3, n + 4)), dclass - 4  # n + 1 digits
-        if dclass in (0, 21):
-            body = d[:1] + [_DOT] * (n > 0) + d[1:] + list(range(_SUFFIX, _SUFFIX + 5))
-        elif point <= 0:
-            body = [_ZERO, _DOT] + [_ZERO] * -point + d
-        elif point <= n:
-            body = d[:point] + [_DOT] + d[point:]
-        else:
-            body = d + [_ZERO] * (point - n - 1) + [_DOT, _ZERO]
-        body = [_MINUS] * sign + body
-        patterns[key, : len(body)] = body
+
+def _patterns() -> np.ndarray:
+    """The [750, 24] source-row offsets of each layout (see `_float_tables`)."""
+    j = np.arange(24)
+    n = np.arange(17)[:, None]  # significant digits - 1
+    point = np.arange(-4, 18)[:, None, None]  # decimal-point class - 4
+    # positional: the digits, zero-padded, with the dot after max(point, 1) texts
+    before = np.maximum(point, 1)
+    i = j - before + point - (j > before)  # the digit at text position j
+    text = np.where((i >= 0) & (i <= n), 3 + i, _ZERO)
+    text = np.where(j == before, _DOT, text)
+    text = np.where(j > np.maximum(n + before - point, before) + 1, _NUL, text)
+    # scientific (classes 0 and 21): a digit, a dot if more follow, the suffix
+    dot = n > 0
+    end = n + 1 + dot
+    digits = np.where((j == 1) & dot, _DOT, 3 + j - (j >= 1) * dot)
+    text[[0, 21]] = np.where(j < end, digits, np.where(j < end + 5, _SUFFIX + j - end, _NUL))
+    patterns = np.full((2 * 22 * 17 + 2, 24), _NUL, dtype=np.intp)
+    signed = patterns[:-2].reshape(2, 22 * 17, 24)
+    signed[0] = text.reshape(-1, 24)
+    signed[1, :, 0] = _MINUS
+    signed[1, :, 1:] = signed[0, :, :-1]
     patterns[-2, :3] = patterns[-1, 1:4] = range(_SUFFIX, _SUFFIX + 3)
     patterns[-1, 0] = _MINUS
-    g_limbs = [np.array(column, dtype=_U) for column in zip(*limbs)]
-    return g_limbs, zeros, suffixes, patterns
+    return patterns
 
 
-def _rop(g: list[np.ndarray], cp: np.ndarray) -> np.ndarray:
-    """Schubfach's r_o(g cp 2**-127), for cp < 2**60: the high 64 bits of
-    g1 cp and g0 cp each come from four 32x32-bit products, whose sums
-    cannot carry out of 64 bits at these sizes."""
+def _rop(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Schubfach's r_o(g cp 2**-127), for cp < 2**60, g the five rows of
+    `_float_tables`'s multipliers taken at each value's k: the high 64
+    bits of g1 cp and g0 cp each come from four 32x32-bit products, whose
+    sums cannot carry out of 64 bits at these sizes."""
     g1, g1h, g1l, g0h, g0l = g
     ch, cl = cp >> _U(32), cp & _M32
     x1 = g0h * ch + ((((g0l * cl) >> _U(32)) + g0l * ch + g0h * cl) >> _U(32))
@@ -255,7 +301,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # floor(log10(2**q)), or of 3/4 2**q where irregular
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(_U)
-    g = [limb[k + 324] for limb in _float_tables()[0]]
+    g = _float_tables()[0].take(k + 324, axis=1)
     out = c & _U(1)  # odd c: the interval's ends do not read back as v
     cb = c << _U(2)
     vb = _rop(g, cb << h)
@@ -277,17 +323,30 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def float_texts(values: np.ndarray) -> np.ndarray:
     """`repr` of each float64 value as ASCII in a NUL-padded [n, 24]
-    uint8 array; view it as "S24" for one bytes string per value."""
+    uint8 array; view it as "S24" for one bytes string per value. Each
+    chunk's texts are gathered straight into the result by one byte
+    index, held for the call."""
     values = np.ascontiguousarray(values, dtype=np.float64).ravel()
     result = np.empty((len(values), 24), dtype=np.uint8)
+    index = np.empty((min(len(values), GATHER_ROWS), 24), dtype=np.intp)
     for lo in range(0, len(values), CHUNK):
-        result[lo : lo + CHUNK] = _format_chunk(values[lo : lo + CHUNK].view(_U))
+        _format_chunk(values[lo : lo + CHUNK].view(_U), index, result[lo : lo + CHUNK])
     return result
 
 
-def _format_chunk(bits: np.ndarray) -> np.ndarray:
+@functools.cache
+def _row_starts(rows: int) -> np.ndarray:
+    """The first byte of each of rows source rows, as a [rows, 1] column:
+    built once for GATHER_ROWS rows and sliced for fewer."""
+    return (np.arange(rows, dtype=np.intp) * 28)[:, None]
+
+
+def _format_chunk(bits: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """Write `repr` of the floats of the bits into out, [n, 24], gathering
+    len(index) rows at a time by way of index, an [m, 24] intp array."""
     groups = _group_tables()[0]
     _, zeros, suffixes, patterns = _float_tables()
+    n = len(bits)
     sign = (bits >> _U(63)).astype(np.intp)
     top = (bits >> _U(52)).astype(np.intp) & 0x7FF
     # -1 for a finite nonzero value, else 0, 1 or 2 for inf, nan or 0.0,
@@ -296,17 +355,25 @@ def _format_chunk(bits: np.ndarray) -> np.ndarray:
     f, k = _shortest(np.where(word < 0, bits, _U(0x3FF0_0000_0000_0000)))
     length = np.searchsorted(_POW10, f, side="right")
     f = (f * _POW10[17 - length]).astype(np.int64)  # 17 digits
-    high, low = f % 10**16 // 10**8, f % 10**8
-    quads = [f // 10**16 + 10_000, high // 10**4, high % 10**4, low // 10**4, low % 10**4]
-    src = np.empty((len(bits), 7), dtype=np.uint32)
+    head, rest = np.divmod(f, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    quads = [head + 10_000, *np.divmod(high, 10**4), *np.divmod(low, 10**4)]
+    src = np.empty((n, 7), dtype=np.uint32)
     for i, quad in enumerate(quads):
-        src[:, i] = groups[quad]
+        src[:, i] = groups.take(quad)
     point = k + length
-    src[:, 5:].view(_U)[:, 0] = suffixes[np.where(word < 0, point + 324, 635 + word)]
-    tz = [zeros[quad] for quad in quads[1:]]
+    src[:, 5:].view(_U)[:, 0] = suffixes.take(np.where(word < 0, point + 324, 635 + word))
+    tz = [zeros.take(quad) for quad in quads[1:]]
     tz = tz[3] + (quads[4] == 0) * (tz[2] + (quads[3] == 0) * (tz[1] + (quads[2] == 0) * tz[0]))
     # decimal-point classes 0 and 21 are scientific, 1..20 positional
     key = (sign * 22 + np.clip(point, -4, 17) + 4) * 17 + 16 - tz
     key = np.where(word < 0, key, 748 + sign * (word != 1))
-    index = patterns[key] + (np.arange(len(bits)) * 28)[:, None]
-    return src.view(np.uint8).ravel().take(index)
+    # every key and byte offset is in range by construction, so "clip"
+    # changes nothing and lets `take` write into its out without a copy
+    src = src.view(np.uint8).ravel()
+    starts = _row_starts(GATHER_ROWS)
+    for lo in range(0, n, len(index)):
+        rows = index[: min(len(index), n - lo)]
+        np.take(patterns, key[lo : lo + len(rows)], axis=0, out=rows, mode="clip")
+        rows += starts[: len(rows)]
+        np.take(src[28 * lo :], rows, out=out[lo : lo + len(rows)], mode="clip")

@@ -30,8 +30,10 @@ tests use as the reference.
 
 `SweepTable.write_csv_rows` and `write_json_rows` share one byte writer,
 `_write_rows`: each stored value of a block is formatted once, floats by
-`rowtext.float_texts` (byte for byte `repr`), and the rows are laid
-out by `rowtext.join_texts`, as `verify`'s report lines are.
+`rowtext.float_texts` (byte for byte `repr`), and the rows are laid out
+by `rowtext.row_table`, the layout of `verify`'s report lines too. A
+block's fixed texts are laid out once, in one table of WRITE_ROWS rows,
+and each piece of rows copies only its column texts into that table.
 """
 
 from __future__ import annotations
@@ -75,14 +77,18 @@ GRID_PARAMETERS = tuple(GRID_COLUMNS)
 MAX_ROWS = 1_000_000
 
 # Rows per block, at most: a sweep is evaluated, formatted and written one
-# box of the grid at a time (see `_boxes`). On a 50 x 50 x 40 grid, boxes
-# of 8000 rows ran a CSV sweep ~25% faster than boxes of 4000, which made
-# glibc's malloc fault in ~2.5x as many heap pages (medians of five runs
-# of bench/run.py on a 2-core Linux VM); a block's columns and texts stay
-# at a few MB. A box holds more than half a block: trailing axes of just
-# over half, as on a 100 x 50 x 82 grid, give boxes of 4100 rows, which
-# faulted ~2.6x as many pages but swept as fast as runs of 4096 rows cut
-# from the flat grid (1.23 s against 1.25 s, medians of 24 runs).
+# box of the grid at a time (see `_boxes`), and a block's columns and
+# texts stay at a few MB. A block's float texts are its largest array,
+# and glibc's malloc hands free heap at the top back to the system once it
+# exceeds twice the largest array freed from mmap so far, so smaller
+# blocks give back heap after each block and fault it in again: on a
+# 50 x 50 x 40 CSV sweep, boxes of 4000 rows faulted ~26k pages per CLI
+# run against ~3.4k for boxes of 8000, and ran ~30% slower (`ru_minflt`
+# and medians of seven in-process runs on a 2-core Linux VM, with the
+# writer that holds one row table per block). A box holds more than half a
+# block: trailing axes of just over half, as on a 100 x 50 x 82 grid, give
+# boxes of 4100 rows, which an older writer swept as fast as runs of 4096
+# rows cut from the flat grid (1.23 s against 1.25 s, medians of 24 runs).
 CSV_CHUNK_ROWS = 8192
 
 
@@ -349,14 +355,15 @@ _JSON_TEXTS = [b"    {\n" + _JSON_KEYS[0], *(b",\n" + key for key in _JSON_KEYS[
 # The words of a flag, NUL-padded to one width.
 _FLAG_TEXTS = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
 
-# Rows of text laid out and written at once, a quarter of a block, so a
-# piece's buffers stay near 1 MB even for JSON rows. Writing whole blocks
-# at once made glibc's malloc hand a few MB of heap back to the system
-# after each block and fault it in again for the next (measured with an
-# earlier str-joining writer on a 2-core Linux VM: 16k page faults per 1e5
-# CSV rows against 3k in pieces of 1024, and ~5% of the run time). A
+# Rows of text laid out and written at once. A block's row table holds
+# this many rows, and each piece's bytes, NUL-free bytes and str are
+# ~150 kB of CSV: on a 50 x 50 x 40 CSV sweep, pieces of 1024 rows pushed
+# the heap top past glibc's trim threshold, faulting ~75% more pages per
+# run than pieces of 512 (`ru_minflt` of in-process CLI runs on a 2-core
+# Linux VM), and wrote the blocks ~9% slower; pieces of 256 faulted ~10%
+# fewer pages and wrote ~3% slower, from twice the calls per row. A
 # table's iterator builds its rows in pieces of the same size.
-WRITE_ROWS = 1024
+WRITE_ROWS = 512
 
 
 def _write_rows(
@@ -375,33 +382,39 @@ def _write_rows(
     is inf or NaN, and a flag as false or true. Values are told apart by
     their bits, so -0.0 is not 0.0. A column that holds one value is
     formatted once and folds into the fixed texts; the floats of the
-    others are formatted in one `float_texts` call. `rowtext.join_texts`
-    lays out WRITE_ROWS rows at a time, slicing a column with one value
-    per row and gathering any other by the broadcast positions of its
-    values. A float text is 24 bytes wide, so NULs are dense (~15% of a
-    CSV row's bytes, ~6% of a JSON row's), and `translate` deletes them
-    in one pass over the bytes.
+    others are formatted in one `float_texts` call. `rowtext.row_table`
+    lays the fixed texts out once, in a table of WRITE_ROWS rows held for
+    the block, and each piece of rows copies only its column texts into
+    the table's slots: a column with one value per row as a slice, any
+    other gathered by the row positions of its values, one array per
+    stored shape. A float text is 24 bytes wide, so NULs are dense (~15%
+    of a CSV row's bytes, ~6% of a JSON row's), and `translate` deletes
+    them in one pass over the bytes.
     """
-    from .rowtext import float_texts, join_texts  # only the writers load the formatter
+    from .rowtext import float_texts, items, row_table  # only the writers load the formatter
 
     n = len(table)
     if not n:
         return
-    parts = []
+    parts, positions = [], {}
     for name in names:
         values = np.asarray(table.columns[name])
         bits = values.reshape(-1).view(f"u{values.itemsize}")
         if (bits == bits[0]).all():
             parts.append((bits[:1], None))
+        elif len(bits) == n:
+            parts.append((bits, None))
         else:
-            parts.append((bits, _positions(values, table.shape) if len(bits) < n else None))
+            if values.shape not in positions:
+                positions[values.shape] = _positions(values.shape, table.shape)
+            parts.append((bits, positions[values.shape]))
     floats = np.concatenate([bits for bits, _ in parts if bits.dtype == np.uint64])
     floats = floats.view(np.float64)
     texts = float_texts(floats)
     if nonfinite is not None:
         texts.view("S24")[~np.isfinite(floats)] = nonfinite
 
-    row, lo = [fixed[0]], 0  # fixed texts, and (texts, index) of the other columns
+    layout, columns, lo = [fixed[0]], [], 0  # the row's pieces; each column's items and positions
     for (bits, index), after in zip(parts, fixed[1:]):
         if bits.dtype == np.uint64:
             words = texts[lo : lo + len(bits)]
@@ -409,25 +422,31 @@ def _write_rows(
         else:
             words = _FLAG_TEXTS[bits]
         if len(bits) == 1:
-            row[-1] += words[0].tobytes().rstrip(b"\0") + after
-        else:
-            row += [(words, index), after]
+            layout[-1] += words[0].tobytes().rstrip(b"\0") + after
+            continue
+        # `take` below does not check the positions, so they are checked here
+        if index is not None and not 0 <= index.min() <= index.max() < len(bits):
+            raise IndexError(f"row positions out of range for {len(bits)} values")
+        layout += [words.shape[1], after]
+        columns.append((items(words), index))
+    rows, slots = row_table(layout, min(n, WRITE_ROWS))
     for lo in range(0, n, WRITE_ROWS):
-        hi = min(n, lo + WRITE_ROWS)
-        pieces = [
-            p if isinstance(p, bytes) else p[0][lo:hi] if p[1] is None else p[0][p[1][lo:hi]]
-            for p in row
-        ]
-        # with every column folded, each row is the one fixed text
-        text = join_texts(pieces).tobytes() if len(row) > 1 else row[0] * (hi - lo)
-        text = text.translate(None, b"\0").decode("ascii")
-        out.write(text if hi < n else text.removesuffix(drop_end))
+        m = min(n - lo, WRITE_ROWS)
+        for slot, (words, index) in zip(slots, columns):
+            if index is None:
+                slot[:m] = words[lo : lo + m]
+            else:
+                np.take(words, index[lo : lo + m], out=slot[:m], mode="clip")
+        text = rows[:m].tobytes().translate(None, b"\0").decode("ascii")
+        out.write(text if lo + m < n else text.removesuffix(drop_end))
 
 
-def _positions(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """For each row of a box of the shape, in C order, the position of its
-    value among the values, which broadcast to the shape, laid out flat."""
-    return np.broadcast_to(np.arange(values.size).reshape(values.shape), shape).flatten()
+def _positions(shape: tuple[int, ...], box: tuple[int, ...]) -> np.ndarray:
+    """For each row of a box, in C order, the position of its value among
+    values stored at the shape, which broadcasts to the box, laid out
+    flat as int32."""
+    size = math.prod(shape)
+    return np.broadcast_to(np.arange(size, dtype=np.int32).reshape(shape), box).flatten()
 
 
 def run_sweep(

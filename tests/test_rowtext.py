@@ -15,6 +15,7 @@ the next decade, and hand every value they cannot prove, and every
 negative value, to `%`.
 """
 
+import hashlib
 import math
 import struct
 
@@ -22,11 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kerrmich.rowtext
 from kerrmich.rowtext import (
     CHUNK,
     digit_texts,
     float_texts,
+    items,
     join_texts,
+    row_table,
     scaled_texts,
     text_table,
 )
@@ -103,6 +107,37 @@ def test_shape_and_chunks():
     assert raw.shape == (len(values), 24) and raw.dtype == np.uint8
     assert texts(values) == reprs(values)
     assert float_texts(np.array([])).shape == (0, 24)
+
+
+@pytest.mark.parametrize("chunk, gather_rows", [(5, 3), (5, 512), (2048, 7), (2048, 512)])
+def test_chunk_and_gather_boundaries(monkeypatch, chunk, gather_rows):
+    monkeypatch.setattr(kerrmich.rowtext, "CHUNK", chunk)
+    monkeypatch.setattr(kerrmich.rowtext, "GATHER_ROWS", gather_rows)
+    rng = np.random.default_rng(chunk + gather_rows)
+    pool = np.array(edge_values())
+    for n in (1, chunk - 1, chunk + 1, 3 * chunk + 2, 2 * gather_rows + 1):
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        values = np.where(rng.random(n) < 0.5, bits, rng.choice(pool, n))
+        assert texts(values) == reprs(values), n
+
+
+# SHA-256 of each table of `float_texts`, as big-integer arithmetic and a
+# loop over the layouts build them: the multipliers [5, 617] uint64, the
+# trailing zeros uint8, the suffixes uint64 and the patterns as int16,
+# little-endian.
+FLOAT_TABLE_SHA256 = [
+    "b99aef57446fdc9e0790b01c2c4a774fcb0ff96a0a74ab46533cb5638bf2b49f",
+    "64ffb3ce08203703986d1229ccd898fe10e57015a879448d34578e7f420467d9",
+    "9fa946307682741378eecee11719a56d5053bf60a47150cd97b6be2c1268faec",
+    "e163a65f93d83fa7e8df14f5e088ebcd9e61aeacc5d559134f3a322c70992582",
+]
+
+
+def test_float_tables_are_pinned():
+    g, zeros, suffixes, patterns = kerrmich.rowtext._float_tables()
+    assert g.shape == (5, 617) and patterns.shape == (750, 24)
+    tables = [g.astype("<u8"), zeros, suffixes.astype("<u8"), patterns.astype("<i2")]
+    assert [hashlib.sha256(t.tobytes()).hexdigest() for t in tables] == FLOAT_TABLE_SHA256
 
 
 # %.Ne and %.Nf for every precision N that `scaled_texts` takes
@@ -256,3 +291,19 @@ def test_join_texts_lays_out_tables_between_fixed_texts():
     assert rows(names_chi) == [("%s%.4f" % (n, c)).encode() for n, c in zip(names, chi)]
     assert rows(join_texts([b"a", b"", b"b", text_table(names)])) == [b"ab\xc3\xa4", b"abbc"]
     assert join_texts([text_table([])]).shape[0] == 0
+    assert rows(join_texts([b"x", digit_texts(np.zeros(2, dtype=np.uint64), 0), b"y"])) == [b"xy"] * 2
+
+
+def test_row_table_is_filled_a_part_at_a_time():
+    names = text_table(["a", "bcd", "", "ef", "g"])
+    digits = digit_texts(np.arange(5, dtype=np.uint64) * 7)
+    table, slots = row_table([b"<", names.shape[1], b"|", digits.shape[1], b">\n"], 2)
+    assert table.shape == (2, 1 + names.shape[1] + 1 + digits.shape[1] + 2)
+    assert rows(table) == [b"<|>\n"] * 2
+    lines = []
+    for lo in range(0, 5, 2):
+        m = min(2, 5 - lo)
+        slots[0][:m] = items(names)[lo : lo + m]
+        slots[1][:m] = items(digits)[lo : lo + m]
+        lines += rows(table[:m])
+    assert lines == [b"<%s|%d>\n" % (name.encode(), 7 * i) for i, name in enumerate(["a", "bcd", "", "ef", "g"])]

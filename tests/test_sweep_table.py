@@ -198,7 +198,7 @@ class TestSweepTable:
         assert isinstance(table, SweepTable)
         assert [type(row) for row in table] == [SweepRow] * len(table)
         assert list(table) == reference(GIANT_BASE, self.GRIDS, 1e-2)
-        # 20000 rows: three blocks, and twenty pieces of WRITE_ROWS rows
+        # 20000 rows: three blocks, and forty pieces of WRITE_ROWS rows
         # for the iterator; the dark rows' thermal and dominance margins
         # are inf, as nt > 0
         base = dataclasses.replace(GIANT_BASE, nt=1.0)
@@ -508,29 +508,107 @@ def tables(draw):
     return SweepTable(columns, shape)
 
 
-@settings(max_examples=100, deadline=None)
-@given(tables())
-def test_csv_rows_are_repr_joined(table):
-    out = io.StringIO()
-    table.write_csv_rows(out)
+def repr_lines(table):
+    """The CSV lines of a table, each value its `repr`."""
     columns = [table.column(name).tolist() for name in CSV_COLUMNS]
-    want = "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
-    assert out.getvalue() == want
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
 
 
-@settings(max_examples=60, deadline=None)
-@given(tables())
-def test_json_rows_are_the_json_module_layout_for_any_table(table):
-    out = io.StringIO()
-    table.write_json_rows(out)
+def json_items(table):
+    """The JSON rows of a table as `json.dumps` lays out a sweep's "rows",
+    between that key's brackets."""
     columns = [table.column(name).tolist() for name in ROW_FIELDS]
     items = [
         {k: None if isinstance(v, float) and not math.isfinite(v) else v
          for k, v in zip(ROW_FIELDS, row)}
         for row in zip(*columns)
     ]
-    want = json.dumps({"rows": items}, indent=2, allow_nan=False)
-    if items:
-        assert '{\n  "rows": [\n' + out.getvalue() + "\n  ]\n}" == want
-    else:
-        assert out.getvalue() == ""
+    if not items:
+        return ""
+    text = json.dumps({"rows": items}, indent=2, allow_nan=False)
+    return text.removeprefix('{\n  "rows": [\n').removesuffix("\n  ]\n}")
+
+
+def written(table, write, write_rows=WRITE_ROWS):
+    """What the writer writes of the table with pieces of write_rows rows."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kerrmich.sweep, "WRITE_ROWS", write_rows)
+        write(table, out)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.sampled_from([WRITE_ROWS, 3, 7]))
+def test_csv_rows_are_repr_joined(table, write_rows):
+    assert written(table, SweepTable.write_csv_rows, write_rows) == repr_lines(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.sampled_from([WRITE_ROWS, 3, 7]))
+def test_json_rows_are_the_json_module_layout_for_any_table(table, write_rows):
+    assert written(table, SweepTable.write_json_rows, write_rows) == json_items(table)
+
+
+def box_table(shape, at, seed=5):
+    """A box table of the shape whose column i is stored at the shape
+    at[i % len(at)], with random floats and flags."""
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for i, name in enumerate(ROW_FIELDS):
+        stored = at[i % len(at)]
+        if name in FLAG_FIELDS:
+            columns[name] = rng.random(stored) < 0.5
+        else:
+            columns[name] = rng.normal(size=stored) * 10.0 ** rng.integers(-20, 20, stored)
+    return SweepTable(columns, shape)
+
+
+@pytest.mark.parametrize("write_rows", [3, 7])
+@pytest.mark.parametrize(
+    "table",
+    [
+        # a short last piece, and a JSON row list that ends mid-piece
+        box_table((10,), [(10,), (), (10,)]),
+        # one row
+        box_table((1,), [(1,)]),
+        # every column one value: each row is one fixed text
+        box_table((10,), [()]),
+        # per-axis columns gathered by their row positions
+        box_table((2, 3, 4), [(2, 3, 4), (2, 1, 1), (3, 1), (4,), (2, 3, 1), ()]),
+    ],
+    ids=["short-last-piece", "one-row", "all-folded", "gathered"],
+)
+def test_rows_across_piece_boundaries(table, write_rows):
+    assert written(table, SweepTable.write_csv_rows, write_rows) == repr_lines(table)
+    assert written(table, SweepTable.write_json_rows, write_rows) == json_items(table)
+
+
+def test_writing_a_block_holds_one_piece_of_text():
+    # one box of 2 x 64 x 64 = 8192 rows, the most a block holds
+    grids = [GridSpec("tau", 1e-11, 1e-9, 2, "log"), GridSpec("power", 1e5, 1e7, 64, "log"),
+             GridSpec("sigma", 0.0, 1e-3, 64)]
+    (block,) = sweep_blocks(GIANT_BASE, grids)
+    assert len(block) == 8192
+
+    class Null(io.TextIOBase):
+        def write(self, text):
+            return len(text)
+
+    def peak(write, write_rows):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kerrmich.sweep, "WRITE_ROWS", write_rows)
+            write(block, Null())  # builds the formatter's tables first
+            tracemalloc.start()
+            try:
+                write(block, Null())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    for write in (SweepTable.write_csv_rows, SweepTable.write_json_rows):
+        # the block's rows at once are 2.2 MB of CSV text or 7.5 MB of JSON,
+        # held two or three times over on their way out
+        assert peak(write, WRITE_ROWS) < 3.5e6
+        # more pieces, no more memory: nothing piles up per piece
+        assert peak(write, 64) <= peak(write, WRITE_ROWS)
