@@ -2,7 +2,9 @@
 
 Output is machine-readable (JSON or the fixed-column CSV) with floats
 serialized at full round-trip precision. JSON is strict: inf and NaN are
-null, where the CSV keeps Python's inf and nan. Exit codes: 0 success,
+null, where the CSV keeps Python's inf and nan. Every command writes
+bytes, to the --output file or to stdout's byte buffer (decoded into a
+stdout that has none, such as an io.StringIO). Exit codes: 0 success,
 1 input error or unwritable output (a closed pipe too), 2 verification failure.
 """
 
@@ -18,7 +20,7 @@ import time
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import BinaryIO, Callable, Sequence, TextIO
 
 from . import __version__
 from .core import (
@@ -233,23 +235,42 @@ def _json_text(obj) -> str:
     return json.dumps(finite, indent=2, allow_nan=False)
 
 
+class _Decoding:
+    """A binary stream's `write` into a text stream that has no byte
+    buffer beneath it, such as an io.StringIO that stdout is redirected
+    to: each write is whole lines, so it decodes on its own."""
+
+    def __init__(self, text: TextIO) -> None:
+        self.text = text
+
+    def write(self, data: bytes) -> int:
+        return self.text.write(data.decode())
+
+
 def _emit_stream(
-    write: Callable[[TextIO], None], output: Path | None, manifest: dict | None
+    write: Callable[[BinaryIO], None], output: Path | None, manifest: dict | None
 ) -> None:
-    """Stream text through write(file), so memory does not grow with it."""
+    """Stream bytes through write(file), so memory does not grow with
+    them: to the --output file, or to stdout's byte buffer, after what
+    was printed before it."""
     if output is None:
-        write(sys.stdout)
+        stdout = getattr(sys.stdout, "buffer", None)
+        if stdout is None:
+            write(_Decoding(sys.stdout))
+        else:
+            sys.stdout.flush()
+            write(stdout)
         return
     opened = []
     try:
-        with output.open("w") as f:
+        with output.open("wb") as f:
             opened.append(output)
             write(f)
         if manifest is not None:
             sidecar = output.with_name(output.name + ".manifest.json")
-            with sidecar.open("w") as f:
+            with sidecar.open("wb") as f:
                 opened.append(sidecar)
-                f.write(_json_text(manifest) + "\n")
+                f.write((_json_text(manifest) + "\n").encode())
     except OSError:
         # a run that exits 1 leaves no partial output: a regular file is
         # removed, one reached through a symlink is emptied, and a link, a
@@ -267,8 +288,8 @@ def _emit_json(obj: dict, output: Path | None, manifest: dict | None) -> None:
     """A file embeds the manifest in the object instead of a sidecar."""
     if output is not None and manifest is not None:
         obj = {**obj, "manifest": manifest}
-    text = _json_text(obj) + "\n"
-    _emit_stream(lambda f: f.write(text), output, None)
+    data = (_json_text(obj) + "\n").encode()
+    _emit_stream(lambda f: f.write(data), output, None)
 
 
 def _estimate_payload(row: SweepRow) -> dict:
@@ -298,8 +319,8 @@ def cmd_estimate(args: argparse.Namespace, argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
     if args.format == "csv":
-        def write(out: TextIO) -> None:
-            out.write(CSV_HEADER)
+        def write(out: BinaryIO) -> None:
+            out.write(CSV_HEADER.encode())
             table.write_csv_rows(out)
 
         _emit_stream(write, args.output, manifest)
@@ -341,14 +362,14 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
     frame = {"columns": list(CSV_COLUMNS), "rows": [None]}
     as_json = args.format == "json"
 
-    def write(out: TextIO) -> None:
+    def write(out: BinaryIO) -> None:
         # sums over the blocks, keyed in the order of a block's own keys
         rows, failures, stages, format_write_s = 0, Counter(), Counter(check_s=check_s), 0.0
-        out.write(_json_frame(frame)[0] + "\n" if as_json else CSV_HEADER)
+        out.write((_json_frame(frame)[0] + "\n" if as_json else CSV_HEADER).encode())
         for i, block in enumerate(blocks()):
             start = time.perf_counter()
             if as_json:
-                out.write(",\n" if i else "")
+                out.write(b",\n" if i else b"")
                 block.write_json_rows(out)
             else:
                 block.write_csv_rows(out)
@@ -362,7 +383,7 @@ def cmd_sweep(args: argparse.Namespace, argv: Sequence[str]) -> int:
         if as_json:
             if args.output is not None:
                 frame["manifest"] = manifest
-            out.write("\n" + _json_frame(frame)[1] + "\n")
+            out.write(("\n" + _json_frame(frame)[1] + "\n").encode())
 
     _emit_stream(write, args.output, None if as_json else manifest)
     return 0
@@ -408,10 +429,10 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     manifest["failed"] = report.failed
     manifest["stages"] = stages = {f"{section}_s": s for section, s in report.stages.items()}
 
-    def write(out: TextIO) -> None:
+    def write(out: BinaryIO) -> None:
         start = time.perf_counter()
         for text in report.texts():
-            out.write(text)
+            out.write(text.encode())
         stages["format_write_s"] = time.perf_counter() - start
 
     _emit_stream(write, args.output, manifest)

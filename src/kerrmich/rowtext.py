@@ -8,9 +8,11 @@ texts: `digit_texts` writes `%d` of unsigned integers, `scaled_texts`
 floats. `text_table` holds any texts. `row_table` is the one row layout,
 of `verify`'s labels and check lines and of sweep CSV and JSON rows: it
 lays a row's fixed texts out once, in every row of a NUL-padded byte
-table, and gives a slot for each column of texts, which its caller fills
-whole or a piece of rows at a time; `join_texts` fills every slot at
-once. The callers delete the NULs. Every table is built on first use.
+table held in a bytearray, and gives a slot for each column of texts,
+which its caller fills whole or a piece of rows at a time; `join_texts`
+fills every slot at once. The callers delete the NULs: the sweep writer
+from the bytearray itself, on the bytes' one copy to the file. Every
+table is built on first use.
 
 `float_texts` finds each value's shortest round-trip digits with the
 Schubfach algorithm (R. Giulietti, "The Schubfach way to render doubles",
@@ -60,18 +62,23 @@ _UP = np.array([10.0 ** max(k, 0) for k in range(-22, 23)])
 _DOWN = _UP[::-1].copy()
 
 
-def row_table(pieces: list[bytes | int], rows: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The row layout: a new [rows, width] uint8 table whose every row
-    holds the pieces side by side, in order, each a bytes string laid out
-    in every row or the width w > 0 of a column of texts, left NUL; and
-    the slot of each column, a [rows] view of the table's w-byte items
-    there, into which the caller writes the column's `items`, in one go
-    or a part at a time. The fixed texts are laid out in one template row,
-    copied to every row at once, and a caller that refills the slots
-    reuses them."""
+def row_table(
+    pieces: list[bytes | int], rows: int
+) -> tuple[bytearray, np.ndarray, list[np.ndarray]]:
+    """The row layout: a new bytearray holding a [rows, width] uint8
+    table, row after row, whose every row holds the pieces side by side,
+    in order, each a bytes string laid out in every row or the width
+    w > 0 of a column of texts, left NUL; that table, a view of the
+    array; and the slot of each column, a [rows] view of the table's
+    w-byte items there, into which the caller writes the column's
+    `items`, in one go or a part at a time. The fixed texts are laid out
+    in one template row, repeated to every row, and a caller that refills
+    the slots reuses them. A writer deletes the NULs of the array
+    itself with `bytearray.translate`, which makes the one copy of the
+    bytes on their way out."""
     template = b"".join(p if isinstance(p, bytes) else bytes(p) for p in pieces)
-    table = np.empty((rows, len(template)), dtype=np.uint8)
-    table[:] = np.frombuffer(template, dtype=np.uint8)
+    buffer = bytearray(template) * rows
+    table = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, len(template))
     slots, start = [], 0
     for piece in pieces:
         if isinstance(piece, bytes):
@@ -79,7 +86,7 @@ def row_table(pieces: list[bytes | int], rows: int) -> tuple[np.ndarray, list[np
         else:
             slots.append(table[:, start : start + piece].view(f"V{piece}")[:, 0])
             start += piece
-    return table, slots
+    return buffer, table, slots
 
 
 def items(texts: np.ndarray) -> np.ndarray:
@@ -98,7 +105,7 @@ def join_texts(pieces: list[bytes | np.ndarray]) -> np.ndarray:
     rows = next(len(p) for p in pieces if not isinstance(p, bytes))
     # a table of no width adds nothing
     pieces = [p if isinstance(p, bytes) or p.shape[1] else b"" for p in pieces]
-    table, slots = row_table([p if isinstance(p, bytes) else p.shape[1] for p in pieces], rows)
+    _, table, slots = row_table([p if isinstance(p, bytes) else p.shape[1] for p in pieces], rows)
     for slot, texts in zip(slots, (p for p in pieces if not isinstance(p, bytes))):
         slot[:] = items(texts)
     return table
@@ -147,7 +154,7 @@ def text_table(texts) -> np.ndarray:
     text that holds a NUL raises ValueError."""
     encoded = [text.encode() for text in texts]
     if b"\0" in b"".join(encoded):
-        raise ValueError("a text in a table of texts holds no NUL")
+        raise ValueError("a text in a table of texts must not hold a NUL")
     table = np.array(encoded, dtype=bytes)
     return table.view(np.uint8).reshape(len(encoded), table.itemsize)
 

@@ -29,11 +29,13 @@ So every row is bit for bit the row of the composed path, which the
 tests use as the reference.
 
 `SweepTable.write_csv_rows` and `write_json_rows` share one byte writer,
-`_write_rows`: each stored value of a block is formatted once, floats by
-`rowtext.float_texts` (byte for byte `repr`), and the rows are laid out
-by `rowtext.row_table`, the layout of `verify`'s report lines too. A
-block's fixed texts are laid out once, in one table of WRITE_ROWS rows,
-and each piece of rows copies only its column texts into that table.
+`_write_rows`, which writes ASCII bytes to a binary stream: each stored
+value of a block is formatted once, floats by `rowtext.float_texts`
+(byte for byte `repr`), and the rows are laid out by `rowtext.row_table`,
+the layout of `verify`'s report lines too. A block's fixed texts are laid
+out once, in one table of WRITE_ROWS rows held in a bytearray, and each
+piece of rows copies only its column texts into that table; the NULs are
+deleted in the one copy of its bytes that goes to the stream.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -332,20 +334,22 @@ class SweepTable:
             name: len(self) - int(np.count_nonzero(self.column(name))) for name in FLAG_FIELDS
         }
 
-    def write_csv_rows(self, out: TextIO) -> None:
-        """One CSV line per row, each value as `repr` of its float."""
+    def write_csv_rows(self, out: BinaryIO) -> None:
+        """One CSV line per row, each value as `repr` of its float, as
+        ASCII bytes to the binary stream out."""
         _write_rows(out, self, CSV_COLUMNS, _CSV_TEXTS)
 
-    def write_json_rows(self, out: TextIO) -> None:
+    def write_json_rows(self, out: BinaryIO) -> None:
         """The rows as `json.dumps(..., indent=2)` lays out the items of a
         list held by a top-level key, such as the "rows" of a sweep: one
-        object per row, joined by ",\n", with no newline at either end.
+        object per row, joined by ",\n", with no newline at either end,
+        as ASCII bytes to the binary stream out.
 
         Floats are `float.__repr__`, or null where not finite, and flags
         are true and false: strict JSON. A table with no rows writes
         nothing.
         """
-        _write_rows(out, self, ROW_FIELDS, _JSON_TEXTS, nonfinite="null", drop_end=",\n")
+        _write_rows(out, self, ROW_FIELDS, _JSON_TEXTS, nonfinite=b"null", drop_end=b",\n")
 
 
 # The fixed texts of a CSV row and of a JSON row (see `_write_rows`).
@@ -356,40 +360,46 @@ _JSON_TEXTS = [b"    {\n" + _JSON_KEYS[0], *(b",\n" + key for key in _JSON_KEYS[
 _FLAG_TEXTS = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
 
 # Rows of text laid out and written at once. A block's row table holds
-# this many rows, and each piece's bytes, NUL-free bytes and str are
-# ~150 kB of CSV: on a 50 x 50 x 40 CSV sweep, pieces of 1024 rows pushed
-# the heap top past glibc's trim threshold, faulting ~75% more pages per
-# run than pieces of 512 (`ru_minflt` of in-process CLI runs on a 2-core
-# Linux VM), and wrote the blocks ~9% slower; pieces of 256 faulted ~10%
-# fewer pages and wrote ~3% slower, from twice the calls per row. A
-# table's iterator builds its rows in pieces of the same size.
+# this many rows, ~166 kB of CSV or ~497 kB of JSON on a 50 x 50 x 40
+# sweep, and each piece's NUL-free copy, the bytes written, is ~144 kB or
+# ~472 kB. On that sweep (`ru_minflt` and medians of five in-process CLI
+# runs, each size in three fresh interpreters, on a 2-core Linux VM),
+# pieces of 1024 rows faulted ~39% more pages per CSV run than pieces of
+# 512 (5.5k against 4.0k) and ~12% more per JSON run, and wrote no
+# faster; pieces of 256 faulted ~5% more per CSV run and ~40% fewer per
+# JSON run (4.2k against 6.9k), at the same speed within the runs'
+# spread. A table's iterator builds its rows in pieces of the same size.
 WRITE_ROWS = 512
 
 
 def _write_rows(
-    out: TextIO,
+    out: BinaryIO,
     table: SweepTable,
     names: Sequence[str],
     fixed: list[bytes],
-    nonfinite: str | None = None,
-    drop_end: str = "",
+    nonfinite: bytes | None = None,
+    drop_end: bytes = b"",
 ) -> None:
     """Write the named columns of the table row by row between the fixed
     texts, fixed[0] before the first column and fixed[i + 1] after column
-    i, with drop_end cut from the end of the last row.
+    i, with drop_end, a suffix of fixed[-1], cut from the end of the last
+    row.
 
     A float is written as `repr`, or as nonfinite if given and the float
     is inf or NaN, and a flag as false or true. Values are told apart by
     their bits, so -0.0 is not 0.0. A column that holds one value is
     formatted once and folds into the fixed texts; the floats of the
     others are formatted in one `float_texts` call. `rowtext.row_table`
-    lays the fixed texts out once, in a table of WRITE_ROWS rows held for
-    the block, and each piece of rows copies only its column texts into
-    the table's slots: a column with one value per row as a slice, any
-    other gathered by the row positions of its values, one array per
-    stored shape. A float text is 24 bytes wide, so NULs are dense (~15%
-    of a CSV row's bytes, ~6% of a JSON row's), and `translate` deletes
-    them in one pass over the bytes.
+    lays the fixed texts out once, in a bytearray of WRITE_ROWS rows held
+    for the block, and each piece of rows copies only its column texts
+    into the table's slots: a column with one value per row as a slice,
+    any other gathered by the row positions of its values, one array per
+    stored shape, into a contiguous array of its text width and then into
+    its slot. A float text is 24 bytes wide, so NULs are dense (~15% of a
+    CSV row's bytes, ~6% of a JSON row's), and `bytearray.translate`
+    deletes them in one pass over the array (over its first rows for a
+    shorter last piece), making the one copy of the bytes that is written
+    to out, a binary stream.
     """
     from .rowtext import float_texts, items, row_table  # only the writers load the formatter
 
@@ -429,16 +439,24 @@ def _write_rows(
             raise IndexError(f"row positions out of range for {len(bits)} values")
         layout += [words.shape[1], after]
         columns.append((items(words), index))
-    rows, slots = row_table(layout, min(n, WRITE_ROWS))
+    buffer, rows, slots = row_table(layout, min(n, WRITE_ROWS))
+    # `take` into a strided slot copies the slot to a temporary and back,
+    # so a gathered column goes through one contiguous array per width
+    gathered = {words.dtype: np.empty(len(rows), words.dtype) for words, index in columns
+                if index is not None}
     for lo in range(0, n, WRITE_ROWS):
         m = min(n - lo, WRITE_ROWS)
         for slot, (words, index) in zip(slots, columns):
             if index is None:
                 slot[:m] = words[lo : lo + m]
             else:
-                np.take(words, index[lo : lo + m], out=slot[:m], mode="clip")
-        text = rows[:m].tobytes().translate(None, b"\0").decode("ascii")
-        out.write(text if lo + m < n else text.removesuffix(drop_end))
+                gather = gathered[words.dtype][:m]
+                np.take(words, index[lo : lo + m], out=gather, mode="clip")
+                slot[:m] = gather
+        data = (buffer if m == len(rows) else buffer[: m * rows.shape[1]]).translate(None, b"\0")
+        if lo + m == n:
+            del data[len(data) - len(drop_end) :]
+        out.write(data)
 
 
 def _positions(shape: tuple[int, ...], box: tuple[int, ...]) -> np.ndarray:

@@ -414,6 +414,42 @@ class TestOutputFiles:
         assert manifest_a == manifest_b
 
 
+# A sweep of more than one block, the same as JSON, estimate in CSV and
+# JSON, regimes and verify; True where a JSON --output file closes with
+# the run's manifest, which stdout does not carry.
+STREAM_COMMANDS = [
+    (["sweep", "--regime", "giant-eit", "--grid", "tau=1e-11:1e-9:25:log",
+      "--grid", "sigma=0:1e-3:400"], False),
+    (["sweep", "--regime", "giant-eit", "--grid", "tau=1e-11:1e-9:25:log",
+      "--grid", "sigma=0:1e-3:400", "--format", "json"], True),
+    (["estimate", "--regime", "giant-eit", "--format", "csv"], False),
+    (["estimate", "--regime", "giant-eit"], True),
+    (["regimes"], True),
+    (["verify", "--max-photons", "4", "--cases", "50"], False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, manifest_last", STREAM_COMMANDS,
+    ids=["sweep-csv", "sweep-json", "estimate-csv", "estimate-json", "regimes", "verify"],
+)
+def test_text_stdout_gets_the_bytes_of_the_output_file(tmp_path, argv, manifest_last):
+    # an io.StringIO has no byte buffer, so the commands' bytes are decoded
+    # into it; a text stdout over a byte buffer gets them as they are
+    text, binary = io.StringIO(), io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    for stdout in (text, binary):
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+    binary.flush()
+    target = tmp_path / "out"
+    assert main([*argv, "--output", str(target)]) == 0
+    data = target.read_bytes()
+    if manifest_last:
+        data = data[: data.index(b',\n  "manifest": ')] + b"\n}\n"
+    assert text.getvalue().encode() == binary.buffer.getvalue() == data
+    assert len(data) > 100
+
+
 def test_no_command(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1
@@ -838,6 +874,39 @@ def test_sweep_memory_does_not_grow_with_rows(tmp_path, fmt, rows):
     grids += ("--grid", f"sigma=0:1e-3:{rows // 2500}")
     one_row = _sweep_max_rss_mb(tmp_path, fmt)
     assert _sweep_max_rss_mb(tmp_path, fmt, *grids) - one_row < 25.0
+
+
+# Runs in-process sweeps of bench/'s sweep-csv grid (1e5 rows) to a null
+# stdout, CSV and JSON in turn, and prints each format's minor page faults
+# in its second run, once the first has built the formatter's tables.
+FAULTS_SCRIPT = """\
+import contextlib, os, resource
+from kerrmich.cli import main
+grids = ["--grid", "tau=1e-11:1e-9:50:log", "--grid", "power=1e5:1e7:50:log",
+         "--grid", "sigma=0:1e-3:40"]
+faults = {}
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    for fmt in ("csv", "json") * 2:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(["sweep", "--regime", "giant-eit", *grids, "--format", fmt]) == 0
+        faults[fmt] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults["csv"], faults["json"])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt")
+def test_json_sweep_faults_about_the_pages_of_a_csv_sweep():
+    # a JSON row is ~0.9 kB, four times a CSV row; a writer that copied
+    # each piece of 512 JSON rows four times on its way out made ~0.48 MB
+    # of temporaries per piece, above glibc's mmap threshold, and faulted
+    # ~7 times the pages of the CSV sweep
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmich.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    csv, json_ = map(int, proc.stdout.split())
+    assert json_ <= 2.5 * csv, (csv, json_)
 
 
 @pytest.mark.parametrize("target", ["dir", "missing/x"])

@@ -43,7 +43,13 @@ def test_csv_column_order_is_the_one_in_the_code():
 
 
 def test_library_sketch_runs():
-    out = io.StringIO()
+    # a text stdout over a byte buffer, as a script's, since the sketch
+    # writes the sweep's rows to sys.stdout.buffer
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with contextlib.redirect_stdout(out):
         exec(_block("Library sketch", "python"), {})
-    assert out.getvalue()
+    out.flush()
+    lines = out.buffer.getvalue().decode().splitlines()
+    # the 10_000 CSV rows come after the lines printed before them
+    rows = [i for i, line in enumerate(lines) if line.count(",") == len(CSV_COLUMNS) - 1]
+    assert len(rows) == 10_000 and rows[0] > 0 and rows == list(range(rows[0], rows[0] + 10_000))

@@ -271,7 +271,7 @@ def test_text_table():
     texts = ["plain", "ä", "x" * 40, "", "100% sure"]
     assert rows(text_table(texts)) == [text.encode() for text in texts]
     assert text_table([]).shape[0] == 0
-    with pytest.raises(ValueError, match="NUL"):
+    with pytest.raises(ValueError, match="^a text in a table of texts must not hold a NUL$"):
         text_table(["a", "b\0c"])
 
 
@@ -297,13 +297,18 @@ def test_join_texts_lays_out_tables_between_fixed_texts():
 def test_row_table_is_filled_a_part_at_a_time():
     names = text_table(["a", "bcd", "", "ef", "g"])
     digits = digit_texts(np.arange(5, dtype=np.uint64) * 7)
-    table, slots = row_table([b"<", names.shape[1], b"|", digits.shape[1], b">\n"], 2)
+    buffer, table, slots = row_table([b"<", names.shape[1], b"|", digits.shape[1], b">\n"], 2)
     assert table.shape == (2, 1 + names.shape[1] + 1 + digits.shape[1] + 2)
     assert rows(table) == [b"<|>\n"] * 2
-    lines = []
+    lines, text = [], b""
     for lo in range(0, 5, 2):
         m = min(2, 5 - lo)
         slots[0][:m] = items(names)[lo : lo + m]
         slots[1][:m] = items(digits)[lo : lo + m]
         lines += rows(table[:m])
-    assert lines == [b"<%s|%d>\n" % (name.encode(), 7 * i) for i, name in enumerate(["a", "bcd", "", "ef", "g"])]
+        # the table lies in the bytearray, row after row
+        text += buffer[: table[:m].size].translate(None, b"\0")
+    want = [b"<%s|%d>\n" % (name.encode(), 7 * i) for i, name in enumerate(["a", "bcd", "", "ef", "g"])]
+    assert lines == want
+    assert text == b"".join(want)
+    assert row_table([b"x", 3], 0)[1].shape == (0, 4)

@@ -245,10 +245,10 @@ class TestSweepTable:
 
     def test_csv_keeps_negative_zero_apart(self):
         rows = [evaluate(dataclasses.replace(GIANT_BASE, sigma=s)) for s in (0.0, -0.0, 0.0)]
-        out = io.StringIO()
+        out = io.BytesIO()
         table_of(rows).write_csv_rows(out)
-        assert out.getvalue() == csv_of(rows)
-        lines = out.getvalue().splitlines()
+        assert out.getvalue() == csv_of(rows).encode()
+        lines = out.getvalue().decode().splitlines()
         assert [line.split(",")[6] for line in lines] == ["0.0", "-0.0", "0.0"]
 
 
@@ -354,10 +354,10 @@ def test_blocks_are_boxes_of_the_grid(sweep):
     want = reference(GIANT_BASE, grids, 1e-2)
     for i, (g, w) in enumerate(zip(got, want)):
         assert bits(g) == bits(w), i
-    out = io.StringIO()
+    out = io.BytesIO()
     for block in blocks:
         block.write_csv_rows(out)
-    assert out.getvalue() == csv_of(want)
+    assert out.getvalue() == csv_of(want).encode()
 
 
 # The sweep axes each CSV column depends on, on giant-eit with the arm on
@@ -396,7 +396,7 @@ def test_fallback_rows_keep_dedupe(monkeypatch):
             for axis, name in (("t", "tau_s"), ("p", "power_w"), ("s", "sigma"))
         }
         own = {name: math.prod(extent[axis] for axis in axes) for name, axes in CSV_AXES.items()}
-        block.write_csv_rows(io.StringIO())
+        block.write_csv_rows(io.BytesIO())
         assert formatted.pop() <= sum(own.values())
         assert not formatted
     assert rows == 100_000
@@ -438,9 +438,9 @@ def test_json_rows_are_the_json_module_layout():
     rows = reference(
         dataclasses.replace(GIANT_BASE, sigma=-0.0), [GridSpec("power", 0.0, 2e6, 3)], 1e-2
     )
-    out = io.StringIO()
+    out = io.BytesIO()
     table_of(rows).write_json_rows(out)
-    text = out.getvalue()
+    text = out.getvalue().decode()
     # strict JSON: the infinite resolutions of the dark input are null
     items = [
         {
@@ -454,9 +454,9 @@ def test_json_rows_are_the_json_module_layout():
     assert "null" in text and "-0.0" in text and "true" in text
     # a table with no rows writes nothing, in JSON as in CSV
     for write in (SweepTable.write_json_rows, SweepTable.write_csv_rows):
-        out = io.StringIO()
+        out = io.BytesIO()
         write(table_of([]), out)
-        assert out.getvalue() == ""
+        assert out.getvalue() == b""
 
 
 # Floats whose texts stress the writer: both zeros, the non-finite values,
@@ -530,8 +530,10 @@ def json_items(table):
 
 
 def written(table, write, write_rows=WRITE_ROWS):
-    """What the writer writes of the table with pieces of write_rows rows."""
-    out = io.StringIO()
+    """What the writer writes of the table with pieces of write_rows rows:
+    WRITE_ROWS rows or more fill whole pieces of the block's row table,
+    and a shorter last piece is sliced from it."""
+    out = io.BytesIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kerrmich.sweep, "WRITE_ROWS", write_rows)
         write(table, out)
@@ -541,13 +543,13 @@ def written(table, write, write_rows=WRITE_ROWS):
 @settings(max_examples=100, deadline=None)
 @given(tables(), st.sampled_from([WRITE_ROWS, 3, 7]))
 def test_csv_rows_are_repr_joined(table, write_rows):
-    assert written(table, SweepTable.write_csv_rows, write_rows) == repr_lines(table)
+    assert written(table, SweepTable.write_csv_rows, write_rows) == repr_lines(table).encode()
 
 
 @settings(max_examples=60, deadline=None)
 @given(tables(), st.sampled_from([WRITE_ROWS, 3, 7]))
 def test_json_rows_are_the_json_module_layout_for_any_table(table, write_rows):
-    assert written(table, SweepTable.write_json_rows, write_rows) == json_items(table)
+    assert written(table, SweepTable.write_json_rows, write_rows) == json_items(table).encode()
 
 
 def box_table(shape, at, seed=5):
@@ -580,8 +582,8 @@ def box_table(shape, at, seed=5):
     ids=["short-last-piece", "one-row", "all-folded", "gathered"],
 )
 def test_rows_across_piece_boundaries(table, write_rows):
-    assert written(table, SweepTable.write_csv_rows, write_rows) == repr_lines(table)
-    assert written(table, SweepTable.write_json_rows, write_rows) == json_items(table)
+    assert written(table, SweepTable.write_csv_rows, write_rows) == repr_lines(table).encode()
+    assert written(table, SweepTable.write_json_rows, write_rows) == json_items(table).encode()
 
 
 def test_writing_a_block_holds_one_piece_of_text():
@@ -591,9 +593,9 @@ def test_writing_a_block_holds_one_piece_of_text():
     (block,) = sweep_blocks(GIANT_BASE, grids)
     assert len(block) == 8192
 
-    class Null(io.TextIOBase):
-        def write(self, text):
-            return len(text)
+    class Null(io.BufferedIOBase):
+        def write(self, data):
+            return len(data)
 
     def peak(write, write_rows):
         with pytest.MonkeyPatch.context() as patch:
