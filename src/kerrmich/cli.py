@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import shlex
+import stat
 import sys
 import time
 from collections import Counter
@@ -247,12 +249,65 @@ class _Decoding:
         return self.text.write(data.decode())
 
 
+class _HeldFirstByte(io.FileIO):
+    """A regular output file's raw stream that writes NUL in place of the
+    output's first byte and keeps that byte in `head`, for `_write_output`
+    to put in once the output is whole: a process that dies mid-run
+    leaves a file that starts with NUL, which no output format does.
+    Nothing is synced, so a machine that crashes may not."""
+
+    head = b""
+
+    def write(self, data) -> int:
+        if self.head or not len(data):
+            return super().write(data)
+        # one byte written, so the buffered writer hands over the rest
+        written = super().write(b"\0")
+        self.head = bytes(data[:1])
+        return written
+
+
+def _open_output(path: Path) -> io.BufferedWriter:
+    """path opened for writing from its first byte, created with mode
+    0o666 less the umask as `open(path, "wb")` does, but not truncated:
+    a regular file's raw stream is a `_HeldFirstByte`, and anything else
+    (a device, a pipe) is written straight through."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        return open(fd, "wb")
+    return io.BufferedWriter(_HeldFirstByte(fd, "w"))
+
+
+def _write_output(
+    path: Path, write: Callable[[BinaryIO], None], opened: list[Path]
+) -> None:
+    """Write path through write(file), appending path to opened once it is
+    open. An existing regular file is rewritten in place, its pages and
+    blocks reused, and on every exit ends at the last byte written; its
+    first byte goes in last, so until the output is whole it starts with
+    NUL (in the page cache: nothing is synced to disk)."""
+    with _open_output(path) as f:
+        opened.append(path)
+        raw = f.raw
+        if not isinstance(raw, _HeldFirstByte):
+            write(f)
+            return
+        try:
+            write(f)
+            f.flush()
+        finally:
+            # what is still buffered on an early exit lands at this end
+            os.ftruncate(raw.fileno(), raw.tell())
+        if raw.head:
+            os.pwrite(raw.fileno(), raw.head, 0)
+
+
 def _emit_stream(
     write: Callable[[BinaryIO], None], output: Path | None, manifest: dict | None
 ) -> None:
     """Stream bytes through write(file), so memory does not grow with
-    them: to the --output file, or to stdout's byte buffer, after what
-    was printed before it."""
+    them: to the --output file (`_write_output`), or to stdout's byte
+    buffer, after what was printed before it."""
     if output is None:
         stdout = getattr(sys.stdout, "buffer", None)
         if stdout is None:
@@ -261,16 +316,13 @@ def _emit_stream(
             sys.stdout.flush()
             write(stdout)
         return
-    opened = []
+    opened: list[Path] = []
     try:
-        with output.open("wb") as f:
-            opened.append(output)
-            write(f)
+        _write_output(output, write, opened)
         if manifest is not None:
+            data = (_json_text(manifest) + "\n").encode()
             sidecar = output.with_name(output.name + ".manifest.json")
-            with sidecar.open("wb") as f:
-                opened.append(sidecar)
-                f.write((_json_text(manifest) + "\n").encode())
+            _write_output(sidecar, lambda f: f.write(data), opened)
     except OSError:
         # a run that exits 1 leaves no partial output: a regular file is
         # removed, one reached through a symlink is emptied, and a link, a

@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -1029,11 +1031,11 @@ def test_failed_verify_write_leaves_no_partial_file(capsys, tmp_path, monkeypatc
 )
 def test_failed_sidecar_write_leaves_neither_file(capsys, tmp_path, monkeypatch, argv):
     # the sidecar is created and half written, then the disk is full
-    path_open = Path.open
+    open_output = kerrmich.cli._open_output
 
-    def open_(self, *args, **kwargs):
-        f = path_open(self, *args, **kwargs)
-        if self.name.endswith(".manifest.json"):
+    def open_(path):
+        f = open_output(path)
+        if path.name.endswith(".manifest.json"):
             def write(text):
                 type(f).write(f, text[: len(text) // 2])
                 raise _no_space()
@@ -1041,10 +1043,178 @@ def test_failed_sidecar_write_leaves_neither_file(capsys, tmp_path, monkeypatch,
             f.write = write
         return f
 
-    monkeypatch.setattr(Path, "open", open_)
+    monkeypatch.setattr(kerrmich.cli, "_open_output", open_)
     code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "x.csv"))
     assert (code, out, err) == (1, "", NO_SPACE)
     assert list(tmp_path.iterdir()) == []
+
+
+def _data_part(path):
+    """An output file's bytes before the manifest a JSON file closes with,
+    checking that the whole file is one JSON document (so no stale byte
+    follows it); the whole file if it is not JSON."""
+    data = path.read_bytes()
+    if b',\n  "manifest": ' not in data:
+        return data
+    json.loads(data)
+    return data[: data.index(b',\n  "manifest": ')]
+
+
+@pytest.mark.parametrize(
+    "argv, manifest_last", STREAM_COMMANDS,
+    ids=["sweep-csv", "sweep-json", "estimate-csv", "estimate-json", "regimes", "verify"],
+)
+def test_rewrite_over_a_longer_file_gives_the_fresh_bytes(capsys, tmp_path, argv, manifest_last):
+    # the data file and its sidecar are rewritten in place over junk 1 MB
+    # longer than the fresh run's, and end where the fresh run's do
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    assert run_cli(capsys, *argv, "--output", str(fresh)) == (0, "", "")
+    junk = b"junk" * (fresh.stat().st_size // 4 + 2**18)
+    for target in (stale, stale.with_name("stale.manifest.json")):
+        target.write_bytes(junk)
+    assert run_cli(capsys, *argv, "--output", str(stale)) == (0, "", "")
+    assert _data_part(stale) == _data_part(fresh)
+    sidecars = [target.with_name(target.name + ".manifest.json") for target in (fresh, stale)]
+    if manifest_last:
+        assert not sidecars[0].exists()
+    else:
+        fresh_manifest, stale_manifest = (json.loads(p.read_bytes()) for p in sidecars)
+        assert stale_manifest.keys() == fresh_manifest.keys()
+        assert stale_manifest["parameters"] == fresh_manifest["parameters"]
+
+
+SWEEP_20000 = ["sweep", "--regime", "giant-eit", "--grid", "sigma=0:0.1:20000"]
+
+
+def test_interrupted_rewrite_ends_at_the_last_byte_written(capsys, tmp_path, monkeypatch):
+    # a KeyboardInterrupt in the second of three blocks, over a stale file
+    # twice as long as the whole output: the file ends at the last byte
+    # written, and its first byte is NUL, as the run never finished
+    fresh, target = tmp_path / "fresh.csv", tmp_path / "rows.csv"
+    assert run_cli(capsys, *SWEEP_20000, "--output", str(fresh))[0] == 0
+    target.write_bytes(b"stale," * (2 * fresh.stat().st_size // 6))
+    write, calls, written = SweepTable.write_csv_rows, itertools.count(1), []
+
+    def interrupted(self, out):
+        if next(calls) == 2:
+            written.append(out.tell())
+            raise KeyboardInterrupt
+        return write(self, out)
+
+    monkeypatch.setattr(SweepTable, "write_csv_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*SWEEP_20000, "--output", str(target)])
+    data = target.read_bytes()
+    assert len(data) == written[0] > 1_000_000
+    assert data[:1] == b"\0" and data[1:] == fresh.read_bytes()[1 : len(data)]
+    assert not (tmp_path / "rows.csv.manifest.json").exists()
+
+
+KILL_SCRIPT = """
+import os, sys
+from kerrmich.cli import main
+from kerrmich.sweep import SweepTable
+
+write, calls = SweepTable.write_csv_rows, []
+
+def killed(self, out):
+    # the second block gets half its rows to the file, then the process dies
+    calls.append(self)
+    if len(calls) < 2:
+        return write(self, out)
+    out.write(b"x" * 100_000)
+    out.flush()
+    os._exit(9)
+
+SweepTable.write_csv_rows = killed
+main(sys.argv[1:])
+"""
+
+
+def test_killed_rewrite_is_marked_unfinished(capsys, tmp_path):
+    # a process killed mid-write leaves new rows over a stale tail: its
+    # first byte, NUL, marks it unfinished, and a re-run restores it
+    fresh, target = tmp_path / "fresh.csv", tmp_path / "rows.csv"
+    assert run_cli(capsys, *SWEEP_20000, "--output", str(fresh))[0] == 0
+    stale = b"stale," * (2 * fresh.stat().st_size // 6)
+    target.write_bytes(stale)
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmich.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_SCRIPT, *SWEEP_20000, "--output", str(target)],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (9, b"", b"")
+    data = target.read_bytes()
+    assert data[:1] == b"\0" and len(data) == len(stale)
+    written = data.index(b"x" * 100_000)
+    assert written > 1_000_000
+    assert data[1:written] == fresh.read_bytes()[1:written]
+    assert not (tmp_path / "rows.csv.manifest.json").exists()
+    assert run_cli(capsys, *SWEEP_20000, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--regime", "giant-eit", "--format", "json"], ["estimate", "--regime", "giant-eit"]],
+    ids=lambda argv: argv[0],
+)
+def test_output_to_dev_null(capsys, argv):
+    # a device is written straight through; these commands write no sidecar
+    assert run_cli(capsys, *argv, "--output", os.devnull) == (0, "", "")
+
+
+def test_output_through_a_symlink_to_dev_null(capsys, tmp_path):
+    link = tmp_path / "rows.csv"
+    link.symlink_to(os.devnull)
+    assert run_cli(capsys, *SWEEP_20000, "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and Path(os.devnull).is_char_device()
+    assert json.loads((tmp_path / "rows.csv.manifest.json").read_text())["rows"] == 20000
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_fifo_gets_the_file_bytes(capsys, tmp_path):
+    fresh, fifo = tmp_path / "fresh.csv", tmp_path / "rows.csv"
+    assert run_cli(capsys, *SWEEP_20000, "--output", str(fresh))[0] == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run_cli(capsys, *SWEEP_20000, "--output", str(fifo)) == (0, "", "")
+    finally:
+        reader.join(timeout=60)
+    assert got == [fresh.read_bytes()]
+    assert (tmp_path / "rows.csv.manifest.json").is_file()
+
+
+def test_new_output_gets_the_mode_open_gives(capsys, tmp_path):
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(
+            capsys, "estimate", "--regime", "giant-eit", "--format", "csv",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        with open(tmp_path / "by-open", "wb"):
+            pass
+    finally:
+        os.umask(umask)
+    assert code == 0
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["x.csv", "x.csv.manifest.json", "by-open"], 0o640)
+
+
+def test_rewrite_keeps_the_file_so_a_hard_link_sees_the_new_bytes(capsys, tmp_path):
+    # the file keeps its inode and mode, as it does when open truncates it
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "rows.csv", tmp_path / "link.csv"
+    assert run_cli(capsys, *SWEEP_20000, "--output", str(fresh))[0] == 0
+    target.write_bytes(b"old\n" * 2**20)
+    target.chmod(0o600)
+    os.link(target, link)
+    inode = target.stat().st_ino
+    assert run_cli(capsys, *SWEEP_20000, "--output", str(target)) == (0, "", "")
+    assert link.read_bytes() == target.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
 
 
 @pytest.mark.parametrize(
