@@ -302,6 +302,10 @@ def _write_output(
             os.pwrite(raw.fileno(), raw.head, 0)
 
 
+def _sidecar(output: Path) -> Path:
+    return output.with_name(output.name + ".manifest.json")
+
+
 def _emit_stream(
     write: Callable[[BinaryIO], None], output: Path | None, manifest: dict | None
 ) -> None:
@@ -321,12 +325,14 @@ def _emit_stream(
         _write_output(output, write, opened)
         if manifest is not None:
             data = (_json_text(manifest) + "\n").encode()
-            sidecar = output.with_name(output.name + ".manifest.json")
-            _write_output(sidecar, lambda f: f.write(data), opened)
+            _write_output(_sidecar(output), lambda f: f.write(data), opened)
     except OSError:
-        # a run that exits 1 leaves no partial output: a regular file is
+        # a run that exits 1 leaves no partial output, nor an earlier
+        # run's sidecar beside data that is gone: a regular file is
         # removed, one reached through a symlink is emptied, and a link, a
         # device or a pipe is left alone
+        if opened and manifest is not None:
+            opened = [output, _sidecar(output)]
         for path in opened:
             if path.is_symlink():
                 if path.is_file():

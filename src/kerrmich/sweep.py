@@ -164,6 +164,17 @@ class SweepRow(NamedTuple):
     nonlinearity_dominant: bool
 
 
+# `evaluate`'s constants. Python folds `2.0 * math.pi * C_LIGHT / wl` left
+# to right, so dividing the folded product keeps the quotient's bits.
+_TWO_PI_C = 2.0 * math.pi * C_LIGHT
+_TWO_PI = 2.0 * math.pi
+_PI = math.pi
+_INF = math.inf
+_sqrt = math.sqrt
+_isfinite = math.isfinite
+_new_tuple = tuple.__new__
+
+
 def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
     """One design point through the closed-form engine, as one SweepRow.
     The library's scalar entry: no CLI command calls it, as `estimate` and
@@ -171,64 +182,72 @@ def evaluate(params: ParameterSet, threshold: float = 1e-2) -> SweepRow:
 
     The scalar twin of `_kernel`: straight-line float arithmetic that
     repeats `derive`, `operating_arm_length` and `sensitivity_report` term
-    for term, so a clean point, one that passes every spec check with
-    finite inputs, derived values and resolutions, is bit for bit what
-    `_evaluate_reference` returns. Any other point, and any point on which
-    this arithmetic raises, such as a square past the largest double, goes
-    to `_evaluate_reference`, which returns or raises exactly what the
+    for term, so a clean point is bit for bit what `_evaluate_reference`
+    returns. A point is clean when it passes every spec check and one
+    finiteness test holds: the sum of its numeric inputs but eta (which
+    its range check bounds), its derived values and its resolutions is
+    finite. An inf or NaN term makes that sum inf or NaN; a point whose
+    terms are all finite but whose sum overflows is merely not vouched
+    for. Any other point, and any point on which this arithmetic raises,
+    such as a square past the largest double, goes to
+    `_evaluate_reference`, which returns or raises exactly what the
     composed path does.
     """
-    _check_threshold(threshold)
+    if not 0.0 < threshold < _INF:
+        _check_threshold(threshold)
     p = params
     wl, tau, area, power = p.wavelength, p.tau, p.area, p.power
     n0, n2, eta, sigma, nt = p.n0, p.n2, p.eta, p.sigma, p.nt
     arm, signal = p.arm_length, p.signal_x
-    isfinite = math.isfinite
     try:
-        omega = 2.0 * math.pi * C_LIGHT / wl
+        omega = _TWO_PI_C / wl
         n = power * tau / (HBAR * omega)
         chi = (n2 / n0) * HBAR * omega / (area * tau)
         k = n0 * omega / C_LIGHT
         if arm is None:
-            arm = 2.0 * math.pi / (k * chi) if chi > 0.0 else 1.0
+            arm = _TWO_PI / (k * chi) if chi > 0.0 else 1.0
 
+        # only products the composed path computes as such are shared:
+        # gain is (0.5 * chi) * n, not 0.5 * (chi * n)
+        eta_n = eta * n
+        chi_n = chi * n
+        thermal = 1.0 + nt
         # zero for a dark input (n = 0): its resolution is infinite, which
         # is not clean, so dividing by it raises and goes to the reference
         ekkn = eta * k * k * n
-        noise = 1.0 + eta * n * sigma * sigma + nt
+        noise = 1.0 + eta_n * sigma * sigma + nt
         gain = 1.0 + 0.5 * chi * n
-        delta_x = math.sqrt(noise / ekkn) / gain
-        delta_x_linear = math.sqrt((1.0 + nt) / ekkn)
-        improvement = math.sqrt(noise / (1.0 + nt)) / gain
+        delta_x = _sqrt(noise / ekkn) / gain
+        delta_x_linear = _sqrt(thermal / ekkn)
+        improvement = _sqrt(noise / thermal) / gain
 
         z0 = k * arm * chi / 2.0
-        detuning = z0 - round(z0 / math.pi) * math.pi
-        gain_sq = (chi * n) ** 2
-        nl_noise = eta * n * sigma**2 + nt
+        detuning = z0 - round(z0 / _PI) * _PI
+        gain_sq = chi_n ** 2
+        nl_noise = eta_n * sigma**2 + nt
         # the quotients of `analytic._ratio`; n is not zero here, or ekkn
         # would have raised
-        margin_small_signal = chi * n * k * abs(signal)
+        margin_small_signal = chi_n * k * abs(signal)
         margin_thermal = 0.0 if nt == 0.0 else nt / n
-        margin_operating_point = abs(detuning) / math.pi
-        margin_nl_dominant = 0.0 if nl_noise == 0.0 else nl_noise / gain_sq if gain_sq else math.inf
+        margin_operating_point = abs(detuning) / _PI
+        margin_nl_dominant = 0.0 if nl_noise == 0.0 else nl_noise / gain_sq if gain_sq else _INF
 
         clean = (
             wl > 0.0 and tau > 0.0 and area > 0.0 and power >= 0.0
             and n0 > 0.0 and n2 >= 0.0 and 0.0 < eta <= 1.0
             and sigma >= 0.0 and nt >= 0.0
             and arm > 0.0 and arm - 0.5 * signal > 0.0 and arm + 0.5 * signal > 0.0
-            and isfinite(wl) and isfinite(tau) and isfinite(area) and isfinite(power)
-            and isfinite(n0) and isfinite(n2) and isfinite(eta) and isfinite(sigma)
-            and isfinite(nt) and isfinite(arm) and isfinite(signal)
-            and isfinite(omega) and isfinite(n) and isfinite(chi) and isfinite(k)
-            and isfinite(delta_x) and isfinite(delta_x_linear) and isfinite(improvement)
+            and _isfinite(
+                wl + tau + area + power + n0 + n2 + sigma + nt + arm + signal
+                + omega + n + chi + k + delta_x + delta_x_linear + improvement
+            )
         )
     except (ArithmeticError, ValueError, TypeError):
         clean = False
     if not clean:
         return _evaluate_reference(params, threshold)
     # `SweepRow._make` less its classmethod call and length check
-    return tuple.__new__(SweepRow, (
+    return _new_tuple(SweepRow, (
         tau, area, power, n2, wl, eta, sigma, nt, arm, signal,
         n, chi, k, delta_x, delta_x_linear, improvement,
         margin_small_signal, margin_thermal, sigma,

@@ -1007,6 +1007,44 @@ def test_failed_sweep_write_through_a_symlink_empties_its_target(
     assert link.is_symlink() and real.read_bytes() == b""
 
 
+def _fail_second_csv_block(monkeypatch):
+    write, calls = SweepTable.write_csv_rows, itertools.count(1)
+
+    def failing(self, out):
+        if next(calls) == 2:
+            raise _no_space()
+        return write(self, out)
+
+    monkeypatch.setattr(SweepTable, "write_csv_rows", failing)
+
+
+def test_failed_rewrite_clears_the_earlier_sidecar(capsys, tmp_path, monkeypatch):
+    # the earlier run's sidecar would describe data that is gone
+    argv = ["sweep", "--regime", "giant-eit", "--grid", "sigma=0:0.1:20000",
+            "--output", str(tmp_path / "x.csv")]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.csv.manifest.json"]
+    _fail_second_csv_block(monkeypatch)
+    assert run_cli(capsys, *argv) == (1, "", NO_SPACE)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_empties_a_sidecar_reached_through_a_symlink(
+    capsys, tmp_path, monkeypatch
+):
+    real, link = tmp_path / "real.json", tmp_path / "x.csv.manifest.json"
+    real.write_text("{}\n")
+    link.symlink_to(real)
+    _fail_second_csv_block(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "sweep", "--regime", "giant-eit", "--grid", "sigma=0:0.1:20000",
+        "--output", str(tmp_path / "x.csv"),
+    )
+    assert (code, out, err) == (1, "", NO_SPACE)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["real.json", "x.csv.manifest.json"]
+    assert link.is_symlink() and real.read_bytes() == b""
+
+
 def test_failed_verify_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
     texts = CrossCheckReport.texts
 

@@ -8,6 +8,7 @@ may compute a point itself only when the point is clean.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -111,13 +112,37 @@ def test_squares_round_like_python_power(base, sigma, parameter, fallbacks):
         # signal_x makes arm 1, then arm 2, negative
         dict(signal_x=1e3),
         dict(signal_x=-1e3),
+        # finite inputs, but noise / (eta * k**2 * N) overflows, so both
+        # resolutions are inf
+        dict(eta=1e-310, power=1e-20, nt=1e10),
     ],
-    ids=["dark", "zero-divisor", "gain-square", "round-inf", "arm-1", "arm-2"],
+    ids=["dark", "zero-divisor", "gain-square", "round-inf", "arm-1", "arm-2",
+         "resolution-overflow"],
 )
 def test_unclean_points_take_the_fallback(changes, fallbacks):
     params = dataclasses.replace(GIANT_BASE, **changes)
     want = outcome(_evaluate_reference, params, 1e-2)
     assert outcome(evaluate, params, 1e-2) == want
+    assert fallbacks == [params]
+
+
+@pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_non_finite_inputs_take_the_fallback(field, special, fallbacks):
+    # one finiteness test, of a sum, stands for a test of every input
+    params = dataclasses.replace(GIANT_BASE, **{field: special})
+    want = outcome(_evaluate_reference, params, 1e-2)
+    assert outcome(evaluate, params, 1e-2) == want
+    assert fallbacks == [params]
+
+
+def test_finite_point_whose_finiteness_sum_overflows_takes_the_fallback(fallbacks):
+    # every input, derived value and resolution is finite, but area + nt
+    # is past the largest double, so the sum is inf
+    params = dataclasses.replace(GIANT_BASE, nt=1e308, area=1e308, arm_length=1.0)
+    want = _evaluate_reference(params)
+    assert all(math.isfinite(v) for v in want[:16])
+    assert bits(evaluate(params)) == bits(want)
     assert fallbacks == [params]
 
 
@@ -154,10 +179,13 @@ GIANT_ARM = 125.85291426568021
         # (eta * N * sigma) ** 2 would overflow, but no row field squares
         # that product: the noise terms square sigma alone
         dict(sigma=1e140),
+        # chi * N overflows to inf, but the gain's (0.5 * chi) * N is 1e308,
+        # so the gain cannot share the product chi * N
+        dict(n2=1e100, power=2e102, area=1e-106),
     ],
     ids=[
         "linear-medium", "linear-medium-dephased", "margin-overflow", "negative-zeros",
-        "ints", "int-arm", "round-half-even", "variance-square",
+        "ints", "int-arm", "round-half-even", "variance-square", "gain-half-product",
     ],
 )
 def test_clean_edge_points_take_the_fast_path(changes, fallbacks):
